@@ -4,13 +4,27 @@ Strategy: enumerate the sumset up to the limit (a set of polylog size),
 then for every ordered value pair (s0, s1) with s1 > s0 take N = s0,
 D = s1 - s0 and test the remaining k-2 terms by hash lookup.  Complete by
 construction: any progression's first two terms are such a pair.
+
+The loop over s1 runs in C.  The final term N + (k-1)D = (k-1)*s1 - (k-2)*s0
+grows with s1, so for each s0 the admissible s1 are exactly the sorted
+values up to (limit + (k-2)*s0) // (k-1), found by bisection; integer
+floor division makes that cut exact.  The candidate third terms
+2*s1 - s0 of that range are formed by ``map`` over a list of doubled
+values, and one ``set.intersection`` keeps those in the sumset.  Each hit
+fixes D = (t - s0) / 2, and the remaining k-3 terms are confirmed by set
+lookup.  All arithmetic is on Python ints, so nothing is filtered or
+decided by a fixed-width or floating value.  The range can be empty for
+one s0 and not for a later one, because the gap to the next value is not
+monotone (in S_{2,3} at limit 257 the range is empty at s0 = 155 while
+245, 251, 257 follows), so the outer loop visits every value.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .sumset import SumsetElement, SumsetParams, element, value_set
+from .sumset import SumsetElement, SumsetParams, contains, element, value_set
 
 
 @dataclass(frozen=True)
@@ -40,37 +54,21 @@ class ApSearchReport:
     def pairs(self) -> list[tuple[int, int]]:
         return [(p.N, p.D) for p in self.progressions]
 
-    def maximal_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (p.N, p.D)
-            for p, flag in zip(self.progressions, self.maximal_flags)
-            if flag
-        ]
-
 
 def _find_pairs(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], set[int]]:
     values = value_set(params, limit)
     ordered = sorted(values)
+    doubled = [2 * v for v in ordered]
     pairs: list[tuple[int, int]] = []
-    n_vals = len(ordered)
-    # N + (k-1)D = (k-1)*s1 - (k-2)*s0 is increasing in s1, so the inner
-    # loop can stop as soon as the final term would exceed the limit.
-    for i in range(n_vals):
-        s0 = ordered[i]
-        cap = limit + (k - 2) * s0
-        for j in range(i + 1, n_vals):
-            s1 = ordered[j]
-            if (k - 1) * s1 > cap:
-                break
-            d = s1 - s0
-            t = s1 + d
-            ok = True
-            for _ in range(k - 2):
-                if t not in values:
-                    ok = False
-                    break
+    for i, s0 in enumerate(ordered):
+        hi = bisect_right(ordered, (limit + (k - 2) * s0) // (k - 1), i + 1)
+        for t in values.intersection(map(s0.__rsub__, doubled[i + 1 : hi])):
+            d = (t - s0) >> 1
+            for _ in range(k - 3):
                 t += d
-            if ok:
+                if t not in values:
+                    break
+            else:
                 pairs.append((s0, d))
     return pairs, values
 
@@ -85,6 +83,25 @@ def _materialize(params: SumsetParams, n: int, d: int, k: int) -> Progression:
     return Progression(n, d, k, tuple(terms))
 
 
+def _scan(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], list[bool]]:
+    """Sorted (N, D) windows up to the limit, with their maximal flags."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    pairs, values = _find_pairs(params, k, limit)
+    pairs.sort()
+    flags = []
+    for n, d in pairs:
+        before = n - d
+        after = n + k * d
+        extendable = (before >= 2 and before in values) or (
+            after in values if after <= limit else contains(params, after)
+        )
+        flags.append(not extendable)
+    return pairs, flags
+
+
 def find_progressions(params: SumsetParams, k: int, limit: int) -> ApSearchReport:
     """All (N, D) with N, N+D, ..., N+(k-1)D in the sumset and N+(k-1)D <= limit.
 
@@ -92,28 +109,9 @@ def find_progressions(params: SumsetParams, k: int, limit: int) -> ApSearchRepor
     of a longer progression appear separately, with the maximal flag telling
     them apart (true iff neither N-D nor N+kD is in the sumset).
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    pairs, values = _find_pairs(params, k, limit)
-    pairs.sort()
+    pairs, flags = _scan(params, k, limit)
     progs = tuple(_materialize(params, n, d, k) for n, d in pairs)
-    flags = []
-    for n, d in pairs:
-        before = n - d
-        after = n + k * d
-        extendable = (before >= 2 and before in values) or (
-            after in values if after <= limit else _member(params, after)
-        )
-        flags.append(not extendable)
     return ApSearchReport(params, k, limit, progs, tuple(flags))
-
-
-def _member(params: SumsetParams, n: int) -> bool:
-    from .sumset import contains
-
-    return contains(params, n)
 
 
 @dataclass(frozen=True)
@@ -136,16 +134,23 @@ def count_3term_stable(params: SumsetParams, limits: list[int]) -> Count3Report:
     Reports both the raw window count and the maximal-progression count
     (windows whose one-step extensions in either direction leave the
     sumset); a stabilized flag compares the last two counts.
+
+    One scan at the largest limit serves the whole ladder: a window counts
+    at limit L iff its final term N + 2D is <= L, and its maximal flag
+    does not depend on L, since both neighbours are tested for plain
+    sumset membership.
     """
     if any(l2 < l1 for l1, l2 in zip(limits, limits[1:])):
         raise ValueError("limits must be ascending")
-    windows: list[int] = []
-    maximal: list[int] = []
-    for lim in limits:
-        report = find_progressions(params, 3, lim)
-        windows.append(len(report.progressions))
-        maximal.append(sum(report.maximal_flags))
-    return Count3Report(params, tuple(limits), tuple(windows), tuple(maximal))
+    if not limits:
+        return Count3Report(params, (), (), ())
+    if limits[0] < 2:
+        raise ValueError(f"limit must be >= 2, got {limits[0]}")
+    pairs, flags = _scan(params, 3, limits[-1])
+    finals = [(n + 2 * d, flag) for (n, d), flag in zip(pairs, flags)]
+    windows = tuple(sum(f <= lim for f, _ in finals) for lim in limits)
+    maximal = tuple(sum(flag and f <= lim for f, flag in finals) for lim in limits)
+    return Count3Report(params, tuple(limits), windows, maximal)
 
 
 def extend(params: SumsetParams, prog: Progression, direction: str) -> Progression | None:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apsearch import Progression, find_progressions
+from .apsearch import find_progressions
 from .numutil import power_exponent
-from .sumset import SumsetParams, contains, element
+from .sumset import SumsetParams, element
 
 SPORADIC_5TERM: tuple[tuple[int, int, int, int], ...] = (
     (2, 3, 5, 2),
@@ -227,18 +227,3 @@ def family_nonextension(k_max: int) -> list[NonextensionRow]:
             )
     return rows
 
-
-def instantiate(a: int, b: int, N: int, D: int, length: int = 5) -> Progression | None:
-    """Materialize (a, b, N, D) as a progression with membership witnesses.
-
-    Returns None if some term is not in the sumset (i.e. the tuple does not
-    actually describe a progression of the requested length).
-    """
-    params = SumsetParams(a, b)
-    terms = []
-    for i in range(length):
-        el = element(params, N + i * D)
-        if el is None:
-            return None
-        terms.append(el)
-    return Progression(N, D, length, tuple(terms))

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -56,6 +57,13 @@ EXIT_BUDGET = 3
 def _s(n: int) -> str:
     """Decimal-string form for integers that may exceed 64 bits."""
     return str(n)
+
+
+def _param(v):
+    """Manifest form of a parameter: integers of 64 bits or more as decimal strings."""
+    if isinstance(v, list):
+        return [_param(x) for x in v]
+    return _s(v) if isinstance(v, int) and abs(v) >= 2**63 else v
 
 
 def _dump(obj) -> str:
@@ -134,8 +142,7 @@ def _run_ap(args, out: _Output) -> int:
 
 def _run_count3(args, out: _Output) -> int:
     params = SumsetParams(args.a, args.b)
-    limits = [int(float(tok)) for tok in args.limits.split(",")]
-    rep = count_3term_stable(params, limits)
+    rep = count_3term_stable(params, args.limits)
     for lim, wins, maxi in zip(rep.limits, rep.window_counts, rep.maximal_counts):
         out.emit({"limit": _s(lim), "windows": wins, "maximal": maxi})
     out.emit(
@@ -317,9 +324,20 @@ def _run_family(args, out: _Output) -> int:
 # ---------------------------------------------------------------------------
 
 
+_INT_FORM = re.compile(r"([0-9]+)(?:[eE]([0-9]+))?")
+
+
 def _int_arg(text: str) -> int:
-    # accept 1e12 style for limits
-    return int(float(text)) if ("e" in text or "E" in text) else int(text)
+    """Exact integer from plain digits or AeB (digits A and B), read as A * 10**B."""
+    m = _INT_FORM.fullmatch(text)
+    if m is None:
+        raise argparse.ArgumentTypeError(f"expected digits or AeB with digit A and B, got {text!r}")
+    mantissa, exponent = m.groups()
+    return int(mantissa) * 10 ** int(exponent or 0)
+
+
+def _int_list_arg(text: str) -> list[int]:
+    return [_int_arg(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count3", help="3-term progression counts at a ladder of limits")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.add_argument("--limits", required=True, help="comma-separated, e.g. 1e8,1e10,1e12")
+    p.add_argument("--limits", type=_int_list_arg, required=True, help="comma-separated, e.g. 1e8,1e10,1e12")
 
     p = sub.add_parser("sweep", help="grid sweep with classification matching")
     p.add_argument("--a-max", type=int, required=True)
@@ -424,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = {
         "command": args.command,
         "parameters": {
-            k: (_s(v) if isinstance(v, int) and abs(v) >= 2**63 else v)
+            k: _param(v)
             for k, v in sorted(vars(args).items())
             if k not in ("manifest",)
         },

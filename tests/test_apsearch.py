@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apsumset.apsearch import count_3term_stable, extend, find_progressions
-from apsumset.sumset import SumsetParams, contains, enumerate_up_to
+from apsumset.sumset import SumsetParams, contains, enumerate_up_to, value_set
 
 
 def brute_3term(params, limit):
@@ -14,6 +18,21 @@ def brute_3term(params, limit):
             d = s1 - s0
             if s1 + d <= limit and s1 + d in vset:
                 out.add((s0, d))
+    return sorted(out)
+
+
+def brute_windows(params, k, limit):
+    """Every k-term window of the sorted value set, by a pair scan with no cut.
+
+    A window is fixed by its first two terms, so walking all value pairs and
+    testing the other k-2 terms visits every k-tuple in progression.
+    """
+    vset = value_set(params, limit)
+    out = []
+    for s0, s1 in combinations(sorted(vset), 2):
+        d = s1 - s0
+        if all(s0 + i * d in vset for i in range(2, k)):
+            out.append((s0, d))
     return sorted(out)
 
 
@@ -73,6 +92,37 @@ class TestFindProgressions:
         assert by_pair[(5, 2)] is False
         # 7, 13, 19, 25, 31 extends neither way in S_{2,3} (1 and 37 absent)
         assert by_pair[(7, 6)] is True
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ab=st.integers(3, 40).flatmap(lambda b: st.tuples(st.integers(2, b - 1), st.just(b))),
+        k=st.integers(3, 6),
+        limit=st.integers(2, 10**25),
+        data=st.data(),
+    )
+    @example(ab=(2, 3), k=3, limit=257, data=None)  # 245, 251, 257 ends at the limit
+    @example(ab=(5, 7), k=3, limit=10**25, data=None)  # values above 2^64
+    def test_matches_brute_force_property(self, ab, k, limit, data):
+        params = SumsetParams(*ab)
+        expected = brute_windows(params, k, limit)
+        cases = [(limit, expected)]
+        if expected and data is not None:
+            # the cut is exact: a limit equal to a window's final term keeps
+            # that window, one less drops it
+            first, step = data.draw(st.sampled_from(expected))
+            final = first + (k - 1) * step
+            cases += [
+                (lim, [(n, d) for n, d in expected if n + (k - 1) * d <= lim])
+                for lim in (final, final - 1)
+                if lim >= 2
+            ]
+        for lim, want in cases:
+            rep = find_progressions(params, k, lim)
+            assert rep.pairs() == want
+            assert list(rep.maximal_flags) == [
+                not (contains(params, n - d) or contains(params, n + k * d))
+                for n, d in want
+            ]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -139,6 +189,22 @@ class TestCount3:
         rep = count_3term_stable(SumsetParams(4, 5), [10, 10])
         assert rep.window_counts[0] == rep.window_counts[1]
         assert rep.stabilized("window")
+
+    @pytest.mark.parametrize(
+        "a, b, limits",
+        [
+            (2, 3, [4, 100, 10**4, 10**8, 10**12]),
+            (2, 7, [10, 10**6, 10**8, 10**20]),
+            (3, 5, [2, 10**3, 10**3, 10**9, 2**64 + 3]),
+        ],
+    )
+    def test_matches_per_limit_search(self, a, b, limits):
+        params = SumsetParams(a, b)
+        rep = count_3term_stable(params, limits)
+        for lim, windows, maximal in zip(limits, rep.window_counts, rep.maximal_counts):
+            single = find_progressions(params, 3, lim)
+            assert windows == len(single.progressions)
+            assert maximal == sum(single.maximal_flags)
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError):
