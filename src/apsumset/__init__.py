@@ -17,7 +17,6 @@ from .classify import (
     SweepConfig,
     family_nonextension,
     theorem1_match,
-    verify_corollary,
     verify_theorem1,
 )
 from .families import FamilySpec, family_params, find_prog3_pairs, generate, verify

@@ -289,7 +289,7 @@ def _recheck_expected(check: NamedCheck, t: tuple) -> bool:
     """Exact arithmetic re-verification of one expected tuple."""
     kind = check.solver["kind"]
     if kind == "pattern":
-        pat = _build_pattern(check.solver)
+        pat = build_pattern(check.solver)
         names = pat.variables
         assign = dict(zip(names, t))
         total = 0
@@ -313,15 +313,52 @@ def _recheck_expected(check: NamedCheck, t: tuple) -> bool:
     raise ValueError(f"unknown solver kind {kind!r}")
 
 
-def _build_pattern(spec: dict) -> Pattern:
-    terms = tuple(
-        PatternTerm(c, pe, qe) for c, pe, qe in (tuple(t) for t in spec["terms"])
-    )
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def build_pattern(spec) -> Pattern:
+    """The Pattern of a pattern spec: a checks.json solver or a pattern file.
+
+    The documented shape is an object with integers ``p`` and ``q``,
+    ``terms`` as [coefficient, p_exp, q_exp] triples whose exponents are
+    integers or variable names, ``bounds`` as [name, integer] pairs, and
+    optionally the booleans ``require_primitive`` and
+    ``forbid_vanishing_subsums``, an integer ``value_bound`` and a
+    ``side_predicate`` naming an entry of SIDE_PREDICATES.  Any other shape
+    raises ValueError.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
+    missing = [k for k in ("p", "q", "terms", "bounds") if k not in spec]
+    if missing:
+        raise ValueError(f"pattern lacks {', '.join(missing)}")
+    if not (_is_int(spec["p"]) and _is_int(spec["q"])):
+        raise ValueError("p and q must be integers")
+    terms, bounds = spec["terms"], spec["bounds"]
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == 3 and _is_int(t[0])
+        and all(_is_int(e) or isinstance(e, str) for e in t[1:])
+        for t in terms
+    ):
+        raise ValueError("terms must be [coefficient, p_exp, q_exp] triples; exponents are integers or names")
+    if not isinstance(bounds, list) or not all(
+        isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_int(b[1]) for b in bounds
+    ):
+        raise ValueError("bounds must be [name, integer] pairs")
+    for key in ("require_primitive", "forbid_vanishing_subsums"):
+        if not isinstance(spec.get(key, False), bool):
+            raise ValueError(f"{key} must be true or false")
+    if spec.get("value_bound") is not None and not _is_int(spec["value_bound"]):
+        raise ValueError("value_bound must be an integer")
+    pred = spec.get("side_predicate")
+    if "side_predicate" in spec and not (isinstance(pred, str) and pred in SIDE_PREDICATES):
+        raise ValueError(f"unknown side_predicate {pred!r}; known: {', '.join(sorted(SIDE_PREDICATES))}")
     return Pattern(
         p=spec["p"],
         q=spec["q"],
-        terms=terms,
-        var_bounds=tuple((v, b) for v, b in spec["bounds"]),
+        terms=tuple(PatternTerm(c, pe, qe) for c, pe, qe in terms),
+        var_bounds=tuple((v, b) for v, b in bounds),
         require_primitive=spec.get("require_primitive", False),
         forbid_vanishing_subsums=spec.get("forbid_vanishing_subsums", False),
         value_bound=spec.get("value_bound"),
@@ -333,7 +370,7 @@ def _execute(check: NamedCheck) -> tuple[list[tuple], dict, dict]:
     spec = check.solver
     kind = spec["kind"]
     if kind == "pattern":
-        pat = _build_pattern(spec)
+        pat = build_pattern(spec)
         pred = SIDE_PREDICATES[spec["side_predicate"]] if "side_predicate" in spec else None
         sols = solve_pattern(pat, side_predicate=pred)
         return [s.values for s in sols], dict(pat.var_bounds), {}

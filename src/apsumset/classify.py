@@ -32,12 +32,6 @@ SPORADIC_5TERM: tuple[tuple[int, int, int, int], ...] = (
     (3, 4, 7, 6),
 )
 
-CT_6TERM: tuple[tuple[int, int, int, int], ...] = (
-    (2, 3, 3, 2),
-    (2, 3, 17, 24),
-    (2, 9, 17, 24),
-)
-
 
 @dataclass(frozen=True)
 class ClassEntry:
@@ -140,9 +134,6 @@ class SweepReport:
         }
         return tuple(sorted(ks))
 
-    def quadruples(self) -> list[tuple[int, int, int, int]]:
-        return [(f.a, f.b, f.N, f.D) for f in self.findings]
-
 
 def _sweep_pair(args: tuple[int, int, int, int]) -> list[tuple[int, int, int, int, bool]]:
     a, b, k, limit = args
@@ -183,11 +174,6 @@ def verify_theorem1(cfg: SweepConfig, threads: int = 1) -> SweepReport:
         for a, b, n, d, maximal in sweep_grid(cfg, threads)
     )
     return SweepReport(cfg, findings)
-
-
-def verify_corollary(cfg: SweepConfig, threads: int = 1) -> SweepReport:
-    """Sweep for 6-term (or longer) windows; cfg.k chooses the length."""
-    return verify_theorem1(cfg, threads)
 
 
 @dataclass(frozen=True)

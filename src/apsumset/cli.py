@@ -25,7 +25,7 @@ import time
 
 from . import __version__
 from .apsearch import count_3term_stable, find_progressions
-from .catalog import check_ids, run_all, run_check
+from .catalog import SIDE_PREDICATES, build_pattern, check_ids, run_all, run_check
 from .classify import SweepConfig, theorem1_match, verify_theorem1
 from .families import (
     FAMILY_IDS,
@@ -46,7 +46,6 @@ from .sunit import (
     solve_pattern,
     triple_ord_profile,
 )
-from .catalog import SIDE_PREDICATES, _build_pattern
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -228,7 +227,7 @@ def _run_sunit(args, out: _Output) -> int:
     if args.solver == "pattern":
         with open(args.pattern_file) as fh:
             spec = json.load(fh)
-        pattern = _build_pattern(spec)
+        pattern = build_pattern(spec)
         pred = SIDE_PREDICATES[spec["side_predicate"]] if "side_predicate" in spec else None
         sols = solve_pattern(pattern, side_predicate=pred, budget=args.budget)
         for s in sols:
@@ -435,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     blob = out.flush()

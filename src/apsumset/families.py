@@ -281,9 +281,3 @@ def find_prog3_pairs(limit: int) -> list[tuple[int, int, int, int]]:
     out.sort()
     return out
 
-
-def amusing_22_78() -> Progression:
-    """The sporadic 4-term progression in S_{22,78} starting at 6106."""
-    params = SumsetParams(22, 78)
-    closed = [(1, 2), (4, 2), (1, 3), (4, 3)]
-    return _build(params, closed)

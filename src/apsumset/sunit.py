@@ -1,36 +1,53 @@
 """Complete bounded solvers for signed two-prime exponential equations.
 
-Three specialized solvers live here alongside a generic pattern solver:
+* ``solve_pattern``     -- every boxed exponent assignment solving
+                           sum c_i * p^{e_i} * q^{f_i} = 0, with optional
+                           primitivity, vanishing-subsum, magnitude and
+                           side-predicate filters;
+* ``deze_tijdeman_4term`` -- p^x q^y +- p^z +- q^w +- 1 = 0 and
+                           p^x +- q^y +- p^z +- q^w = 0, all powers <= 2^15;
+* ``pillai_difference_table`` -- p^x - p^y = q^z - q^w > 0;
+* ``bajpai_bennett_5term`` -- +-2^a1 3^b1 +- ... +- 2^a5 3^b5 = 0 under the
+                           bounds max term <= 3^12, a_i <= 19, b_i <= 12;
+* ``deweger_3term``     -- x + y = z in coprime 13-smooth positive integers.
 
-* ``solve_pattern``     -- exhaustive enumeration of a signed equation
-                           sum c_i * p^{e_i} * q^{f_i} = 0 over boxed
-                           exponent variables, with optional primitivity,
-                           vanishing-subsum and magnitude filters;
-* ``deweger_3term``     -- x + y = z in coprime 13-smooth positive integers;
-* ``deze_tijdeman_4term`` -- the two four-term shapes
-                           p^x q^y +- p^z +- q^w +- 1 = 0 and
-                           p^x +- q^y +- p^z +- q^w = 0 with all powers
-                           bounded by 2^15;
-* ``bajpai_bennett_5term`` -- the five-term {2,3}-unit equation
-                           +-2^a1 3^b1 +- ... +- 2^a5 3^b5 = 0 under the
-                           bounds max term <= 3^12, a_i <= 19, b_i <= 12.
+Block join.  ``solve_pattern`` puts terms that share a variable into one
+block, so blocks have disjoint variables and the box is the product of the
+blocks' boxes; terms with no variable fold into a constant offset.  Each
+block is enumerated over its own variables, keeping rows whose terms lie
+within ``value_bound``.  The blocks are split into two sides by greedy
+balance of their boxes; the smaller side is stored in a dict keyed by its
+sum (at most the square root of the box), and the larger side is streamed,
+its largest block row by row, and probed for the complementary sum.  Every
+point of the box is exactly one (streamed, stored) pair of row
+combinations, and the probe meets it iff the terms sum to zero, so the
+join is complete and yields each assignment once.  A pattern whose terms
+all share variables is one block, streamed against the one-row empty side.
+Sums are exact Python ints; the other filters run on matches only.  The
+budget counts the whole box and is checked before any enumeration.
+Deze-Tijdeman is one pattern per shape and sign vector, with the pairs
+shape's swap rule as a side predicate; Pillai is p^x - p^y - q^z + q^w = 0
+with x > y, z > w.
 
-All solvers are complete over their declared boxes and refuse (rather than
-truncate) when the search space exceeds the configured budget.
+Canonical orientation.  The five bb5 terms are interchangeable, so a
+pattern would return each solution once per ordering.  With distinct
+magnitudes the terms sit at indices i0 > i1 > i2 > j > k of the sorted value
+list; the leading sign is +, and the top three probe a dict of signed pair
+sums holding only pairs with j < i2, so each solution is met exactly once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from math import gcd
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from math import gcd, prod
+from typing import Callable, Iterator, Sequence
 
-from .numutil import PrimeSet, is_prime, smooth_enumerate
+from .numutil import PrimeSet, ilog, is_prime, smooth_enumerate
 
 DEFAULT_BUDGET = 50_000_000
 DEWEGER_PRIMES = PrimeSet((2, 3, 5, 7, 11, 13))
-DEWEGER_ORD_BOUNDS = {2: 15, 3: 10, 5: 7, 7: 6, 11: 5, 13: 4}
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -77,7 +94,12 @@ class Pattern:
             raise ValueError(f"p, q must be distinct primes, got {self.p}, {self.q}")
         if len(self.terms) < 2:
             raise ValueError("pattern needs at least 2 terms")
-        declared = {name for name, _ in self.var_bounds}
+        if len(set(self.variables)) != len(self.var_bounds):
+            raise ValueError(f"variable declared twice in {list(self.variables)}")
+        for name, bound in self.var_bounds:
+            if bound < 0:
+                raise ValueError(f"bound of {name!r} must be >= 0, got {bound}")
+        declared = set(self.variables)
         used = {
             e
             for t in self.terms
@@ -146,69 +168,99 @@ def solve_pattern(
     """Every assignment within bounds satisfying the equation and all filters.
 
     Output is in lexicographic order of the assignment vector (declared
-    variable order) and is complete over the box.  A search space larger
-    than `budget` raises SearchBudgetExceeded up front.
+    variable order) and is complete over the box; see the module docstring
+    for the block join.  A search space larger than `budget` raises
+    SearchBudgetExceeded up front.
     """
     est = pattern.search_space()
     if est > budget:
         raise SearchBudgetExceeded(est, budget)
 
     names = pattern.variables
-    bounds = [b for _, b in pattern.var_bounds]
-    p_pows = _power_table(pattern.p, _max_exp(pattern, bounds, "p"))
-    q_pows = _power_table(pattern.q, _max_exp(pattern, bounds, "q"))
-    index = {name: i for i, name in enumerate(names)}
+    terms = pattern.terms
+    fixed = [e for t in terms for e in (t.p_exp, t.q_exp) if isinstance(e, int)]
+    top = max([b for _, b in pattern.var_bounds] + fixed)
+    pows = ([pattern.p**e for e in range(top + 1)], [pattern.q**e for e in range(top + 1)])
+    limit = pattern.value_bound
 
-    # Pre-resolve each term to (coefficient, p-exponent source, q-exponent source)
-    # where a source is either ('const', exp) or ('var', position).
-    resolved = []
-    for t in pattern.terms:
-        pe = ("const", t.p_exp) if isinstance(t.p_exp, int) else ("var", index[t.p_exp])
-        qe = ("const", t.q_exp) if isinstance(t.q_exp, int) else ("var", index[t.q_exp])
-        resolved.append((t.coefficient, pe, qe))
+    # term values in term order: fixed terms now, variable terms per match
+    template: list[int | None] = [None] * len(terms)
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, t in enumerate(terms):
+        own = {e for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
+        if not own:
+            template[i] = t.coefficient * pows[0][t.p_exp] * pows[1][t.q_exp]
+            if limit is not None and abs(template[i]) > limit:
+                return []
+            continue
+        touching = [g for g in groups if g[0] & own]
+        groups = [g for g in groups if not g[0] & own]
+        groups.append((own.union(*(g[0] for g in touching)), sorted([i, *(j for g in touching for j in g[1])])))
+    offset = sum(v for v in template if v is not None)
 
+    bound = dict(pattern.var_bounds)
+    boxes = {(tuple(v for v in names if v in own), tuple(ids)): prod(bound[v] + 1 for v in own) for own, ids in groups}
+    sides: tuple[list, list] = ([], [])
+    sizes = [1, 1]
+    for b in sorted(boxes, key=boxes.get, reverse=True):
+        k = 0 if sizes[0] <= sizes[1] else 1
+        sides[k].append(b)
+        sizes[k] *= boxes[b]
+    stored, streamed = sides if sizes[0] <= sizes[1] else sides[::-1]
+
+    def combos(side):
+        """One row per block of a side; the side's first block is never held in memory."""
+        if not side:
+            yield ()
+            return
+        rest = [list(_block_rows(pattern, *b, pows)) for b in side[1:]]
+        for row in _block_rows(pattern, *side[0], pows):
+            for combo in itertools.product(*rest):
+                yield (row, *combo)
+
+    table: dict[int, list[tuple]] = {}
+    for combo in combos(stored):
+        table.setdefault(sum(r[0] for r in combo), []).append(combo)
+    position = {v: i for i, v in enumerate(names)}
     out: list[PatternSolution] = []
-    for assignment in itertools.product(*(range(b + 1) for b in bounds)):
-        total = 0
-        values = []
-        for coeff, (pk, pv), (qk, qv) in resolved:
-            pe = pv if pk == "const" else assignment[pv]
-            qe = qv if qk == "const" else assignment[qv]
-            v = coeff * p_pows[pe] * q_pows[qe]
-            values.append(v)
-            total += v
-        if total != 0:
-            continue
-        if pattern.value_bound is not None and any(
-            abs(v) > pattern.value_bound for v in values
-        ):
-            continue
-        if pattern.require_primitive and gcd(*(abs(v) for v in values)) != 1:
-            continue
-        if pattern.forbid_vanishing_subsums and has_vanishing_subsum(values):
-            continue
-        if side_predicate is not None and not side_predicate(dict(zip(names, assignment))):
-            continue
-        out.append(PatternSolution(names, tuple(assignment), tuple(values)))
+    for combo in combos(streamed):
+        for other in table.get(-offset - sum(r[0] for r in combo), ()):
+            assignment = [0] * len(names)
+            values = list(template)
+            for (block_vars, term_ids), (_, assign, vals) in zip(streamed + stored, combo + other):
+                for v, a in zip(block_vars, assign):
+                    assignment[position[v]] = a
+                for i, v in zip(term_ids, vals):
+                    values[i] = v
+            if pattern.require_primitive and gcd(*values) != 1:
+                continue
+            if pattern.forbid_vanishing_subsums and has_vanishing_subsum(values):
+                continue
+            if side_predicate is not None and not side_predicate(dict(zip(names, assignment))):
+                continue
+            out.append(PatternSolution(names, tuple(assignment), tuple(values)))
+    out.sort(key=lambda s: s.values)
     return out
 
 
-def _max_exp(pattern: Pattern, bounds: list[int], which: str) -> int:
-    best = 0
-    for i, t in enumerate(pattern.terms):
-        e = t.p_exp if which == "p" else t.q_exp
-        if isinstance(e, int):
-            best = max(best, e)
-    if bounds:
-        best = max(best, max(bounds))
-    return best
+def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[int, ...], pows) -> Iterator[tuple]:
+    """(sum, assignment, term values) of each row of one block within value_bound.
 
-
-def _power_table(base: int, max_exp: int) -> list[int]:
-    table = [1]
-    for _ in range(max_exp):
-        table.append(table[-1] * base)
-    return table
+    Exponents index an extended assignment: the block's variables, then
+    the fixed exponents its terms use.
+    """
+    terms = [pattern.terms[i] for i in term_ids]
+    fixed = tuple({e for t in terms for e in (t.p_exp, t.q_exp) if isinstance(e, int)})
+    slot = {e: k for k, e in enumerate(block_vars + fixed)}
+    spec = [(t.coefficient, slot[t.p_exp], slot[t.q_exp]) for t in terms]
+    bound = dict(pattern.var_bounds)
+    limit = pattern.value_bound
+    p_pows, q_pows = pows
+    for assign in itertools.product(*(range(bound[v] + 1) for v in block_vars)):
+        e = assign + fixed
+        vals = tuple(c * p_pows[e[i]] * q_pows[e[j]] for c, i, j in spec)
+        if limit is None or all(-limit <= v <= limit for v in vals):
+            yield sum(vals), assign, vals
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +300,13 @@ def deweger_3term(
     Key structural fact: gcd(x, y) = 1 and z = x + y force x, y, z to be
     pairwise coprime, so each prime of the smooth set divides at most one of
     them.  Enumeration therefore pairs smooth numbers with disjoint prime
-    support; coprimality never needs a gcd call.  Sorted by (z, x).
+    support; coprimality never needs a gcd call.  Sorted by (z, x).  The
+    join runs in int64, so z_limit above 2^63 - 1 is refused.
     """
     if z_limit < 2:
         raise ValueError(f"z_limit must be >= 2, got {z_limit}")
+    if z_limit > 2**63 - 1:
+        raise ValueError(f"z_limit must be <= 2**63 - 1, got {z_limit}")
     import numpy as np
 
     ps = tuple(primes)
@@ -315,79 +370,40 @@ class FourTermSolution:
     terms: tuple[int, ...]
 
 
-def _bounded_exponent(base: int, bound: int) -> int:
-    e = 0
-    v = base
-    while v <= bound:
-        e += 1
-        v *= base
-    return e
-
-
 def deze_tijdeman_4term(p: int, q: int, power_bound: int = DT_POWER_BOUND) -> list[FourTermSolution]:
     """Complete solutions of both four-term shapes with every power <= 2^15.
 
     Shape 'pxqy+-pz+-qw+-1': p^x q^y + s2 p^z + s3 q^w + s4 = 0.
     Shape 'px+-qy+-pz+-qw':  p^x + s2 q^y + s3 p^z + s4 q^w = 0.
     The individual powers p^x, q^y, p^z, q^w are each bounded; the product
-    p^x q^y in the first shape may exceed the bound.
+    p^x q^y in the first shape may exceed the bound.  The pairs shape keeps
+    z <= x when s3 = +1 and w <= y when s2 = s4, one of each swapped pair.
     """
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise ValueError(f"p, q must be distinct primes, got {p}, {q}")
     if max(p, q) >= 200:
         raise ValueError(f"max(p, q) must be < 200, got {max(p, q)}")
 
-    xmax = _bounded_exponent(p, power_bound)
-    ymax = _bounded_exponent(q, power_bound)
-    p_pows = _power_table(p, xmax)
-    q_pows = _power_table(q, ymax)
-    signs3 = list(itertools.product((1, -1), repeat=3))
-
+    xmax, ymax = ilog(power_bound, p), ilog(power_bound, q)
+    bounds = (("x", xmax), ("y", ymax), ("z", xmax), ("w", ymax))
     out: list[FourTermSolution] = []
+    for s2, s3, s4 in itertools.product((1, -1), repeat=3):
+        product_shape = (PatternTerm(1, "x", "y"), PatternTerm(s2, "z", 0),
+                         PatternTerm(s3, 0, "w"), PatternTerm(s4, 0, 0))
+        pairs_shape = (PatternTerm(1, "x", 0), PatternTerm(s2, 0, "y"),
+                       PatternTerm(s3, "z", 0), PatternTerm(s4, 0, "w"))
 
-    # p^x q^y + s2 p^z + s3 q^w + s4 = 0
-    for x in range(xmax + 1):
-        for y in range(ymax + 1):
-            head = p_pows[x] * q_pows[y]
-            for z in range(xmax + 1):
-                for w in range(ymax + 1):
-                    pz, qw = p_pows[z], q_pows[w]
-                    for s2, s3, s4 in signs3:
-                        if head + s2 * pz + s3 * qw + s4 == 0:
-                            out.append(
-                                FourTermSolution(
-                                    SHAPE_PRODUCT,
-                                    (1, s2, s3, s4),
-                                    (x, y, z, w),
-                                    (head, s2 * pz, s3 * qw, s4),
-                                )
-                            )
+        def canonical(a: dict[str, int], s2: int = s2, s3: int = s3, s4: int = s4) -> bool:
+            return (s3 != 1 or a["z"] <= a["x"]) and (s2 != s4 or a["w"] <= a["y"])
 
-    # p^x + s2 q^y + s3 p^z + s4 q^w = 0
-    for x in range(xmax + 1):
-        px = p_pows[x]
-        for y in range(ymax + 1):
-            qy = q_pows[y]
-            for z in range(xmax + 1):
-                pz = p_pows[z]
-                for w in range(ymax + 1):
-                    qw = q_pows[w]
-                    for s2, s3, s4 in signs3:
-                        # canonical representative under the two in-shape swaps
-                        if s3 == 1 and z > x:
-                            continue
-                        if s2 == s4 and w > y:
-                            continue
-                        if px + s2 * qy + s3 * pz + s4 * qw == 0:
-                            out.append(
-                                FourTermSolution(
-                                    SHAPE_PAIRS,
-                                    (1, s2, s3, s4),
-                                    (x, y, z, w),
-                                    (px, s2 * qy, s3 * pz, s4 * qw),
-                                )
-                            )
-
+        for shape, terms, predicate in (
+            (SHAPE_PRODUCT, product_shape, None),
+            (SHAPE_PAIRS, pairs_shape, canonical),
+        ):
+            out += [
+                FourTermSolution(shape, (1, s2, s3, s4), s.values, s.term_values)
+                for s in solve_pattern(Pattern(p, q, terms, bounds), predicate)
+            ]
     out.sort(key=lambda s: (s.shape, s.signs, s.exponents))
     return out
 
@@ -398,25 +414,22 @@ def pillai_difference_table(
     """All (p, q, x, y, z, w) with p^x - p^y = q^z - q^w > 0, powers <= bound.
 
     Normalized with x > y >= 0 and z > w >= 0 so each equal-difference pair
-    is listed once; sorted by (p, q, x, y, z, w).
+    is listed once; sorted by (p, q, x, y, z, w).  Solved as the pattern
+    p^x - p^y - q^z + q^w = 0 with side condition x > y, z > w.
     """
     out = []
     for p, q in prime_pairs:
         if not (is_prime(p) and is_prime(q)) or p == q:
             raise ValueError(f"bad prime pair ({p}, {q})")
-        pe = _bounded_exponent(p, power_bound)
-        qe = _bounded_exponent(q, power_bound)
-        p_pows = _power_table(p, pe)
-        q_pows = _power_table(q, qe)
-        diffs: dict[int, list[tuple[int, int]]] = {}
-        for z in range(1, qe + 1):
-            for w in range(z):
-                diffs.setdefault(q_pows[z] - q_pows[w], []).append((z, w))
-        for x in range(1, pe + 1):
-            for y in range(x):
-                d = p_pows[x] - p_pows[y]
-                for z, w in diffs.get(d, ()):
-                    out.append((p, q, x, y, z, w))
+        pe, qe = ilog(power_bound, p), ilog(power_bound, q)
+        pattern = Pattern(
+            p, q,
+            (PatternTerm(1, "x", 0), PatternTerm(-1, "y", 0),
+             PatternTerm(-1, 0, "z"), PatternTerm(1, 0, "w")),
+            (("x", pe), ("y", pe), ("z", qe), ("w", qe)),
+        )
+        ordered = solve_pattern(pattern, lambda a: a["x"] > a["y"] and a["z"] > a["w"])
+        out += [(p, q, *s.values) for s in ordered]
     out.sort()
     return out
 
@@ -479,55 +492,39 @@ def bajpai_bennett_5term(
 ) -> list[FiveTermSolution]:
     """Complete primitive solutions of the five-term signed {2,3} equation.
 
-    Enumerates sums of two monomials and of three monomials over the value
-    set {2^a 3^b <= value_bound : a <= alpha_max, b <= beta_max} and joins
-    them on opposite sums (meet in the middle; the ten-exponent box is far
-    too large to walk directly).  Solutions have pairwise distinct term
-    magnitudes, which for five terms is equivalent to excluding vanishing
-    subsums, and gcd of the magnitudes 1.
+    Works over the sorted value set {2^a 3^b <= value_bound : a <= alpha_max,
+    b <= beta_max} in canonical orientation (module docstring).  Solutions
+    have pairwise distinct term magnitudes, which for five terms is
+    equivalent to excluding vanishing subsums, and gcd of the magnitudes 1,
+    that is min alpha = min beta = 0.
     """
     vals = _bb5_value_list(alpha_max, beta_max, value_bound)
-    n = len(vals)
     values = [v for v, _, _ in vals]
-    by_value = {v: (a, b) for v, a, b in vals}
+    index = {v: i for i, v in enumerate(values)}
 
     pair_sums: dict[int, list[tuple[int, int, int, int]]] = {}
-    for i in range(n):
-        vi = values[i]
-        for j in range(i + 1, n):
-            vj = values[j]
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                s = si * vi + sj * vj
-                pair_sums.setdefault(s, []).append((i, si, j, sj))
-
-    seen: set[tuple[tuple[int, int], ...]] = set()
     solutions: list[FiveTermSolution] = []
-    sign3 = list(itertools.product((1, -1), repeat=3))
-    for c in itertools.combinations(range(n), 3):
-        v0, v1, v2 = values[c[0]], values[c[1]], values[c[2]]
-        for s0, s1, s2 in sign3:
-            target = -(s0 * v0 + s1 * v1 + s2 * v2)
-            for i, si, j, sj in pair_sums.get(target, ()):
-                if i in c or j in c:
-                    continue
-                key_items = sorted(
-                    ((values[i], si), (values[j], sj), (v0, s0), (v1, s1), (v2, s2)),
-                    reverse=True,
-                )
-                # global sign: flip so the largest-magnitude term is positive
-                if key_items[0][1] < 0:
-                    key_items = [(v, -s) for v, s in key_items]
-                key = tuple(key_items)
-                if key in seen:
-                    continue
-                seen.add(key)
-                exps = [by_value[v] for v, _ in key_items]
-                if min(a for a, _ in exps) != 0 or min(b for _, b in exps) != 0:
-                    continue  # not primitive
-                terms = tuple(
-                    SignedMonomial(s, by_value[v][0], by_value[v][1], v)
-                    for v, s in key_items
-                )
-                solutions.append(FiveTermSolution(terms))
+    for i2, v2 in enumerate(values):
+        # admit the pairs with j = i2 - 1, so every stored pair lies below i2
+        j = i2 - 1
+        for k in range(j):
+            for sj, sk in SIGN_PAIRS:
+                pair_sums.setdefault(sj * values[j] + sk * values[k], []).append((j, sj, k, sk))
+        for i1 in range(i2 + 1, len(values)):
+            above = values[i1 + 1:]
+            for s1, s2 in SIGN_PAIRS:
+                # v0 + s1 v1 + s2 v2 + pair = 0, so pair = rest - v0
+                rest = -(s1 * values[i1] + s2 * v2)
+                for target in pair_sums.keys() & map(rest.__sub__, above):
+                    i0 = index[rest - target]
+                    for j, sj, k, sk in pair_sums[target]:
+                        picked = [vals[i] for i in (i0, i1, i2, j, k)]
+                        if min(a for _, a, _ in picked) or min(b for _, _, b in picked):
+                            continue  # not primitive
+                        terms = tuple(
+                            SignedMonomial(s, a, b, v)
+                            for s, (v, a, b) in zip((1, s1, s2, sj, sk), picked)
+                        )
+                        solutions.append(FiveTermSolution(terms))
     solutions.sort(key=lambda sol: sol.signed_values(), reverse=True)
     return solutions

@@ -12,6 +12,17 @@ GOLDEN = {
     ("ap", "3", "5", "--len", "4", "--limit", "100000000000000000000"):
         "6ed5d5536624fd6eba2d2fe46db3bfddf2919d5327e39e86278547b63698bdab",
 }
+# result_sha256 of the benchmark's pinned unit-equations commands
+GOLDEN_UNIT = {
+    ("sunit", "bb5", "--alpha-max", "8", "--beta-max", "6"):
+        "61f9fccfd604d2dca6213873ec436508777870e919cceb3d3c68f8f973e65843",
+    ("sunit", "deweger", "--z-limit", "100000000"):
+        "0f9fba7ebfc61b90fafd65bc6c3f5b188f72cffc478b0a72246dfe079cc05ecf",
+    ("sunit", "dt", "2", "3"):
+        "d088cc2ea9d76528f261cb5e79a2f3aad50939fbaab8a36288e3c73f80ad69c0",
+    ("check", "--all"):
+        "e15bb29bed534d5c7f308d96bc5f68e36dcba66a81ed8cfc2a8655b6b56a44c8",
+}
 
 
 def run(capsys, tmp_path, *argv):
@@ -65,6 +76,13 @@ class TestGoldenOutput:
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == GOLDEN[argv]
 
+    @pytest.mark.parametrize("argv", list(GOLDEN_UNIT), ids=lambda argv: " ".join(argv[:2]))
+    def test_unit_equations_digest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 0
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == manifest["result_sha256"] == GOLDEN_UNIT[argv]
+
     def test_sweep_independent_of_threads(self, capsys, tmp_path):
         argv = ["sweep", "--a-max", "4", "--b-max", "40", "--len", "5", "--limit", "1000000"]
         outs = []
@@ -74,3 +92,75 @@ class TestGoldenOutput:
             outs.append(captured.out)
         assert outs[0] == outs[1]
         assert json.loads(outs[0].splitlines()[-1])["findings"] > 0
+
+    def test_bb5_default_bounds_count(self, capsys, tmp_path):
+        code, captured, _ = run(capsys, tmp_path, "sunit", "bb5")
+        assert code == 0
+        assert json.loads(captured.out.splitlines()[-1])["count"] == 1213
+
+
+VALID_PATTERN = {"p": 2, "q": 3, "terms": [[1, 0, "a"], [-1, "b", 0], [-1, 0, 0]], "bounds": [["a", 12], ["b", 19]]}
+
+
+class TestRefusals:
+    def solve(self, capsys, tmp_path, spec, *extra):
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(spec))
+        return run(capsys, tmp_path, "sunit", "pattern", str(path), *extra)
+
+    def test_valid_pattern(self, capsys, tmp_path):
+        code, captured, _ = self.solve(capsys, tmp_path, VALID_PATTERN)
+        assert code == 0
+        assert json.loads(captured.out.splitlines()[-1]) == {"count": 2}  # 3 - 2 - 1, 9 - 8 - 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {k: v for k, v in VALID_PATTERN.items() if k != "terms"},
+            {**VALID_PATTERN, "side_predicate": "no-such-predicate"},
+            {**VALID_PATTERN, "side_predicate": ["baj-eq15-context"]},
+            [VALID_PATTERN],
+            {**VALID_PATTERN, "bounds": [["a", 12], ["b", -3]]},
+            {**VALID_PATTERN, "bounds": [["a", 12], ["b", 19], ["a", 3]]},
+            {**VALID_PATTERN, "bounds": [["a", 12.0], ["b", 19]]},
+            {**VALID_PATTERN, "terms": [[1, 0, "a"], [-1, "b"], [-1, 0, 0]]},
+            {**VALID_PATTERN, "terms": [[True, 0, "a"], [-1, "b", 0], [-1, 0, 0]]},
+            {**VALID_PATTERN, "p": "2"},
+            {**VALID_PATTERN, "require_primitive": 1},
+            {**VALID_PATTERN, "value_bound": "100"},
+        ],
+        ids=[
+            "no-terms", "unknown-predicate", "list-predicate", "top-level-list", "negative-bound",
+            "repeated-bound", "float-bound", "short-term", "bool-coefficient", "string-prime",
+            "int-flag", "string-value-bound",
+        ],
+    )
+    def test_malformed_pattern_refused(self, capsys, tmp_path, spec):
+        code, captured, manifest = self.solve(capsys, tmp_path, spec)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_unreadable_pattern_file_refused(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            code, captured, _ = run(capsys, tmp_path, "sunit", "pattern", str(path))
+            assert code == 2
+            assert "Traceback" not in captured.err
+
+    def test_negative_bound_refused_before_budget(self, capsys, tmp_path):
+        spec = {**VALID_PATTERN, "bounds": [["a", -3], ["b", 3]]}
+        code, _, _ = self.solve(capsys, tmp_path, spec, "--budget", "0")
+        assert code == 2
+
+    def test_budget_refusal(self, capsys, tmp_path):
+        code, captured, _ = self.solve(capsys, tmp_path, VALID_PATTERN, "--budget", "100")
+        assert code == 3
+        assert "260 assignments" in captured.err
+
+    def test_deweger_beyond_int64_refused(self, capsys, tmp_path):
+        code, captured, manifest = run(capsys, tmp_path, "sunit", "deweger", "--z-limit", "10000000000000000000")
+        assert code == 2
+        assert manifest is None
+        assert "Traceback" not in captured.err

@@ -2,6 +2,8 @@ import itertools
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apsumset.numutil import PrimeSet, power_exponent
 from apsumset.sunit import (
@@ -18,6 +20,85 @@ from apsumset.sunit import (
     solve_pattern,
     triple_ord_profile,
 )
+
+
+def naive_solve(pattern, predicate=None):
+    """Walk the whole box in lexicographic order and apply every filter."""
+    out = []
+    names = pattern.variables
+    for values in itertools.product(*(range(b + 1) for _, b in pattern.var_bounds)):
+        env = dict(zip(names, values))
+        # a fixed exponent is not a key of env, so env.get returns it unchanged
+        terms = tuple(
+            t.coefficient * pattern.p ** env.get(t.p_exp, t.p_exp) * pattern.q ** env.get(t.q_exp, t.q_exp)
+            for t in pattern.terms
+        )
+        if sum(terms) != 0:
+            continue
+        if pattern.value_bound is not None and max(map(abs, terms)) > pattern.value_bound:
+            continue
+        if pattern.require_primitive and gcd(*terms) != 1:
+            continue
+        if pattern.forbid_vanishing_subsums and has_vanishing_subsum(terms):
+            continue
+        if predicate is not None and not predicate(env):
+            continue
+        out.append((values, terms))
+    return out
+
+
+def even_sum(a):
+    return sum(a.values()) % 2 == 0
+
+
+# every term shares "a", so the pattern is one block: 2^b 3^a = 2^a 3^b
+ONE_BLOCK = Pattern(
+    2, 3,
+    (PatternTerm(1, "a", 0), PatternTerm(-1, "a", 0), PatternTerm(1, "b", "a"), PatternTerm(-1, "a", "b")),
+    (("b", 12), ("a", 12)),
+)
+# one block with a fixed exponent: 3 * 2^a - 2^a - 2 * 2^a = 0, primitive only at a = 0
+ONE_BLOCK_PRIMITIVE = Pattern(
+    2, 3,
+    (PatternTerm(3, "a", 0), PatternTerm(-1, "a", 0), PatternTerm(-2, "a", 0)),
+    (("a", 20),),
+    require_primitive=True,
+)
+# four one-variable blocks plus a fixed term: 2^a + 3^b = 2^c + 3^d + 1
+FOUR_BLOCKS = Pattern(
+    2, 3,
+    (PatternTerm(1, "a", 0), PatternTerm(1, 0, "b"), PatternTerm(-1, "c", 0), PatternTerm(-1, 0, "d"),
+     PatternTerm(-1, 0, 0)),
+    (("a", 9), ("b", 6), ("c", 9), ("d", 6)),
+    forbid_vanishing_subsums=True,
+    value_bound=300,
+)
+
+
+@st.composite
+def pattern_cases(draw):
+    """A random pattern with a box of at most 21^3 points, and a side predicate or None."""
+    exponent = st.one_of(st.sampled_from("abc"), st.integers(0, 3))
+    coefficient = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    term = st.tuples(coefficient, exponent, exponent)
+    if draw(st.booleans()):
+        terms = draw(st.lists(term, min_size=2, max_size=5))
+    else:
+        # each term and its negation with a and b swapped: solutions exist wherever a = b
+        swap = {"a": "b", "b": "a"}
+        half = draw(st.lists(term, min_size=1, max_size=2))
+        terms = half + [(-c, swap.get(pe, pe), swap.get(qe, qe)) for c, pe, qe in half]
+    used = sorted({e for _, pe, qe in terms for e in (pe, qe) if isinstance(e, str)})
+    names = draw(st.permutations(used))
+    pattern = Pattern(
+        *draw(st.sampled_from(((2, 3), (3, 2), (2, 5)))),
+        tuple(PatternTerm(*t) for t in terms),
+        tuple((v, draw(st.integers(0, 20))) for v in names),
+        require_primitive=draw(st.booleans()),
+        forbid_vanishing_subsums=draw(st.booleans()),
+        value_bound=draw(st.none() | st.integers(1, 3**5)),
+    )
+    return pattern, draw(st.sampled_from((None, even_sum)))
 
 
 class TestSolvePattern:
@@ -114,6 +195,21 @@ class TestSolvePattern:
         with pytest.raises(ValueError):
             Pattern(2, 3, (PatternTerm(1, "a", 0),), (("a", 3), ("zz", 3)))
 
+    @pytest.mark.parametrize("bounds", [(("a", -1),), (("a", 3), ("a", 4))])
+    def test_negative_or_repeated_bound_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            Pattern(2, 3, (PatternTerm(1, "a", 0), PatternTerm(-1, 0, 1)), bounds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pattern_cases())
+    @example(case=(ONE_BLOCK, None))
+    @example(case=(ONE_BLOCK_PRIMITIVE, None))
+    @example(case=(FOUR_BLOCKS, even_sum))
+    def test_matches_naive_walk(self, case):
+        pattern, predicate = case
+        got = [(s.values, s.term_values) for s in solve_pattern(pattern, predicate)]
+        assert got == naive_solve(pattern, predicate)
+
 
 def brute_deweger(primes, z_limit):
     def smooth(n):
@@ -162,6 +258,10 @@ class TestDeweger:
         keys = [(t.z, t.x) for t in sols]
         assert keys == sorted(keys)
 
+    def test_refuses_beyond_int64(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            deweger_3term(PrimeSet.of(2, 3), 2**63)
+
     def test_ord_profile(self):
         sols = deweger_3term(PrimeSet.of(2, 3), 10)
         prof = triple_ord_profile(sols[1], PrimeSet.of(2, 3))
@@ -189,6 +289,18 @@ def brute_dt_pairs_shape(p, q, bound):
                             continue
                         if p**x + s2 * q**y + s3 * p**z + s4 * q**w == 0:
                             sols.add(((1, s2, s3, s4), (x, y, z, w)))
+    return sols
+
+
+def brute_dt_product_shape(p, q, bound):
+    """Naive enumeration of p^x q^y + s2 p^z + s3 q^w + s4 = 0."""
+    xs = [e for e in range(bound.bit_length()) if p**e <= bound]
+    ys = [e for e in range(bound.bit_length()) if q**e <= bound]
+    sols = set()
+    for x, y, z, w in itertools.product(xs, ys, xs, ys):
+        for s2, s3, s4 in itertools.product((1, -1), repeat=3):
+            if p**x * q**y + s2 * p**z + s3 * q**w + s4 == 0:
+                sols.add(((1, s2, s3, s4), (x, y, z, w)))
     return sols
 
 
@@ -240,6 +352,16 @@ class TestDezeTijdeman:
         }
         assert got == brute_dt_pairs_shape(2, 3, 64)
 
+    @pytest.mark.parametrize("p, q, bound", [(2, 3, 64), (3, 2, 200), (2, 5, 1000), (3, 7, 2500)])
+    def test_product_shape_matches_naive(self, p, q, bound):
+        got = {
+            (s.signs, s.exponents)
+            for s in deze_tijdeman_4term(p, q, power_bound=bound)
+            if s.shape == SHAPE_PRODUCT
+        }
+        assert got == brute_dt_product_shape(p, q, bound)
+        assert got  # e.g. 2 * 3 - 2^2 - 3 + 1 = 0 for (2, 3)
+
     def test_relabeling_invariance(self):
         # swapping (p, q) relabels pairs-shape solutions; the signed term
         # multisets must agree up to the global-sign normalization, which
@@ -263,6 +385,17 @@ class TestPillaiTable:
         table = pillai_difference_table([(2, 3), (2, 7)])
         assert (2, 3, 2, 1, 1, 0) in table
         assert (2, 7, 3, 1, 1, 0) in table
+
+    @pytest.mark.parametrize("pairs, bound", [([(2, 3), (2, 5), (3, 7)], 2**15), ([(5, 3), (2, 11)], 10**4)])
+    def test_matches_naive(self, pairs, bound):
+        naive = []
+        for p, q in pairs:
+            pe = [e for e in range(bound.bit_length()) if p**e <= bound]
+            qe = [e for e in range(bound.bit_length()) if q**e <= bound]
+            for x, y, z, w in itertools.product(pe, pe, qe, qe):
+                if p**x - p**y == q**z - q**w > 0:
+                    naive.append((p, q, x, y, z, w))
+        assert pillai_difference_table(pairs, bound) == sorted(naive)
 
     def test_rows_verify(self):
         for p, q, x, y, z, w in pillai_difference_table([(2, 5), (3, 7)]):
@@ -313,6 +446,15 @@ class TestBajpaiBennett:
             for s in bajpai_bennett_5term(4, 3, 10**9)
         }
         assert got == naive_bb5(4, 3)
+
+    def test_matches_naive_below_largest_monomial(self):
+        # 2^4 * 3^3 = 432 is the largest monomial; the bound drops every term above 100
+        got = {
+            tuple((t.value, t.sign) for t in s.terms)
+            for s in bajpai_bennett_5term(4, 3, 100)
+        }
+        assert got == {sol for sol in naive_bb5(4, 3) if sol[0][0] <= 100}
+        assert got
 
     def test_deterministic_order(self):
         a = [s.signed_values() for s in bajpai_bennett_5term(6, 4, 10**9)]
