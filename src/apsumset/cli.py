@@ -29,7 +29,6 @@ from .catalog import SIDE_PREDICATES, build_pattern, check_ids, run_all, run_che
 from .classify import SweepConfig, theorem1_match, verify_theorem1
 from .families import (
     FAMILY_IDS,
-    FamilyConstraintError,
     FamilySpec,
     family_params,
     find_prog3_pairs,
@@ -280,14 +279,21 @@ def _run_check(args, out: _Output) -> int:
 
 
 def _parse_params(text: str) -> dict[str, int]:
+    """name=value pairs, each value an exact integer in the `_int_arg` grammar."""
     params: dict[str, int] = {}
     if not text:
         return params
     for piece in text.split(","):
         key, _, value = piece.partition("=")
+        key = key.strip()
         if not _ or not key:
             raise ValueError(f"malformed parameter {piece!r}; expected name=int")
-        params[key.strip()] = int(value)
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice")
+        try:
+            params[key] = _int_arg(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"parameter {key!r}: {exc}") from None
     return params
 
 
@@ -300,13 +306,9 @@ def _run_family(args, out: _Output) -> int:
         for a, b, d1, d2 in find_prog3_pairs(args.limit):
             out.emit({"a": a, "b": b, "delta1": d1, "delta2": d2})
         return EXIT_OK
-    # gen / verify
-    try:
-        spec = FamilySpec(args.family_id, _parse_params(args.params))
-        prog = generate(spec)
-    except (FamilyConstraintError, ValueError) as exc:
-        print(f"family: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # gen / verify; a bad or inadmissible parameter raises ValueError (exit 2)
+    spec = FamilySpec(args.family_id, _parse_params(args.params))
+    prog = generate(spec)
     params = family_params(spec)
     verified = verify(prog, params)
     obj = _progression_obj(params.a, params.b, prog)
@@ -335,6 +337,13 @@ def _int_arg(text: str) -> int:
     return int(mantissa) * 10 ** int(exponent or 0)
 
 
+def _threads_arg(text: str) -> int:
+    n = _int_arg(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _int_list_arg(text: str) -> list[int]:
     return [_int_arg(tok) for tok in text.split(",")]
 
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in sumsets of two geometric progressions.",
     )
     ap.add_argument("--manifest", metavar="FILE", help="write the run manifest to FILE instead of stderr")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    ap.add_argument("--threads", type=_threads_arg, default=os.cpu_count() or 1,
                     help="worker processes for sweeps (results are independent of this)")
     sub = ap.add_subparsers(dest="command", required=True)
 

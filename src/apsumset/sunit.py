@@ -9,7 +9,8 @@
 * ``pillai_difference_table`` -- p^x - p^y = q^z - q^w > 0;
 * ``bajpai_bennett_5term`` -- +-2^a1 3^b1 +- ... +- 2^a5 3^b5 = 0 under the
                            bounds max term <= 3^12, a_i <= 19, b_i <= 12;
-* ``deweger_3term``     -- x + y = z in coprime 13-smooth positive integers.
+* ``deweger_3term``     -- x + y = z in coprime 13-smooth positive integers,
+                           by a join over prime-support buckets.
 
 Block join.  ``solve_pattern`` puts terms that share a variable into one
 block, so blocks have disjoint variables and the box is the product of the
@@ -34,11 +35,25 @@ pattern would return each solution once per ordering.  With distinct
 magnitudes the terms sit at indices i0 > i1 > i2 > j > k of the sorted value
 list; the leading sign is +, and the top three probe a dict of signed pair
 sums holding only pairs with j < i2, so each solution is met exactly once.
+
+Support buckets.  In a de Weger solution gcd(x, y) = 1 and z = x + y make
+x, y and z pairwise coprime, so their prime-support masks are pairwise
+disjoint.  The smooth numbers up to z_limit are grouped by exact mask into
+sorted buckets.  Two summands share a bucket only if both masks are empty,
+which is 1 + 1 = 2, emitted directly; every other solution lies in exactly
+one triple of distinct, pairwise disjoint buckets: an unordered summand
+pair {A, B} and a nonempty sum bucket C.  Each triple walks its smallest
+bucket in Python and maps the middle one in C against the largest, a set:
+sums w + v probe C when C is largest, differences probe a summand bucket
+otherwise, and a bisection cut keeps only terms that can meet it.  The
+probe meets a triple (x, y, z) iff x + y = z exactly, so the join is
+complete and yields each solution once; all arithmetic is on Python ints.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Callable, Iterator, Sequence
@@ -297,45 +312,45 @@ def deweger_3term(
 ) -> list[TripleSolution]:
     """Complete list of x + y = z, x <= y, gcd(x,y) = 1, xyz smooth, z <= z_limit.
 
-    Key structural fact: gcd(x, y) = 1 and z = x + y force x, y, z to be
-    pairwise coprime, so each prime of the smooth set divides at most one of
-    them.  Enumeration therefore pairs smooth numbers with disjoint prime
-    support; coprimality never needs a gcd call.  Sorted by (z, x).  The
-    join runs in int64, so z_limit above 2^63 - 1 is refused.
+    The smooth numbers are grouped by support mask into sorted buckets, and
+    each triple of pairwise disjoint buckets (summands A, B, sum C) walks
+    its two smaller buckets and probes the largest by set intersection;
+    see the module docstring for why this is complete.  Sorted by (z, x).
+    z_limit above 2^63 - 1 is refused, which bounds the enumeration.
     """
     if z_limit < 2:
         raise ValueError(f"z_limit must be >= 2, got {z_limit}")
     if z_limit > 2**63 - 1:
         raise ValueError(f"z_limit must be <= 2**63 - 1, got {z_limit}")
-    import numpy as np
 
     ps = tuple(primes)
-    smooth = smooth_enumerate(primes, z_limit)
-    arr = np.array(smooth, dtype=np.int64)
-    masks = np.array(_support_masks(smooth, ps), dtype=np.int64)
-    n = len(smooth)
+    smooth = smooth_enumerate(ps, z_limit)
+    buckets: dict[int, list[int]] = {}
+    for v, m in zip(smooth, _support_masks(smooth, ps)):
+        buckets.setdefault(m, []).append(v)
+    sets = {m: set(b) for m, b in buckets.items()}
 
-    out: list[TripleSolution] = []
-    for i in range(n):
-        x = smooth[i]
-        if 2 * x > z_limit:
-            break
-        hi = int(np.searchsorted(arr, z_limit - x, side="right"))
-        if hi <= i:
+    found = [(1, 1, 2)] if 2 in ps else []
+    for a, b in itertools.combinations(buckets, 2):
+        if a & b:
             continue
-        ys = arr[i:hi]
-        ok = (masks[i:hi] & masks[i]) == 0
-        if not ok.any():
-            continue
-        cand = ys[ok]
-        sums = cand + x
-        pos = np.searchsorted(arr, sums)
-        pos[pos >= n] = n - 1
-        hit = arr[pos] == sums
-        for y, z in zip(cand[hit].tolist(), sums[hit].tolist()):
-            out.append(TripleSolution(x, y, z))
-    out.sort(key=lambda t: (t.z, t.x))
-    return out
+        for c in buckets:
+            if not c or c & (a | b):
+                continue
+            s, t, u = sorted((a, b, c), key=lambda m: len(buckets[m]))
+            mid, probe = buckets[t], sets[u]
+            for w in buckets[s]:
+                if u == c:  # sums w + v probe the sum bucket
+                    hits = probe.intersection(map(w.__add__, mid[:bisect_right(mid, buckets[u][-1] - w)]))
+                    found += [(w, h - w, h) for h in hits]
+                elif s == c:  # w is a sum: differences w - v probe a summand bucket
+                    hits = probe.intersection(map(w.__sub__, mid[:bisect_left(mid, w)]))
+                    found += [(h, w - h, w) for h in hits]
+                else:  # mid holds the sums: differences v - w probe a summand bucket
+                    hits = probe.intersection(map(w.__rsub__, mid[bisect_right(mid, w):]))
+                    found += [(w, h, w + h) for h in hits]
+    ordered = sorted((z, min(x, y), max(x, y)) for x, y, z in found)
+    return [TripleSolution(x, y, z) for z, x, y in ordered]
 
 
 def triple_ord_profile(sol: TripleSolution, primes: PrimeSet = DEWEGER_PRIMES) -> dict[int, int]:
@@ -496,8 +511,12 @@ def bajpai_bennett_5term(
     b <= beta_max} in canonical orientation (module docstring).  Solutions
     have pairwise distinct term magnitudes, which for five terms is
     equivalent to excluding vanishing subsums, and gcd of the magnitudes 1,
-    that is min alpha = min beta = 0.
+    that is min alpha = min beta = 0.  Negative bounds raise ValueError.
     """
+    if min(alpha_max, beta_max, value_bound) < 0:
+        raise ValueError(
+            f"bounds must be >= 0, got alpha_max={alpha_max}, beta_max={beta_max}, value_bound={value_bound}"
+        )
     vals = _bb5_value_list(alpha_max, beta_max, value_bound)
     values = [v for v, _, _ in vals]
     index = {v: i for i, v in enumerate(values)}

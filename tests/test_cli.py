@@ -23,6 +23,44 @@ GOLDEN_UNIT = {
     ("check", "--all"):
         "e15bb29bed534d5c7f308d96bc5f68e36dcba66a81ed8cfc2a8655b6b56a44c8",
 }
+# the ROADMAP baseline: de Weger's 545 solutions at 10^12 and the count line
+DEWEGER_1E12 = "6737fabef7eadf5e9df91ff060862085721f4f574243ed0d8b0e3ce8e9101dba"
+# result_sha256 of the benchmark's pinned family commands
+GOLDEN_FAMILY = {
+    ("family", "prog3-pairs", "--limit", "100000"):
+        "c3afe4a0a03949700b9ddca3728c686a4859f753bd86c490bf088dd533db3793",
+    ("family", "verify", "four-term-powers2-A", "--params", "d=2,c=3,k=122,j=81,m=20"):
+        "7561378050b21541f69d0db7296527f913384c6da809e486b6fdaf1522fd0de1",
+    ("family", "verify", "four-term-powers2-B", "--params", "d=2,c=3,k=121,j=81,m=20"):
+        "620293db4e5632ded954d88ac42ad18bc17edae452a486351698c2ab4e80f7a4",
+    ("family", "verify", "prog1", "--params", "n=1000000000000000000000000000000"):
+        "a0bf1d3c47eaacf102355e2bb94b43ae4227d92be800274d33d603e4547d8b33",
+    ("family", "verify", "prog2", "--params", "k=1000,t=20"):
+        "9405878572d2f08a14e75b820eb1f7fec130672bbf12c10bd4ca5a455b467eff",
+    ("family", "verify", "prog3", "--params", "a=97513,b=137904,delta1=1,delta2=1"):
+        "9041033e40c278cc6f0e1c349e4463af0039f99ad240bcf38edb634e77a833d9",
+    ("family", "verify", "prog4", "--params", "t=60"):
+        "0dbb1528d07ed7275726eacf0e5329182439fc43d501766339a9679c8c446c34",
+    ("family", "verify", "prog5", "--params", "t=60"):
+        "369a664113f979046391a0fb1383647827760838e1541f333fbed4a5bf5e5160",
+    ("family", "verify", "prog6", "--params", "t=40"):
+        "f7dee0ec8120b39f8cba6e8d9ace49e943de8e311ea2e792e94e52dbe585e96f",
+    ("family", "verify", "prog7", "--params", "s=50,t=120"):
+        "89e73c2ecedc3eb6d9f37297fff698acf3e56cdfeede07d00b19e1241fa4f570",
+    ("family", "verify", "three-term-A", "--params", "k=40,j=200"):
+        "e889a7b57d9176cfdb33b5fc966b8d71c793b44b6fdcae4213803c88939b8926",
+    ("family", "verify", "three-term-B", "--params", "k=40,j=200"):
+        "b93aaa8d697191bc06c076ac94b9ea37920704286e7eadd0f597fd2b8131b2c2",
+    ("family", "verify", "three-term-multdep", "--params", "a=4,b=8,k=30,j=40"):
+        "b492cb45e0228cbc2ca699fd52273d7b428a75bd145295e2d82f71a7536e70b8",
+}
+# result_sha256 of member and enum at large exact bounds
+GOLDEN_SUMSET = {
+    ("member", "2", "3", "1e400"):
+        "2297083be683a88982b303cd5af5aaf9c6830661cb92938689e5f68e5aceb3c2",
+    ("enum", "2", "3", "--limit", "1e30"):
+        "43d57274505f85bead8089ed4b9601d144912de579002481cff512bab460e505",
+}
 
 
 def run(capsys, tmp_path, *argv):
@@ -82,6 +120,21 @@ class TestGoldenOutput:
         assert code == 0
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == GOLDEN_UNIT[argv]
+
+    def test_deweger_1e12_digest(self, capsys, tmp_path):
+        code, captured, manifest = run(capsys, tmp_path, "sunit", "deweger", "--z-limit", "1000000000000")
+        assert code == 0
+        assert manifest["result_lines"] == 546
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == manifest["result_sha256"] == DEWEGER_1E12
+
+    @pytest.mark.parametrize(
+        "argv", list(GOLDEN_FAMILY) + list(GOLDEN_SUMSET), ids=lambda argv: " ".join(argv[:3])
+    )
+    def test_family_and_sumset_digest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 0
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == manifest["result_sha256"] == {**GOLDEN_FAMILY, **GOLDEN_SUMSET}[argv]
 
     def test_sweep_independent_of_threads(self, capsys, tmp_path):
         argv = ["sweep", "--a-max", "4", "--b-max", "40", "--len", "5", "--limit", "1000000"]
@@ -163,4 +216,40 @@ class TestRefusals:
         code, captured, manifest = run(capsys, tmp_path, "sunit", "deweger", "--z-limit", "10000000000000000000")
         assert code == 2
         assert manifest is None
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--threads", "0", "check", "--all"),
+            ("--threads", "-1", "check", "--all"),
+            ("sunit", "bb5", "--alpha-max", "-1"),
+            ("sunit", "bb5", "--beta-max", "-1"),
+        ],
+        ids=["threads-0", "threads-negative", "bb5-alpha", "bb5-beta"],
+    )
+    def test_bad_bound_refused(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+
+class TestFamilyParams:
+    def gen(self, capsys, tmp_path, params):
+        return run(capsys, tmp_path, "family", "gen", "prog1", "--params", params)
+
+    def test_exponent_form_is_exact(self, capsys, tmp_path):
+        code, captured, _ = self.gen(capsys, tmp_path, "n=1e30")
+        assert code == 0
+        plain = self.gen(capsys, tmp_path, "n=" + "1" + "0" * 30)[1]
+        assert captured.out == plain.out
+
+    @pytest.mark.parametrize("params", ["n=1_000", "n= 5", "n=+5", "n=-5", "n=5.0", "n=", "n=5,n=6", "n=1"])
+    def test_bad_params_refused(self, capsys, tmp_path, params):
+        code, captured, manifest = self.gen(capsys, tmp_path, params)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
         assert "Traceback" not in captured.err

@@ -230,6 +230,9 @@ def brute_deweger(primes, z_limit):
     return sorted(out, key=lambda t: (t[2], t[0]))
 
 
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
 class TestDeweger:
     def test_23_up_to_10(self):
         got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet.of(2, 3), 10)]
@@ -257,6 +260,18 @@ class TestDeweger:
         sols = deweger_3term(PrimeSet.of(2, 3, 5, 7), 10**6)
         keys = [(t.z, t.x) for t in sols]
         assert keys == sorted(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1).map(lambda ps: PrimeSet.of(*ps)),
+        z_limit=st.integers(2, 3000),
+    )
+    @example(primes=PrimeSet.of(2, 3), z_limit=10)  # 1 + 1 = 2, the one same-bucket solution
+    @example(primes=PrimeSet.of(2), z_limit=3000)  # only 1 + 1 = 2
+    @example(primes=PrimeSet.of(7), z_limit=3000)  # no solution: 2 is not smooth
+    def test_matches_brute_force_random_sets(self, primes, z_limit):
+        got = [(t.x, t.y, t.z) for t in deweger_3term(primes, z_limit)]
+        assert got == brute_deweger(tuple(primes), z_limit)
 
     def test_refuses_beyond_int64(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
@@ -461,3 +476,8 @@ class TestBajpaiBennett:
         b = [s.signed_values() for s in bajpai_bennett_5term(6, 4, 10**9)]
         assert a == b
         assert a == sorted(a, reverse=True)
+
+    @pytest.mark.parametrize("bounds", [(-1, 6), (8, -1), (8, 6, -1)])
+    def test_negative_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match=">= 0"):
+            bajpai_bennett_5term(*bounds)
