@@ -10,7 +10,7 @@ recorded expected outputs.
 
 __version__ = "0.1.0"
 
-from .apsearch import ApSearchReport, Progression, count_3term_stable, extend, find_progressions
+from .apsearch import ApSearchReport, Progression, count_3term_stable, find_progressions, progression
 from .catalog import LemmaSolution, lemma21_classify, lemma21_solve, run_all, run_check
 from .classify import (
     ClassEntry,
@@ -20,8 +20,8 @@ from .classify import (
     verify_theorem1,
 )
 from .families import FamilySpec, family_params, find_prog3_pairs, generate, verify
-from .numutil import PrimeSet, ord_p, power_exponent, smooth_enumerate
-from .sumset import Representation, SumsetElement, SumsetParams, contains, enumerate_up_to, representations
+from .numutil import PrimeSet, power_exponent, smooth_enumerate
+from .sumset import Representation, SumsetElement, SumsetParams, enumerate_up_to, representations
 from .sunit import (
     Pattern,
     PatternSolution,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .sumset import SumsetElement, SumsetParams, contains, element, value_set
+from .sumset import SumsetElement, SumsetParams, representations, value_set
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class Progression:
     """An arithmetic progression N, N+D, ..., N+(length-1)D with witnesses.
 
     Every term carries its complete representation list; D >= 1 always.
+    Build one with `progression`, which checks both.
     """
 
     N: int
@@ -41,6 +42,26 @@ class Progression:
 
     def term_values(self) -> list[int]:
         return [self.N + i * self.D for i in range(self.length)]
+
+
+def progression(params: SumsetParams, values: list[int]) -> Progression:
+    """The progression through `values`, each term with its complete witnesses.
+
+    Raises ValueError unless D = values[1] - values[0] >= 1, every step
+    equals D and every value lies in the sumset.
+    """
+    d = values[1] - values[0]
+    if d < 1:
+        raise ValueError(f"difference {d} is not positive")
+    if any(v - u != d for u, v in zip(values, values[1:])):
+        raise ValueError(f"terms {values} are not in progression")
+    terms = []
+    for v in values:
+        reps = representations(params, v)
+        if not reps:
+            raise ValueError(f"{v} is not in S_{{{params.a},{params.b}}}")
+        terms.append(SumsetElement(v, tuple(reps)))
+    return Progression(values[0], d, len(values), tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -73,16 +94,6 @@ def _find_pairs(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[in
     return pairs, values
 
 
-def _materialize(params: SumsetParams, n: int, d: int, k: int) -> Progression:
-    terms = []
-    for i in range(k):
-        el = element(params, n + i * d)
-        if el is None:  # cannot happen for pairs produced by the search
-            raise AssertionError(f"term {n + i * d} lost its membership witness")
-        terms.append(el)
-    return Progression(n, d, k, tuple(terms))
-
-
 def _scan(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], list[bool]]:
     """Sorted (N, D) windows up to the limit, with their maximal flags."""
     if k < 3:
@@ -96,7 +107,7 @@ def _scan(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int
         before = n - d
         after = n + k * d
         extendable = (before >= 2 and before in values) or (
-            after in values if after <= limit else contains(params, after)
+            after in values if after <= limit else bool(representations(params, after))
         )
         flags.append(not extendable)
     return pairs, flags
@@ -110,7 +121,7 @@ def find_progressions(params: SumsetParams, k: int, limit: int) -> ApSearchRepor
     them apart (true iff neither N-D nor N+kD is in the sumset).
     """
     pairs, flags = _scan(params, k, limit)
-    progs = tuple(_materialize(params, n, d, k) for n, d in pairs)
+    progs = tuple(progression(params, [n + i * d for i in range(k)]) for n, d in pairs)
     return ApSearchReport(params, k, limit, progs, tuple(flags))
 
 
@@ -151,27 +162,3 @@ def count_3term_stable(params: SumsetParams, limits: list[int]) -> Count3Report:
     windows = tuple(sum(f <= lim for f, _ in finals) for lim in limits)
     maximal = tuple(sum(flag and f <= lim for f, flag in finals) for lim in limits)
     return Count3Report(params, tuple(limits), windows, maximal)
-
-
-def extend(params: SumsetParams, prog: Progression, direction: str) -> Progression | None:
-    """One-term extension of a progression, or None if the new term is absent.
-
-    direction 'forward' tests N + length*D; 'backward' tests N - D (which
-    must still be a sumset element, in particular >= 2).
-    """
-    if direction == "forward":
-        candidate = prog.N + prog.length * prog.D
-        new_n = prog.N
-    elif direction == "backward":
-        candidate = prog.N - prog.D
-        new_n = candidate
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    el = element(params, candidate)
-    if el is None:
-        return None
-    if direction == "forward":
-        terms = prog.terms + (el,)
-    else:
-        terms = (el,) + prog.terms
-    return Progression(new_n, prog.D, prog.length + 1, terms)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .apsearch import find_progressions
 from .numutil import power_exponent
-from .sumset import SumsetParams, element
+from .sumset import SumsetParams, representations
 
 SPORADIC_5TERM: tuple[tuple[int, int, int, int], ...] = (
     (2, 3, 5, 2),
@@ -148,13 +148,15 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     """All k-term windows over the (a, b) grid, canonically sorted.
 
     The grid is embarrassingly parallel; results are re-sorted after the
-    merge so the output is independent of the worker count.
+    merge so the output is independent of the worker count.  At most one
+    worker per job is started, and a single worker runs inline.
     """
     jobs = [(a, b, cfg.k, cfg.term_limit) for a, b in cfg.pairs()]
-    if threads > 1:
+    workers = min(threads, len(jobs))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_sweep_pair, jobs)
     else:
         chunks = [_sweep_pair(j) for j in jobs]
@@ -200,16 +202,7 @@ def family_nonextension(k_max: int) -> list[NonextensionRow]:
         for k in range(1, k_max + 1):
             a, b, n, d = maker(k)
             nxt = n + 5 * d
-            el = element(SumsetParams(a, b), nxt)
-            rows.append(
-                NonextensionRow(
-                    name,
-                    k,
-                    (a, b),
-                    nxt,
-                    el is not None,
-                    tuple(el.reps) if el is not None else (),
-                )
-            )
+            reps = tuple(representations(SumsetParams(a, b), nxt))
+            rows.append(NonextensionRow(name, k, (a, b), nxt, bool(reps), reps))
     return rows
 

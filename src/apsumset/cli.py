@@ -265,11 +265,9 @@ def _run_check(args, out: _Output) -> int:
         reports = run_all()
     else:
         if args.id is None:
-            print("check: provide an id or --all", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("check needs an id or --all")
         if args.id not in check_ids():
-            print(f"check: unknown id {args.id!r}; known: {', '.join(check_ids())}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown check id {args.id!r}; known: {', '.join(check_ids())}")
         reports = [run_check(args.id)]
     ok = True
     for rep in reports:
@@ -360,31 +358,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("member", help="membership and representations of n in S_{a,b}")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_int_arg)
+    p.add_argument("b", type=_int_arg)
     p.add_argument("n", type=_int_arg)
 
     p = sub.add_parser("enum", help="enumerate S_{a,b} up to a limit")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_int_arg)
+    p.add_argument("b", type=_int_arg)
     p.add_argument("--limit", type=_int_arg, required=True)
 
     p = sub.add_parser("ap", help="k-term arithmetic progressions in S_{a,b}")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("a", type=_int_arg)
+    p.add_argument("b", type=_int_arg)
+    p.add_argument("--len", type=_int_arg, required=True)
     p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--maximal-only", action="store_true")
 
     p = sub.add_parser("count3", help="3-term progression counts at a ladder of limits")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_int_arg)
+    p.add_argument("b", type=_int_arg)
     p.add_argument("--limits", type=_int_list_arg, required=True, help="comma-separated, e.g. 1e8,1e10,1e12")
 
     p = sub.add_parser("sweep", help="grid sweep with classification matching")
-    p.add_argument("--a-max", type=int, required=True)
-    p.add_argument("--b-max", type=int, required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--a-max", type=_int_arg, required=True)
+    p.add_argument("--b-max", type=_int_arg, required=True)
+    p.add_argument("--len", type=_int_arg, required=True)
     p.add_argument("--limit", type=_int_arg, required=True)
 
     p = sub.add_parser("sunit", help="bounded exponential-equation solvers")
@@ -392,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ssub.add_parser("deweger", help="x + y = z in coprime 13-smooth integers")
     sp.add_argument("--z-limit", type=_int_arg, default=10**12)
     sp = ssub.add_parser("dt", help="four-term two-prime shapes, powers <= 2^15")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
+    sp.add_argument("p", type=_int_arg)
+    sp.add_argument("q", type=_int_arg)
     sp = ssub.add_parser("bb5", help="five-term {2,3}-unit equation")
-    sp.add_argument("--alpha-max", type=int, default=19)
-    sp.add_argument("--beta-max", type=int, default=12)
+    sp.add_argument("--alpha-max", type=_int_arg, default=19)
+    sp.add_argument("--beta-max", type=_int_arg, default=12)
     sp = ssub.add_parser("pattern", help="generic pattern from a JSON file")
     sp.add_argument("pattern_file")
     sp.add_argument("--budget", type=_int_arg, default=50_000_000)

@@ -2,11 +2,11 @@
 
 Each family is a closed-form recipe producing, for admissible parameters, a
 3- or 4-term arithmetic progression whose terms all lie in a sumset
-S_{a,b}.  Generators validate their parameter constraints, build the
-progression from the closed form, and check every closed-form
-representation by exact arithmetic; ``verify`` additionally re-checks
-membership of every term through the sumset oracle, so a transcription
-slip in any formula cannot survive unnoticed.
+S_{a,b}.  Generators validate their parameter constraints and build the
+progression from the closed form through ``apsearch.progression``, which
+checks every step and every term's membership exactly; ``verify``
+re-checks a progression through the sumset oracle alone, so a
+transcription slip in any formula cannot survive unnoticed.
 
 Families:
 
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .apsearch import Progression
+from .apsearch import Progression, progression
 from .numutil import iroot
-from .sumset import SumsetParams, contains, element
+from .sumset import SumsetParams, representations
 
 FAMILY_IDS = (
     "three-term-A",
@@ -79,30 +79,6 @@ def minimal_power_base(n: int) -> tuple[int, int]:
 def _check(cond: bool, family: str, msg: str) -> None:
     if not cond:
         raise FamilyConstraintError(f"{family}: {msg}")
-
-
-def _build(
-    params: SumsetParams, closed_form: list[tuple[int, int]]
-) -> Progression:
-    """Assemble a progression from closed-form (x, y) exponent pairs.
-
-    The term values are computed from the exponents; the arithmetic
-    progression property and D >= 1 are asserted exactly, and each term is
-    stored with its complete representation list.
-    """
-    a, b = params.a, params.b
-    values = [a**x + b**y for x, y in closed_form]
-    d = values[1] - values[0]
-    _check(d >= 1, "closed form", f"difference {d} is not positive")
-    for u, v in zip(values, values[1:]):
-        _check(v - u == d, "closed form", f"terms {values} are not in progression")
-    terms = []
-    for val in values:
-        el = element(params, val)
-        if el is None:
-            raise AssertionError(f"{val} = a^x + b^y lost its own representation")
-        terms.append(el)
-    return Progression(values[0], d, len(values), tuple(terms))
 
 
 def _recipe(spec: FamilySpec) -> tuple[SumsetParams, list[tuple[int, int]]]:
@@ -237,7 +213,7 @@ def generate(spec: FamilySpec) -> Progression:
     Raises FamilyConstraintError naming the violated constraint otherwise.
     """
     params, closed = _recipe(spec)
-    return _build(params, closed)
+    return progression(params, [params.a**x + params.b**y for x, y in closed])
 
 
 def verify(prog: Progression, params: SumsetParams) -> bool:
@@ -249,7 +225,7 @@ def verify(prog: Progression, params: SumsetParams) -> bool:
     values = prog.term_values()
     if prog.D < 1 or len(values) != prog.length:
         return False
-    return all(contains(params, v) for v in values)
+    return all(representations(params, v) for v in values)
 
 
 def find_prog3_pairs(limit: int) -> list[tuple[int, int, int, int]]:

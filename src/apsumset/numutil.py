@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 # Witnesses proving deterministic Miller-Rabin correct for n < 3.3 * 10^24,
-# far beyond every quantity handled here.
+# far beyond every quantity handled here; is_prime also trial-divides by them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -19,7 +19,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for word-sized (and moderately larger) n."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -55,19 +55,6 @@ def power_exponent(n: int, base: int) -> int | None:
         n //= base
         e += 1
     return e if n == 1 else None
-
-
-def ord_p(n: int, p: int) -> int:
-    """Largest e such that p**e divides n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def iroot(n: int, k: int) -> int:

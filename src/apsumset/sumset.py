@@ -44,7 +44,8 @@ def representations(params: SumsetParams, n: int) -> list[Representation]:
 
     Iterates x over 0..log_a(n-1) and power-tests the remainder against base
     b; a^x determines y uniquely, so the list is complete by construction.
-    An empty list means n is not in the sumset.
+    An empty list means n is not in the sumset; this is the package's one
+    membership test.
     """
     a, b = params.a, params.b
     out: list[Representation] = []
@@ -57,24 +58,6 @@ def representations(params: SumsetParams, n: int) -> list[Representation]:
             out.append(Representation(power_exponent(ax, a), y))
         ax *= a
     return out
-
-
-def contains(params: SumsetParams, n: int) -> bool:
-    """True iff n = a^x + b^y for some x, y >= 0."""
-    a, b = params.a, params.b
-    if n < 2:
-        return False
-    ax = 1
-    while ax < n:
-        if power_exponent(n - ax, b) is not None:
-            return True
-        ax *= a
-    return False
-
-
-def element(params: SumsetParams, n: int) -> SumsetElement | None:
-    reps = representations(params, n)
-    return SumsetElement(n, tuple(reps)) if reps else None
 
 
 def value_set(params: SumsetParams, limit: int) -> set[int]:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Callable, Iterator, Sequence
 
-from .numutil import PrimeSet, ilog, is_prime, smooth_enumerate
+from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_enumerate
 
 DEFAULT_BUDGET = 50_000_000
 DEWEGER_PRIMES = PrimeSet((2, 3, 5, 7, 11, 13))
@@ -355,9 +355,7 @@ def deweger_3term(
 
 def triple_ord_profile(sol: TripleSolution, primes: PrimeSet = DEWEGER_PRIMES) -> dict[int, int]:
     """ord_p(x*y*z) for each prime of the set."""
-    from .numutil import ord_p
-
-    return {p: ord_p(sol.x * sol.y * sol.z, p) for p in primes}
+    return factor_over(sol.x * sol.y * sol.z, primes)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apsumset.apsearch import count_3term_stable, extend, find_progressions
-from apsumset.sumset import SumsetParams, contains, enumerate_up_to, value_set
+from apsumset.apsearch import count_3term_stable, find_progressions, progression
+from apsumset.sumset import SumsetParams, enumerate_up_to, value_set
 
 
 def brute_3term(params, limit):
@@ -57,12 +57,12 @@ class TestFindProgressions:
 
     def test_terms_reverify_by_membership(self):
         params = SumsetParams(2, 5)
+        witnesses = {e.value: e.reps for e in enumerate_up_to(params, 10**6)}
         rep = find_progressions(params, 4, 10**6)
         for prog in rep.progressions:
-            for v in prog.term_values():
-                assert contains(params, v)
+            assert [t.value for t in prog.terms] == prog.term_values()
             for term in prog.terms:
-                assert term.reps  # nonempty witness
+                assert term.reps == witnesses[term.value]
 
     def test_subwindow_closure(self):
         params = SumsetParams(2, 3)
@@ -119,9 +119,10 @@ class TestFindProgressions:
         for lim, want in cases:
             rep = find_progressions(params, k, lim)
             assert rep.pairs() == want
+            # both neighbours of a window lie below twice the limit
+            around = value_set(params, 2 * lim)
             assert list(rep.maximal_flags) == [
-                not (contains(params, n - d) or contains(params, n + k * d))
-                for n, d in want
+                not (n - d in around or n + k * d in around) for n, d in want
             ]
 
     def test_rejects_bad_args(self):
@@ -132,46 +133,56 @@ class TestFindProgressions:
 
 
 class TestExtend:
+    """One-term extensions, read off the maximal flags and the longer search."""
+
     def test_forward_five_to_six(self):
+        # 3, 5, ..., 11 ends at the limit; the neighbour 13 lies above it
         params = SumsetParams(2, 3)
-        five = next(
-            p for p in find_progressions(params, 5, 100).progressions if (p.N, p.D) == (3, 2)
-        )
-        six = extend(params, five, "forward")
-        assert six is not None
-        assert six.length == 6
-        assert six.term_values()[-1] == 13
+        five = find_progressions(params, 5, 11)
+        assert dict(zip(five.pairs(), five.maximal_flags))[(3, 2)] is False
+        six = find_progressions(params, 6, 13)
+        assert six.pairs() == [(3, 2)]
+        assert six.progressions[0].term_values()[-1] == 13
 
     def test_forward_six_stops(self):
-        params = SumsetParams(2, 3)
-        five = next(
-            p for p in find_progressions(params, 5, 100).progressions if (p.N, p.D) == (3, 2)
-        )
-        six = extend(params, five, "forward")
-        assert extend(params, six, "forward") is None  # 15 is not in S_{2,3}
+        rep = find_progressions(SumsetParams(2, 3), 6, 10**6)
+        assert rep.pairs()[0] == (3, 2)
+        assert rep.maximal_flags[0] is True  # 1 and 15 are not in S_{2,3}
 
     def test_forward_17_24_stops_at_161(self):
-        params = SumsetParams(2, 3)
-        five = next(
-            p
-            for p in find_progressions(params, 6, 200).progressions
-            if (p.N, p.D) == (17, 24)
-        )
-        assert extend(params, five, "forward") is None
+        # 17, ..., 137 ends at the limit, so 161 is tested above it
+        rep = find_progressions(SumsetParams(2, 3), 6, 137)
+        assert dict(zip(rep.pairs(), rep.maximal_flags))[(17, 24)] is True
 
     def test_backward(self):
         params = SumsetParams(2, 3)
-        prog = next(
-            p for p in find_progressions(params, 5, 100).progressions if (p.N, p.D) == (5, 2)
-        )
-        back = extend(params, prog, "backward")
-        assert back is not None and back.N == 3 and back.length == 6
+        five = find_progressions(params, 5, 100)
+        assert dict(zip(five.pairs(), five.maximal_flags))[(5, 2)] is False
+        six = find_progressions(params, 6, 100)
+        assert six.pairs() == [(3, 2)]
+        assert six.progressions[0].term_values() == [3, 5, 7, 9, 11, 13]
 
-    def test_bad_direction(self):
-        params = SumsetParams(2, 3)
-        prog = find_progressions(params, 3, 10).progressions[0]
-        with pytest.raises(ValueError):
-            extend(params, prog, "sideways")
+
+class TestProgression:
+    def test_builds_terms_with_witnesses(self):
+        prog = progression(SumsetParams(2, 3), [5, 7, 9, 11])
+        assert (prog.N, prog.D, prog.length) == (5, 2, 4)
+        assert [t.value for t in prog.terms] == prog.term_values() == [5, 7, 9, 11]
+        assert prog.terms[3].reps == ((1, 2), (3, 1))  # 11 = 2 + 9 = 8 + 3
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3, 5, 9], [5, 7, 10], [3, 3, 3], [7, 5, 3]],
+        ids=["broken-step", "broken-last-step", "zero-step", "negative-step"],
+    )
+    def test_refuses_non_progression(self, values):
+        with pytest.raises(ValueError, match="progression|not positive"):
+            progression(SumsetParams(2, 3), values)
+
+    def test_refuses_non_member_term(self):
+        # 2, 4, 6 is in progression, but 6 is not in S_{2,3}
+        with pytest.raises(ValueError, match="6 is not in"):
+            progression(SumsetParams(2, 3), [2, 4, 6])
 
 
 class TestCount3:

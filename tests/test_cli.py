@@ -236,6 +236,53 @@ class TestRefusals:
         assert "Traceback" not in captured.err
 
 
+class TestCheckRefusals:
+    @pytest.mark.parametrize("argv", [("check",), ("check", "no-such-check")], ids=["no-id", "unknown-id"])
+    def test_refused_without_manifest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+class TestIntegerGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("member", "1_0", "30", "40"),
+            ("enum", "2", "+3", "--limit", "100"),
+            ("ap", " 2", "3", "--len", "3", "--limit", "100"),
+            ("ap", "2", "3", "--len", "1_0", "--limit", "100"),
+            ("count3", "2", "0x7", "--limits", "100"),
+            ("sweep", "--a-max", "2.0", "--b-max", "3", "--len", "5", "--limit", "100"),
+            ("sweep", "--a-max", "2", "--b-max", "1_0", "--len", "5", "--limit", "100"),
+            ("sweep", "--a-max", "2", "--b-max", "3", "--len", "+5", "--limit", "100"),
+            ("sunit", "dt", "+2", "3"),
+            ("sunit", "dt", "2", "3 "),
+            ("sunit", "bb5", "--alpha-max", "1_0"),
+            ("sunit", "bb5", "--beta-max", "0x6"),
+        ],
+        ids=[
+            "member-a", "enum-b", "ap-a", "ap-len", "count3-b", "sweep-a-max", "sweep-b-max",
+            "sweep-len", "dt-p", "dt-q", "bb5-alpha", "bb5-beta",
+        ],
+    )
+    def test_refused(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert "expected digits or AeB" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_exponent_form_accepted(self, capsys, tmp_path):
+        code, captured, manifest = run(capsys, tmp_path, "ap", "2e0", "3", "--len", "1e1", "--limit", "1e6")
+        assert code == 0
+        assert manifest["parameters"]["len"] == 10 and manifest["parameters"]["a"] == 2
+
+
 class TestFamilyParams:
     def gen(self, capsys, tmp_path, params):
         return run(capsys, tmp_path, "family", "gen", "prog1", "--params", params)

@@ -8,7 +8,6 @@ from apsumset.numutil import (
     ilog,
     iroot,
     is_prime,
-    ord_p,
     power_exponent,
     smooth_enumerate,
 )
@@ -51,18 +50,20 @@ class TestPowerExponent:
 
 
 class TestOrdP:
+    """The p-adic valuation, read from `factor_over` with a single prime."""
+
     def test_48(self):
-        assert ord_p(48, 2) == 4
+        assert factor_over(48, (2,)) == ({2: 4}, 3)
 
     def test_coprime(self):
-        assert ord_p(7, 2) == 0
+        assert factor_over(7, (2,)) == ({2: 0}, 7)
 
     def test_3_pow_12(self):
-        assert ord_p(531441, 3) == 12
+        assert factor_over(531441, (3,)) == ({3: 12}, 1)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            ord_p(0, 2)
+            factor_over(0, (2,))
 
     def test_ord_of_scaled_coprime(self):
         rng = random.Random(7)
@@ -72,7 +73,7 @@ class TestOrdP:
             m = rng.randrange(1, 10**6)
             while m % p == 0:
                 m += 1
-            assert ord_p(p**a * m, p) == a
+            assert factor_over(p**a * m, (p,)) == ({p: a}, m)
 
 
 class TestSmoothEnumerate:

@@ -5,7 +5,6 @@ import pytest
 from apsumset.sumset import (
     Representation,
     SumsetParams,
-    contains,
     enumerate_up_to,
     representations,
     value_set,
@@ -61,15 +60,17 @@ class TestRepresentations:
 
 
 class TestContains:
+    """Membership through `representations`: an empty list means not a member."""
+
     def test_137(self):
-        assert contains(SumsetParams(2, 3), 137)
+        assert representations(SumsetParams(2, 3), 137) == [(7, 2)]
 
     def test_one_below_minimum(self):
-        assert not contains(SumsetParams(2, 3), 1)
-        assert not contains(SumsetParams(2, 3), 0)
+        assert representations(SumsetParams(2, 3), 1) == []
+        assert representations(SumsetParams(2, 3), 0) == []
 
     def test_22_78(self):
-        assert contains(SumsetParams(22, 78), 22 + 78**2)
+        assert representations(SumsetParams(22, 78), 22 + 78**2) == [(1, 2)]
 
     def test_random_constructed_members(self):
         rng = random.Random(5)
@@ -82,7 +83,7 @@ class TestContains:
             n = a**x + b**y
             if n > 10**12:
                 continue
-            assert contains(SumsetParams(a, b), n)
+            assert (x, y) in representations(SumsetParams(a, b), n)
             hits += 1
 
 
