@@ -1,9 +1,19 @@
 """Registry of named finite computations with recorded expected outputs.
 
-Each registry entry (loaded from ``data/checks.json``) binds a solver
-configuration to the solution list it is supposed to produce.  Running a
-check executes the solver at the recorded bounds and reports found versus
-expected.  Two safeguards keep the comparisons honest:
+Each entry of ``data/checks.json`` binds a solver configuration to the
+solution list it should produce: a unique string ``id``; a ``solver``
+object whose ``kind`` names a record of ``KINDS`` and whose other keys are
+that kind's spec; ``expected`` rows, each a list of nonnegative integers of
+the kind's row length (for a pattern, exponents in declared variable
+order); optionally ``documented_extras`` rows and a string
+``discrepancy_note``.  Keys such as ``anchor`` and ``description`` only
+document the entry.  A ``KINDS`` record holds a kind's required spec keys
+with their types (``build_pattern`` checks a pattern spec whole), its row
+length, a run function returning (found, bounds used, details) and an
+exact re-check of one expected row.  Every entry is validated when the
+registry loads; a malformed one raises ValueError naming the check id and
+the key.  Running a check executes the solver at the recorded bounds and
+reports found versus expected, with two safeguards:
 
 * every expected tuple is re-checked by exact arithmetic before the
   comparison, so a typo in a recorded list surfaces as a re-check failure
@@ -19,10 +29,9 @@ difference equation b^x - b^y = 2^alpha 3^beta.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .numutil import factor_over, iroot, power_exponent
 from .sunit import Pattern, PatternTerm, pillai_difference_table, solve_pattern
@@ -187,7 +196,7 @@ def _lemma21_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Side predicates referenced by registry entries
+# Registry: side predicates, pattern specs, kinds and plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -207,16 +216,114 @@ SIDE_PREDICATES: dict[str, Callable[[dict[str, int]], bool]] = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Registry plumbing
-# ---------------------------------------------------------------------------
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | None]:
+    """The Pattern of a pattern spec and its side predicate, or None.
+
+    A spec is a checks.json solver or a pattern file.  The documented
+    shape is an object with integers ``p`` and ``q``, ``terms`` as
+    [coefficient, p_exp, q_exp] triples whose exponents are integers or
+    variable names, ``bounds`` as [name, integer] pairs, and optionally the
+    booleans ``require_primitive`` and ``forbid_vanishing_subsums``, an
+    integer ``value_bound`` and a ``side_predicate`` naming an entry of
+    SIDE_PREDICATES.  Any other shape raises ValueError.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
+    missing = [k for k in ("p", "q", "terms", "bounds") if k not in spec]
+    if missing:
+        raise ValueError(f"pattern lacks {', '.join(missing)}")
+    if not (_is_int(spec["p"]) and _is_int(spec["q"])):
+        raise ValueError("p and q must be integers")
+    terms, bounds = spec["terms"], spec["bounds"]
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == 3 and _is_int(t[0]) and all(_is_int(e) or isinstance(e, str) for e in t[1:])
+        for t in terms
+    ):
+        raise ValueError("terms must be [coefficient, p_exp, q_exp] triples; exponents are integers or names")
+    if not isinstance(bounds, list) or not all(
+        isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_int(b[1]) for b in bounds
+    ):
+        raise ValueError("bounds must be [name, integer] pairs")
+    for key in ("require_primitive", "forbid_vanishing_subsums"):
+        if not isinstance(spec.get(key, False), bool):
+            raise ValueError(f"{key} must be true or false")
+    if spec.get("value_bound") is not None and not _is_int(spec["value_bound"]):
+        raise ValueError("value_bound must be an integer")
+    pred = spec.get("side_predicate")
+    if "side_predicate" in spec and not (isinstance(pred, str) and pred in SIDE_PREDICATES):
+        raise ValueError(f"unknown side_predicate {pred!r}; known: {', '.join(sorted(SIDE_PREDICATES))}")
+    pattern = Pattern(
+        spec["p"], spec["q"], tuple(PatternTerm(*t) for t in terms), tuple(map(tuple, bounds)),
+        spec.get("require_primitive", False), spec.get("forbid_vanishing_subsums", False), spec.get("value_bound"),
+    )
+    return pattern, SIDE_PREDICATES.get(pred)
+
+
+_INT = "an integer"
+_INT_PAIRS = "a list of integer pairs"
+_KEY_TYPES: dict[str, Callable[[object], bool]] = {
+    _INT: _is_int,
+    _INT_PAIRS: lambda v: isinstance(v, list)
+    and all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v),
+}
+
+
+class Kind(NamedTuple):
+    """One solver kind of the registry."""
+
+    keys: dict[str, str]  # required spec key -> its type, a key of _KEY_TYPES
+    row_length: Callable[[dict], int]  # of an expected row, for a spec whose keys passed
+    run: Callable[[dict], tuple[list[tuple], dict, dict]]  # spec -> (found, bounds_used, details)
+    recheck: Callable[[dict, tuple], bool]  # (spec, expected row) -> exact re-check
+
+
+def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Callable[..., bool]) -> Kind:
+    """A kind whose spec keys are the keyword arguments of `scan`, which returns (found, details)."""
+
+    def run(spec: dict) -> tuple[list[tuple], dict, dict]:
+        args = {k: spec[k] for k in keys}
+        found, details = scan(**args)
+        return found, args, details
+
+    return Kind(keys, lambda spec: length, run, lambda spec, row: row_check(*row))
+
+
+def _run_pattern(spec: dict) -> tuple[list[tuple], dict, dict]:
+    pattern, predicate = build_pattern(spec)
+    return [s.values for s in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds), {}
+
+
+KINDS: dict[str, Kind] = {
+    # build_pattern checks a pattern spec whole, so the kind lists no keys
+    "pattern": Kind({}, lambda spec: len(build_pattern(spec)[0].var_bounds), _run_pattern,
+                    lambda spec, row: sum(build_pattern(spec)[0].term_values(row)) == 0),
+    "pillai_table": _scan_kind(
+        {"prime_pairs": _INT_PAIRS, "power_bound": _INT}, 6,
+        lambda prime_pairs, power_bound: (pillai_difference_table(prime_pairs, power_bound), {}),
+        lambda p, q, x, y, z, w: p**x - p**y == q**z - q**w > 0,
+    ),
+    "rn_scan": _scan_kind(
+        {"e_max": _INT}, 4, lambda e_max: (rn_scan(e_max), {}),
+        lambda b, m, e1, e2: b**m == 2**e1 + 2**e2 + 1 and m >= 2 and e1 > e2 >= 1,
+    ),
+    "kruk_scan": _scan_kind(
+        dict.fromkeys(("b_min", "b_max", "exp_max"), _INT), 4, lambda **args: (kruk_scan(**args), {}),
+        lambda b, x0, y1, y2: 1 + b**y2 + 2**x0 == 2 * b**y1,
+    ),
+    "lemma21_sweep": _scan_kind(
+        dict.fromkeys(("b_min", "b_max", "x_max", "alpha_max", "beta_max"), _INT), 5, _lemma21_sweep,
+        lambda b, x, y, alpha, beta: b**x - b**y == 2**alpha * 3**beta,
+    ),
+}
 
 
 @dataclass(frozen=True)
 class NamedCheck:
     id: str
-    anchor: str
-    description: str
     solver: dict
     expected: tuple[tuple, ...]
     documented_extras: tuple[tuple, ...] = ()
@@ -227,13 +334,11 @@ class NamedCheck:
 class VerificationReport:
     check_id: str
     found: list[tuple]
-    expected: list[tuple]
     missing: list[tuple]
     extra: list[tuple]
     documented_extra: list[tuple]
     expected_recheck_failures: list[tuple]
     bounds_used: dict
-    elapsed: float
     discrepancy_note: str | None = None
     details: dict = field(default_factory=dict)
 
@@ -250,24 +355,42 @@ class VerificationReport:
         return bool(self.documented_extra or self.discrepancy_note)
 
 
+def _named_check(entry, seen: dict) -> NamedCheck:
+    """One registry entry, validated against its kind's record."""
+    cid = entry.get("id") if isinstance(entry, dict) else None
+    try:
+        if not isinstance(cid, str) or cid in seen:
+            raise ValueError("id must be a string that no other check uses")
+        spec = entry.get("solver")
+        name = spec.get("kind") if isinstance(spec, dict) else None
+        if not isinstance(name, str) or name not in KINDS:
+            raise ValueError(f"solver kind {name!r} is not one of {', '.join(KINDS)}")
+        for key, type_name in KINDS[name].keys.items():
+            if not _KEY_TYPES[type_name](spec.get(key)):
+                raise ValueError(f"solver key {key!r} must be {type_name}, got {spec[key]!r}" if key in spec
+                                 else f"solver lacks key {key!r}")
+        length = KINDS[name].row_length(spec)
+        rows = {"expected": entry.get("expected"), "documented_extras": entry.get("documented_extras", [])}
+        for key, value in rows.items():
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list of rows, got {value!r}")
+            for row in value:
+                if not (isinstance(row, list) and len(row) == length and all(_is_int(v) and v >= 0 for v in row)):
+                    raise ValueError(f"{key} row {row!r} must be {length} nonnegative integers")
+        note = entry.get("discrepancy_note")
+        if not isinstance(note, (str, type(None))):
+            raise ValueError(f"discrepancy_note must be a string, got {note!r}")
+    except ValueError as exc:
+        raise ValueError(f"check {cid!r}: {exc}") from None
+    return NamedCheck(cid, spec, *(tuple(map(tuple, v)) for v in rows.values()), note)
+
+
 def _load_registry() -> dict[str, NamedCheck]:
-    raw = json.loads(
-        resources.files("apsumset").joinpath("data/checks.json").read_text()
-    )
+    raw = json.loads(resources.files("apsumset").joinpath("data/checks.json").read_text())
     registry: dict[str, NamedCheck] = {}
     for entry in raw["checks"]:
-        cid = entry["id"]
-        if cid in registry:
-            raise ValueError(f"duplicate check id {cid!r}")
-        registry[cid] = NamedCheck(
-            id=cid,
-            anchor=entry.get("anchor", ""),
-            description=entry.get("description", ""),
-            solver=entry["solver"],
-            expected=tuple(tuple(t) for t in entry["expected"]),
-            documented_extras=tuple(tuple(t) for t in entry.get("documented_extras", ())),
-            discrepancy_note=entry.get("discrepancy_note"),
-        )
+        check = _named_check(entry, registry)
+        registry[check.id] = check
     return registry
 
 
@@ -285,138 +408,25 @@ def check_ids() -> list[str]:
     return sorted(registry())
 
 
-def _recheck_expected(check: NamedCheck, t: tuple) -> bool:
-    """Exact arithmetic re-verification of one expected tuple."""
-    kind = check.solver["kind"]
-    if kind == "pattern":
-        pat = build_pattern(check.solver)
-        names = pat.variables
-        assign = dict(zip(names, t))
-        total = 0
-        for term in pat.terms:
-            pe = term.p_exp if isinstance(term.p_exp, int) else assign[term.p_exp]
-            qe = term.q_exp if isinstance(term.q_exp, int) else assign[term.q_exp]
-            total += term.coefficient * pat.p**pe * pat.q**qe
-        return total == 0
-    if kind == "pillai_table":
-        p, q, x, y, z, w = t
-        return p**x - p**y == q**z - q**w > 0
-    if kind == "rn_scan":
-        b, m, e1, e2 = t
-        return b**m == 2**e1 + 2**e2 + 1 and m >= 2 and e1 > e2 >= 1
-    if kind == "kruk_scan":
-        b, x0, y1, y2 = t
-        return 1 + b**y2 + 2**x0 == 2 * b**y1
-    if kind == "lemma21_sweep":
-        b, x, y, alpha, beta = t
-        return b**x - b**y == 2**alpha * 3**beta
-    raise ValueError(f"unknown solver kind {kind!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def build_pattern(spec) -> Pattern:
-    """The Pattern of a pattern spec: a checks.json solver or a pattern file.
-
-    The documented shape is an object with integers ``p`` and ``q``,
-    ``terms`` as [coefficient, p_exp, q_exp] triples whose exponents are
-    integers or variable names, ``bounds`` as [name, integer] pairs, and
-    optionally the booleans ``require_primitive`` and
-    ``forbid_vanishing_subsums``, an integer ``value_bound`` and a
-    ``side_predicate`` naming an entry of SIDE_PREDICATES.  Any other shape
-    raises ValueError.
-    """
-    if not isinstance(spec, dict):
-        raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
-    missing = [k for k in ("p", "q", "terms", "bounds") if k not in spec]
-    if missing:
-        raise ValueError(f"pattern lacks {', '.join(missing)}")
-    if not (_is_int(spec["p"]) and _is_int(spec["q"])):
-        raise ValueError("p and q must be integers")
-    terms, bounds = spec["terms"], spec["bounds"]
-    if not isinstance(terms, list) or not all(
-        isinstance(t, list) and len(t) == 3 and _is_int(t[0])
-        and all(_is_int(e) or isinstance(e, str) for e in t[1:])
-        for t in terms
-    ):
-        raise ValueError("terms must be [coefficient, p_exp, q_exp] triples; exponents are integers or names")
-    if not isinstance(bounds, list) or not all(
-        isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_int(b[1]) for b in bounds
-    ):
-        raise ValueError("bounds must be [name, integer] pairs")
-    for key in ("require_primitive", "forbid_vanishing_subsums"):
-        if not isinstance(spec.get(key, False), bool):
-            raise ValueError(f"{key} must be true or false")
-    if spec.get("value_bound") is not None and not _is_int(spec["value_bound"]):
-        raise ValueError("value_bound must be an integer")
-    pred = spec.get("side_predicate")
-    if "side_predicate" in spec and not (isinstance(pred, str) and pred in SIDE_PREDICATES):
-        raise ValueError(f"unknown side_predicate {pred!r}; known: {', '.join(sorted(SIDE_PREDICATES))}")
-    return Pattern(
-        p=spec["p"],
-        q=spec["q"],
-        terms=tuple(PatternTerm(c, pe, qe) for c, pe, qe in terms),
-        var_bounds=tuple((v, b) for v, b in bounds),
-        require_primitive=spec.get("require_primitive", False),
-        forbid_vanishing_subsums=spec.get("forbid_vanishing_subsums", False),
-        value_bound=spec.get("value_bound"),
-    )
-
-
-def _execute(check: NamedCheck) -> tuple[list[tuple], dict, dict]:
-    """Run the entry's solver; returns (found, bounds_used, details)."""
-    spec = check.solver
-    kind = spec["kind"]
-    if kind == "pattern":
-        pat = build_pattern(spec)
-        pred = SIDE_PREDICATES[spec["side_predicate"]] if "side_predicate" in spec else None
-        sols = solve_pattern(pat, side_predicate=pred)
-        return [s.values for s in sols], dict(pat.var_bounds), {}
-    if kind == "pillai_table":
-        pairs = [tuple(p) for p in spec["prime_pairs"]]
-        bound = spec["power_bound"]
-        return (
-            pillai_difference_table(pairs, bound),
-            {"prime_pairs": pairs, "power_bound": bound},
-            {},
-        )
-    if kind == "rn_scan":
-        e_max = spec["e_max"]
-        return rn_scan(e_max), {"e_max": e_max}, {}
-    if kind == "kruk_scan":
-        args = {k: spec[k] for k in ("b_min", "b_max", "exp_max")}
-        return kruk_scan(**args), dict(args), {}
-    if kind == "lemma21_sweep":
-        args = {k: spec[k] for k in ("b_min", "b_max", "x_max", "alpha_max", "beta_max")}
-        unlisted, details = _lemma21_sweep(**args)
-        return unlisted, dict(args), details
-    raise ValueError(f"unknown solver kind {kind!r}")
-
-
 def run_check(check_id: str) -> VerificationReport:
     """Execute one registered check and compare found against expected."""
     checks = registry()
     if check_id not in checks:
         raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(sorted(checks))}")
     check = checks[check_id]
-    start = time.perf_counter()
-    recheck_failures = [t for t in check.expected if not _recheck_expected(check, t)]
-    found, bounds, details = _execute(check)
-    elapsed = time.perf_counter() - start
-    found_set = set(found)
-    expected_set = set(check.expected)
+    kind = KINDS[check.solver["kind"]]
+    recheck_failures = [t for t in check.expected if not kind.recheck(check.solver, t)]
+    found, bounds, details = kind.run(check.solver)
+    found_set, expected_set = set(found), set(check.expected)
+    extra = found_set - expected_set
     return VerificationReport(
         check_id=check_id,
         found=sorted(found_set),
-        expected=list(check.expected),
         missing=sorted(expected_set - found_set),
-        extra=sorted(found_set - expected_set),
-        documented_extra=sorted(set(check.documented_extras) & (found_set - expected_set)),
+        extra=sorted(extra),
+        documented_extra=sorted(set(check.documented_extras) & extra),
         expected_recheck_failures=recheck_failures,
         bounds_used=bounds,
-        elapsed=elapsed,
         discrepancy_note=check.discrepancy_note,
         details=details,
     )

@@ -25,7 +25,7 @@ import time
 
 from . import __version__
 from .apsearch import count_3term_stable, find_progressions
-from .catalog import SIDE_PREDICATES, build_pattern, check_ids, run_all, run_check
+from .catalog import build_pattern, check_ids, run_all, run_check
 from .classify import SweepConfig, theorem1_match, verify_theorem1
 from .families import (
     FAMILY_IDS,
@@ -225,9 +225,7 @@ def _run_sunit(args, out: _Output) -> int:
         return EXIT_OK
     if args.solver == "pattern":
         with open(args.pattern_file) as fh:
-            spec = json.load(fh)
-        pattern = build_pattern(spec)
-        pred = SIDE_PREDICATES[spec["side_predicate"]] if "side_predicate" in spec else None
+            pattern, pred = build_pattern(json.load(fh))
         sols = solve_pattern(pattern, side_predicate=pred, budget=args.budget)
         for s in sols:
             out.emit(

@@ -222,10 +222,7 @@ def verify(prog: Progression, params: SumsetParams) -> bool:
     Membership goes through the sumset oracle; the generator's closed forms
     are deliberately not trusted here.
     """
-    values = prog.term_values()
-    if prog.D < 1 or len(values) != prog.length:
-        return False
-    return all(representations(params, v) for v in values)
+    return prog.D >= 1 and all(representations(params, v) for v in prog.term_values())
 
 
 def find_prog3_pairs(limit: int) -> list[tuple[int, int, int, int]]:

@@ -109,12 +109,6 @@ class PrimeSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.primes)
 
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
 
 def smooth_enumerate(primes: PrimeSet | Iterable[int], limit: int) -> list[int]:
     """All integers in [1, limit] whose prime factors all lie in `primes`, sorted.

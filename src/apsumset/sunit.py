@@ -130,6 +130,14 @@ class Pattern:
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.var_bounds)
 
+    def term_values(self, assignment: Sequence[int]) -> tuple[int, ...]:
+        """The signed term values c * p^e * q^f at exponents given in declared variable order."""
+        if len(assignment) != len(self.var_bounds) or min(assignment, default=0) < 0:
+            raise ValueError(f"assignment {list(assignment)} needs {len(self.var_bounds)} nonnegative exponents")
+        env = dict(zip(self.variables, assignment))  # a fixed exponent is no key, so env.get returns it
+        return tuple(t.coefficient * self.p ** env.get(t.p_exp, t.p_exp) * self.q ** env.get(t.q_exp, t.q_exp)
+                     for t in self.terms)
+
     def search_space(self) -> int:
         est = 1
         for _, bound in self.var_bounds:
@@ -145,25 +153,17 @@ class PatternSolution:
     values: tuple[int, ...]
     term_values: tuple[int, ...]
 
-    @property
-    def assignment(self) -> dict[str, int]:
-        return dict(zip(self.variables, self.values))
-
 
 def has_vanishing_subsum(values: Sequence[int]) -> bool:
-    """True iff some nonempty subset of the signed values sums to 0.
+    """True iff a proper subset of two or more of the signed values sums to 0.
 
-    Proper subsets are tested by exhaustive subset sums (at most 2^n of
-    them; patterns are short).  A cancelling pair counts even when it is
-    the whole equation, so a two-term identity like 2^a - 2^a = 0 is
-    itself vanishing.
+    Subsets are tested by exhaustive subset sums (at most 2^n of them;
+    patterns are short).  A cancelling pair counts even when it is the
+    whole equation, so a two-term identity like 2^a - 2^a = 0 is itself
+    vanishing.
     """
     n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if values[i] + values[j] == 0:
-                return True
-    for mask in range(1, (1 << n) - 1):
+    for mask in range(1, (1 << n) - 1 + (n == 2)):
         if mask & (mask - 1) == 0:
             continue  # singletons are nonzero
         s = 0

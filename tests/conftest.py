@@ -1,0 +1,35 @@
+import copy
+import json
+from importlib import resources
+from types import SimpleNamespace
+
+import pytest
+
+from apsumset import catalog
+
+CHECKS = json.loads(resources.files("apsumset").joinpath("data/checks.json").read_text())
+
+
+@pytest.fixture
+def edited_registry(monkeypatch):
+    """Makes the real registry loader read checks.json with one value changed.
+
+    ``edit(check_id, path, value)`` walks the keys and indexes of `path` in
+    that entry and sets the last one to `value`, or deletes it when `value`
+    is ``...``.  The next ``registry()`` call loads the edited data.
+    """
+
+    def edit(check_id, path, value):
+        raw = copy.deepcopy(CHECKS)
+        target = next(e for e in raw["checks"] if e["id"] == check_id)
+        *parents, last = path
+        for step in parents:
+            target = target[step]
+        if value is ...:
+            del target[last]
+        else:
+            target[last] = value
+        monkeypatch.setattr(catalog, "json", SimpleNamespace(loads=lambda text: raw))
+        monkeypatch.setattr(catalog, "_REGISTRY", None)
+
+    return edit

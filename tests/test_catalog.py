@@ -7,7 +7,9 @@ from apsumset.catalog import (
     CASE_POW23_PLUS_ONE,
     CASE_SPORADIC,
     CASE_UNLISTED,
+    KINDS,
     LemmaSolution,
+    build_pattern,
     check_ids,
     kruk_scan,
     lemma21_classify,
@@ -168,3 +170,118 @@ class TestRunCheck:
         assert all(r.passed for r in reports)
         flagged = {r.check_id for r in reports if r.flagged}
         assert flagged == {"sec5-rn-family", "lemma21-sweep"}
+
+
+# (check id, path in the entry, new value or ... to delete, the ValueError message)
+MALFORMED = {
+    "pattern-missing-key": ("sec4-szalay", ("solver", "terms"), ..., "check 'sec4-szalay': pattern lacks terms"),
+    "pattern-bool-int": ("sec3-dt-3y2", ("solver", "p"), True, "check 'sec3-dt-3y2': p and q must be integers"),
+    "pattern-str-bound": (
+        "sec3-baj-eq15", ("solver", "bounds", 0, 1), "19",
+        "check 'sec3-baj-eq15': bounds must be [name, integer] pairs",
+    ),
+    "pattern-row-length": (
+        "sec3-dt-3y2", ("expected",), [[2, 1]],
+        "check 'sec3-dt-3y2': expected row [2, 1] must be 3 nonnegative integers",
+    ),
+    "pillai-missing-key": (
+        "sec4-pillai-list", ("solver", "power_bound"), ..., "check 'sec4-pillai-list': solver lacks key 'power_bound'"
+    ),
+    "pillai-str-int": (
+        "sec4-pillai-list", ("solver", "power_bound"), "32768",
+        "check 'sec4-pillai-list': solver key 'power_bound' must be an integer, got '32768'",
+    ),
+    "pillai-bool-pair": (
+        "sec4-pillai-list", ("solver", "prime_pairs", 0, 1), True,
+        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of integer pairs, "
+        "got [[2, True], [2, 5], [2, 7], [3, 5], [3, 7]]",
+    ),
+    "pillai-row-length": (
+        "sec4-pillai-list", ("expected", 0), [2, 3, 2, 1, 1],
+        "check 'sec4-pillai-list': expected row [2, 3, 2, 1, 1] must be 6 nonnegative integers",
+    ),
+    "rn-missing-key": ("sec5-rn-family", ("solver", "e_max"), ..., "check 'sec5-rn-family': solver lacks key 'e_max'"),
+    "rn-bool-int": (
+        "sec5-rn-family", ("solver", "e_max"), True,
+        "check 'sec5-rn-family': solver key 'e_max' must be an integer, got True",
+    ),
+    "rn-row-length": (
+        "sec5-rn-family", ("expected", 0), [3, 4, 6],
+        "check 'sec5-rn-family': expected row [3, 4, 6] must be 4 nonnegative integers",
+    ),
+    "rn-extras-row-length": (
+        "sec5-rn-family", ("documented_extras", 0), [5, 2, 4, 3, 0],
+        "check 'sec5-rn-family': documented_extras row [5, 2, 4, 3, 0] must be 4 nonnegative integers",
+    ),
+    "kruk-missing-key": ("kruk-b-scan", ("solver", "b_min"), ..., "check 'kruk-b-scan': solver lacks key 'b_min'"),
+    "kruk-str-int": (
+        "kruk-b-scan", ("solver", "b_max"), "1025",
+        "check 'kruk-b-scan': solver key 'b_max' must be an integer, got '1025'",
+    ),
+    "kruk-row-length": (
+        "kruk-b-scan", ("expected", 0), [3, 1, 1],
+        "check 'kruk-b-scan': expected row [3, 1, 1] must be 4 nonnegative integers",
+    ),
+    "kruk-negative-row": (
+        "kruk-b-scan", ("expected", 0), [3, -1, 1, 1],
+        "check 'kruk-b-scan': expected row [3, -1, 1, 1] must be 4 nonnegative integers",
+    ),
+    "lemma21-missing-key": (
+        "lemma21-sweep", ("solver", "beta_max"), ..., "check 'lemma21-sweep': solver lacks key 'beta_max'"
+    ),
+    "lemma21-bool-int": (
+        "lemma21-sweep", ("solver", "x_max"), False,
+        "check 'lemma21-sweep': solver key 'x_max' must be an integer, got False",
+    ),
+    "lemma21-row-length": (
+        "lemma21-sweep", ("expected",), [[17, 1, 5, 2]],
+        "check 'lemma21-sweep': expected row [17, 1, 5, 2] must be 5 nonnegative integers",
+    ),
+    "lemma21-note-not-str": (
+        "lemma21-sweep", ("discrepancy_note",), 1, "check 'lemma21-sweep': discrepancy_note must be a string, got 1"
+    ),
+    "unknown-kind": (
+        "kruk-b-scan", ("solver", "kind"), "kruk",
+        "check 'kruk-b-scan': solver kind 'kruk' is not one of "
+        "pattern, pillai_table, rn_scan, kruk_scan, lemma21_sweep",
+    ),
+    "duplicate-id": (
+        "kruk-b-scan", ("id",), "lemma21-sweep", "check 'lemma21-sweep': id must be a string that no other check uses"
+    ),
+}
+
+# (check id, a well-shaped expected row that fails exact re-verification)
+WRONG_ROWS = {
+    "pattern": ("sec3-dt-3y2", [2, 1, 2]),
+    "pillai_table": ("sec4-pillai-list", [2, 3, 2, 1, 1, 1]),
+    "rn_scan": ("sec5-rn-family", [3, 4, 6, 5]),
+    "kruk_scan": ("kruk-b-scan", [3, 1, 1, 2]),
+    "lemma21_sweep": ("lemma21-sweep", [17, 1, 0, 5, 2]),  # the printed sporadic, x off by one
+}
+
+
+class TestRegistryValidation:
+    @pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_entry_refused_at_load(self, edited_registry, case):
+        check_id, path, value, message = case
+        edited_registry(check_id, path, value)
+        with pytest.raises(ValueError) as exc:
+            registry()
+        assert str(exc.value) == message
+
+    def test_every_kind_is_used(self):
+        assert {check.solver["kind"] for check in registry().values()} == set(KINDS)
+
+    @pytest.mark.parametrize("case", WRONG_ROWS.values(), ids=WRONG_ROWS)
+    def test_wrong_row_fails_recheck(self, edited_registry, case):
+        check_id, row = case
+        edited_registry(check_id, ("expected",), [row])
+        rep = run_check(check_id)
+        assert rep.expected_recheck_failures == rep.missing == [tuple(row)]
+        assert not rep.passed
+
+    def test_build_pattern_returns_side_predicate(self):
+        checks = registry()
+        dt_context = build_pattern(checks["sec3-dt-3y2"].solver)[1]  # y0 <= 1
+        assert dt_context({"y2": 2, "y0": 1, "s": 1}) and not dt_context({"y2": 2, "y0": 2, "s": 1})
+        assert build_pattern(checks["sec5-deweger-11-5m"].solver)[1] is None

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from apsumset.catalog import registry
 from apsumset.cli import main
 
 # result_sha256 of the benchmark's pinned progressions commands
@@ -196,6 +197,12 @@ class TestRefusals:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_side_predicate_pattern_digest(self, capsys, tmp_path):
+        # the sec3-baj-eq15 registry spec run as a pattern file, side predicate included
+        code, captured, manifest = self.solve(capsys, tmp_path, registry()["sec3-baj-eq15"].solver)
+        assert code == 0
+        assert manifest["result_sha256"] == "a5da10b9adaa61e56926b9370413ed3583be43f4c7f146610806cc1993d7df8d"
+
     def test_unreadable_pattern_file_refused(self, capsys, tmp_path):
         for path in (tmp_path / "missing.json", tmp_path):
             code, captured, _ = run(capsys, tmp_path, "sunit", "pattern", str(path))
@@ -245,6 +252,30 @@ class TestCheckRefusals:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+class TestMalformedRegistry:
+    @pytest.mark.parametrize(
+        "check_id, path, value, message",
+        [
+            ("sec4-pillai-list", ("solver", "power_bound"), ...,
+             "check 'sec4-pillai-list': solver lacks key 'power_bound'"),
+            ("kruk-b-scan", ("solver", "b_max"), "1025",
+             "check 'kruk-b-scan': solver key 'b_max' must be an integer, got '1025'"),
+            ("sec3-dt-3y2", ("expected",), [[2, 1]],
+             "check 'sec3-dt-3y2': expected row [2, 1] must be 3 nonnegative integers"),
+            ("sec5-rn-family", ("expected", 0), [3, 4, 6],
+             "check 'sec5-rn-family': expected row [3, 4, 6] must be 4 nonnegative integers"),
+        ],
+        ids=["pillai-missing-key", "kruk-str-int", "dt-short-row", "rn-short-row"],
+    )
+    def test_check_all_refused(self, capsys, tmp_path, edited_registry, check_id, path, value, message):
+        edited_registry(check_id, path, value)
+        code, captured, manifest = run(capsys, tmp_path, "check", "--all")
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestIntegerGrammar:

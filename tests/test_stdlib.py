@@ -1,0 +1,28 @@
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import apsumset
+
+MODULES = sorted(Path(apsumset.__file__).parent.glob("*.py"))
+
+
+def imported_roots(path: Path):
+    """Top-level names of every module the file imports; relative imports are apsumset."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "apsumset" if node.level else node.module.split(".")[0]
+
+
+def test_modules_found():
+    assert {"catalog.py", "cli.py", "sunit.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_apsumset(path):
+    outside = {m for m in imported_roots(path) if m != "apsumset" and m not in sys.stdlib_module_names}
+    assert not outside, f"{path.name} imports {sorted(outside)}"

@@ -191,6 +191,24 @@ class TestSolvePattern:
         for s in sols:
             assert sum(s.term_values) == 0
 
+    def test_pattern_term_values_match_solutions(self):
+        pat = Pattern(
+            2, 3,
+            (PatternTerm(1, "x3", 0), PatternTerm(1, 0, "y3"), PatternTerm(-1, "x2", 0),
+             PatternTerm(-1, 0, "y2"), PatternTerm(-2, 0, "y0")),
+            (("x3", 10), ("y3", 6), ("x2", 10), ("y2", 6), ("y0", 6)),
+        )
+        for s in solve_pattern(pat):
+            assert pat.term_values(s.values) == s.term_values
+        assert pat.term_values((1, 2, 3, 0, 0)) == (2, 9, -8, -1, -2)
+
+    @pytest.mark.parametrize("assignment", [(1,), (1, 2, 3), (-1, 2)], ids=["short", "long", "negative"])
+    def test_pattern_term_values_refuses_bad_assignment(self, assignment):
+        terms = (PatternTerm(1, 0, "a"), PatternTerm(-1, "b", 0), PatternTerm(-1, 0, 0))
+        pat = Pattern(2, 3, terms, (("a", 5), ("b", 5)))
+        with pytest.raises(ValueError):
+            pat.term_values(assignment)
+
     def test_variable_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Pattern(2, 3, (PatternTerm(1, "a", 0),), (("a", 3), ("zz", 3)))
@@ -209,6 +227,39 @@ class TestSolvePattern:
         pattern, predicate = case
         got = [(s.values, s.term_values) for s in solve_pattern(pattern, predicate)]
         assert got == naive_solve(pattern, predicate)
+
+
+def vanishing_oracle(values):
+    """Some proper subset of two or more values sums to 0; for two values the pair itself counts."""
+    n = len(values)
+    sizes = range(2, n + 1) if n == 2 else range(2, n)
+    return any(sum(c) == 0 for r in sizes for c in itertools.combinations(values, r))
+
+
+class TestVanishingSubsum:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([4, -4], True),
+            ([4, 4], False),
+            ([3, -1], False),
+            ([1, 2, -3], False),  # only the whole equation vanishes
+            ([5, 1, -1], True),
+            ([1, 2, -3, 5], True),
+            ([1, 2, 4, -7], False),
+            ([6, 5, -5, 1, 2], True),
+            ([1, 2, 4, 8, -15], False),
+            ([1, 2, 4, 8, 16, -31], False),
+            ([1, 2, 4, 8, 16, -6], True),
+        ],
+    )
+    def test_against_combinations(self, values, expected):
+        assert has_vanishing_subsum(values) == vanishing_oracle(values) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-20, 20).filter(bool), min_size=2, max_size=6))
+    def test_matches_oracle(self, values):
+        assert has_vanishing_subsum(values) == vanishing_oracle(values)
 
 
 def brute_deweger(primes, z_limit):
