@@ -7,13 +7,13 @@ that kind's spec; ``expected`` rows, each a list of nonnegative integers of
 the kind's row length (for a pattern, exponents in declared variable
 order); optionally ``documented_extras`` rows and a string
 ``discrepancy_note``.  Keys such as ``anchor`` and ``description`` only
-document the entry.  A ``KINDS`` record holds a kind's required spec keys
-with their types (``build_pattern`` checks a pattern spec whole), its row
-length, a run function returning (found, bounds used, details) and an
-exact re-check of one expected row.  Every entry is validated when the
-registry loads; a malformed one raises ValueError naming the check id and
-the key.  Running a check executes the solver at the recorded bounds and
-reports found versus expected, with two safeguards:
+document the entry.  A ``KINDS`` record holds a whole-spec check that
+returns the row length (a scan kind takes exactly its typed keys, and
+``build_pattern`` checks a pattern), a run function returning (found,
+bounds used, details) and an exact re-check of one expected row.  Every
+entry is validated when the registry loads; a malformed one raises a
+ValueError naming the check id and the key.  A check runs the solver at
+the recorded bounds and reports found versus expected, with two safeguards:
 
 * every expected tuple is re-checked by exact arithmetic before the
   comparison, so a typo in a recorded list surfaces as a re-check failure
@@ -229,11 +229,16 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     variable names, ``bounds`` as [name, integer] pairs, and optionally the
     booleans ``require_primitive`` and ``forbid_vanishing_subsums``, an
     integer ``value_bound`` and a ``side_predicate`` naming an entry of
-    SIDE_PREDICATES.  Any other shape raises ValueError.
+    SIDE_PREDICATES; a registry's ``kind`` key is allowed.  Any other shape
+    or key raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
-    missing = [k for k in ("p", "q", "terms", "bounds") if k not in spec]
+    known = ("p", "q", "terms", "bounds", "require_primitive", "forbid_vanishing_subsums", "value_bound",
+             "side_predicate")
+    for key in sorted(spec.keys() - {"kind", *known}):
+        raise ValueError(f"unknown pattern key {key!r}; known: {', '.join(known)}")
+    missing = [k for k in known[:4] if k not in spec]
     if missing:
         raise ValueError(f"pattern lacks {', '.join(missing)}")
     if not (_is_int(spec["p"]) and _is_int(spec["q"])):
@@ -275,21 +280,29 @@ _KEY_TYPES: dict[str, Callable[[object], bool]] = {
 class Kind(NamedTuple):
     """One solver kind of the registry."""
 
-    keys: dict[str, str]  # required spec key -> its type, a key of _KEY_TYPES
-    row_length: Callable[[dict], int]  # of an expected row, for a spec whose keys passed
+    row_length: Callable[[dict], int]  # of an expected row; checks the spec whole and raises ValueError first
     run: Callable[[dict], tuple[list[tuple], dict, dict]]  # spec -> (found, bounds_used, details)
     recheck: Callable[[dict, tuple], bool]  # (spec, expected row) -> exact re-check
 
 
 def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Callable[..., bool]) -> Kind:
-    """A kind whose spec keys are the keyword arguments of `scan`, which returns (found, details)."""
+    """A kind whose spec holds exactly `keys` (name -> type), the keyword arguments of `scan` -> (found, details)."""
+
+    def row_length(spec: dict) -> int:
+        for key in sorted(spec.keys() - {"kind", *keys}):
+            raise ValueError(f"solver key {key!r} is not one of {', '.join(keys)}")
+        for key, type_name in keys.items():
+            if not _KEY_TYPES[type_name](spec.get(key)):
+                raise ValueError(f"solver key {key!r} must be {type_name}, got {spec[key]!r}" if key in spec
+                                 else f"solver lacks key {key!r}")
+        return length
 
     def run(spec: dict) -> tuple[list[tuple], dict, dict]:
         args = {k: spec[k] for k in keys}
         found, details = scan(**args)
         return found, args, details
 
-    return Kind(keys, lambda spec: length, run, lambda spec, row: row_check(*row))
+    return Kind(row_length, run, lambda spec, row: row_check(*row))
 
 
 def _run_pattern(spec: dict) -> tuple[list[tuple], dict, dict]:
@@ -298,8 +311,7 @@ def _run_pattern(spec: dict) -> tuple[list[tuple], dict, dict]:
 
 
 KINDS: dict[str, Kind] = {
-    # build_pattern checks a pattern spec whole, so the kind lists no keys
-    "pattern": Kind({}, lambda spec: len(build_pattern(spec)[0].var_bounds), _run_pattern,
+    "pattern": Kind(lambda spec: len(build_pattern(spec)[0].var_bounds), _run_pattern,
                     lambda spec, row: sum(build_pattern(spec)[0].term_values(row)) == 0),
     "pillai_table": _scan_kind(
         {"prime_pairs": _INT_PAIRS, "power_bound": _INT}, 6,
@@ -365,10 +377,6 @@ def _named_check(entry, seen: dict) -> NamedCheck:
         name = spec.get("kind") if isinstance(spec, dict) else None
         if not isinstance(name, str) or name not in KINDS:
             raise ValueError(f"solver kind {name!r} is not one of {', '.join(KINDS)}")
-        for key, type_name in KINDS[name].keys.items():
-            if not _KEY_TYPES[type_name](spec.get(key)):
-                raise ValueError(f"solver key {key!r} must be {type_name}, got {spec[key]!r}" if key in spec
-                                 else f"solver lacks key {key!r}")
         length = KINDS[name].row_length(spec)
         rows = {"expected": entry.get("expected"), "documented_extras": entry.get("documented_extras", [])}
         for key, value in rows.items():

@@ -25,16 +25,19 @@ combinations, and the probe meets it iff the terms sum to zero, so the
 join is complete and yields each assignment once.  A pattern whose terms
 all share variables is one block, streamed against the one-row empty side.
 Sums are exact Python ints; the other filters run on matches only.  The
-budget counts the whole box and is checked before any enumeration.
-Deze-Tijdeman is one pattern per shape and sign vector, with the pairs
-shape's swap rule as a side predicate; Pillai is p^x - p^y - q^z + q^w = 0
-with x > y, z > w.
+budget counts the whole box, which keeps the stored side near its square
+root, and is checked before any enumeration.  Deze-Tijdeman is one pattern
+per shape and sign vector, with the pairs shape's swap rule as a side
+predicate; Pillai is p^x - p^y - q^z + q^w = 0 with x > y, z > w.
 
-Canonical orientation.  The five bb5 terms are interchangeable, so a
-pattern would return each solution once per ordering.  With distinct
-magnitudes the terms sit at indices i0 > i1 > i2 > j > k of the sorted value
-list; the leading sign is +, and the top three probe a dict of signed pair
-sums holding only pairs with j < i2, so each solution is met exactly once.
+Canonical orientation.  An ``interchangeable`` pattern's k >= 4 terms are
+p^e_i q^f_i under shared bounds and a ``value_bound``, so a solution is a
+set of distinct monomials with signs, met once: in decreasing magnitude at
+indices i0 > m_1 > ... > lo > j > l of the n sorted monomials within the
+bound, i0's sign +.  Walking lo upward, the signed pair sums of j < lo are
+stored, and for each choice of middle indices and walked signs a set
+intersection over the values above finds i0.  The budget counts the rows,
+4 C(n-1, 2) pair sums plus 2^(k-3) C(n, k-3) walked signed tuples.
 
 Support buckets.  In a de Weger solution gcd(x, y) = 1 and z = x + y make
 x, y and z pairwise coprime, so their prime-support masks are pairwise
@@ -55,23 +58,20 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
 
 from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_enumerate
 
 DEFAULT_BUDGET = 50_000_000
 DEWEGER_PRIMES = PrimeSet((2, 3, 5, 7, 11, 13))
-SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised instead of silently truncating an oversized enumeration."""
 
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(
-            f"search space of {estimate} assignments exceeds budget {budget}"
-        )
+    def __init__(self, estimate: int, budget: int, unit: str = "assignments"):
+        super().__init__(f"search space of {estimate} {unit} exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -94,7 +94,7 @@ class PatternTerm:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A signed two-prime equation with boxed exponent variables."""
+    """A signed two-prime equation with boxed exponent variables; ``interchangeable``: module docstring."""
 
     p: int
     q: int
@@ -103,28 +103,32 @@ class Pattern:
     require_primitive: bool = False
     forbid_vanishing_subsums: bool = False
     value_bound: int | None = None
+    interchangeable: bool = False
 
     def __post_init__(self) -> None:
         if not (is_prime(self.p) and is_prime(self.q) and self.p != self.q):
             raise ValueError(f"p, q must be distinct primes, got {self.p}, {self.q}")
         if len(self.terms) < 2:
             raise ValueError("pattern needs at least 2 terms")
-        if len(set(self.variables)) != len(self.var_bounds):
+        bound = dict(self.var_bounds)
+        if len(bound) != len(self.var_bounds):
             raise ValueError(f"variable declared twice in {list(self.variables)}")
-        for name, bound in self.var_bounds:
-            if bound < 0:
-                raise ValueError(f"bound of {name!r} must be >= 0, got {bound}")
-        declared = set(self.variables)
-        used = {
-            e
-            for t in self.terms
-            for e in (t.p_exp, t.q_exp)
-            if isinstance(e, str)
-        }
-        if used != declared:
-            raise ValueError(
-                f"variable mismatch: terms use {sorted(used)}, bounds declare {sorted(declared)}"
-            )
+        for name, b in self.var_bounds:
+            if b < 0:
+                raise ValueError(f"bound of {name!r} must be >= 0, got {b}")
+        exps = [e for t in self.terms for e in (t.p_exp, t.q_exp)]
+        used = {e for e in exps if isinstance(e, str)}
+        if used != bound.keys():
+            raise ValueError(f"variable mismatch: terms use {sorted(used)}, bounds declare {sorted(bound)}")
+        if self.value_bound is not None and self.value_bound < 0:
+            raise ValueError(f"value_bound must be >= 0, got {self.value_bound}")
+        if self.interchangeable and not (  # then every exponent is a variable of its own
+            len(self.terms) >= 4 and self.value_bound is not None and all(t.coefficient == 1 for t in self.terms)
+            and len(set(exps)) == len(exps) == len(bound)
+            and len(set(map(bound.get, exps[::2]))) == len(set(map(bound.get, exps[1::2]))) == 1
+        ):
+            raise ValueError("interchangeable terms must be 4 or more PatternTerm(1, e_i, f_i) with variables of "
+                             "their own, all e_i under one bound, all f_i under one bound, and a value_bound")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -137,12 +141,6 @@ class Pattern:
         env = dict(zip(self.variables, assignment))  # a fixed exponent is no key, so env.get returns it
         return tuple(t.coefficient * self.p ** env.get(t.p_exp, t.p_exp) * self.q ** env.get(t.q_exp, t.q_exp)
                      for t in self.terms)
-
-    def search_space(self) -> int:
-        est = 1
-        for _, bound in self.var_bounds:
-            est *= bound + 1
-        return est
 
 
 @dataclass(frozen=True)
@@ -183,35 +181,44 @@ def solve_pattern(
     """Every assignment within bounds satisfying the equation and all filters.
 
     Output is in lexicographic order of the assignment vector (declared
-    variable order) and is complete over the box; see the module docstring
-    for the block join.  A search space larger than `budget` raises
-    SearchBudgetExceeded up front.
+    variable order) and complete over the box; see the module docstring for
+    the block join and the canonical orientation, whose term values carry
+    the signs.  A search larger than `budget` raises SearchBudgetExceeded
+    before anything is enumerated: the block join counts the whole box, the
+    walk over n admissible monomials counts 4 C(n-1, 2) + 2^(k-3) C(n, k-3)
+    rows (67,600 for Bajpai-Bennett, n = 131, whose box is about 1.2e12).
     """
-    est = pattern.search_space()
-    if est > budget:
-        raise SearchBudgetExceeded(est, budget)
+    names = pattern.variables
+    join = _canonical_walk if pattern.interchangeable else _block_join
+    return sorted(
+        (PatternSolution(names, tuple(assignment), tuple(values)) for assignment, values in join(pattern, budget)
+         if side_predicate is None or side_predicate(dict(zip(names, assignment)))),
+        key=lambda s: s.values,
+    )
 
+
+def _keep(pattern: Pattern, values: Sequence[int]) -> bool:
+    """The filters on term values alone; a join tests them before it forms the assignment."""
+    return not (pattern.require_primitive and gcd(*values) != 1
+                or pattern.forbid_vanishing_subsums and has_vanishing_subsum(values))
+
+
+def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(assignment, term values) of every zero sum in the box that passes `_keep`."""
     names = pattern.variables
     terms = pattern.terms
-    fixed = [e for t in terms for e in (t.p_exp, t.q_exp) if isinstance(e, int)]
-    top = max([b for _, b in pattern.var_bounds] + fixed)
-    pows = ([pattern.p**e for e in range(top + 1)], [pattern.q**e for e in range(top + 1)])
     limit = pattern.value_bound
-
     # term values in term order: fixed terms now, variable terms per match
     template: list[int | None] = [None] * len(terms)
     groups: list[tuple[set[str], list[int]]] = []
     for i, t in enumerate(terms):
         own = {e for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
         if not own:
-            template[i] = t.coefficient * pows[0][t.p_exp] * pows[1][t.q_exp]
-            if limit is not None and abs(template[i]) > limit:
-                return []
+            template[i] = t.coefficient * pattern.p**t.p_exp * pattern.q**t.q_exp
             continue
         touching = [g for g in groups if g[0] & own]
         groups = [g for g in groups if not g[0] & own]
         groups.append((own.union(*(g[0] for g in touching)), sorted([i, *(j for g in touching for j in g[1])])))
-    offset = sum(v for v in template if v is not None)
 
     bound = dict(pattern.var_bounds)
     boxes = {(tuple(v for v in names if v in own), tuple(ids)): prod(bound[v] + 1 for v in own) for own, ids in groups}
@@ -221,15 +228,20 @@ def solve_pattern(
         k = 0 if sizes[0] <= sizes[1] else 1
         sides[k].append(b)
         sizes[k] *= boxes[b]
+    if sizes[0] * sizes[1] > budget:
+        raise SearchBudgetExceeded(sizes[0] * sizes[1], budget)
     stored, streamed = sides if sizes[0] <= sizes[1] else sides[::-1]
+    if limit is not None and any(abs(v) > limit for v in template if v is not None):
+        return
+    offset = sum(v for v in template if v is not None)
 
     def combos(side):
         """One row per block of a side; the side's first block is never held in memory."""
         if not side:
             yield ()
             return
-        rest = [list(_block_rows(pattern, *b, pows)) for b in side[1:]]
-        for row in _block_rows(pattern, *side[0], pows):
+        rest = [list(_block_rows(pattern, *b)) for b in side[1:]]
+        for row in _block_rows(pattern, *side[0]):
             for combo in itertools.product(*rest):
                 yield (row, *combo)
 
@@ -237,7 +249,6 @@ def solve_pattern(
     for combo in combos(stored):
         table.setdefault(sum(r[0] for r in combo), []).append(combo)
     position = {v: i for i, v in enumerate(names)}
-    out: list[PatternSolution] = []
     for combo in combos(streamed):
         for other in table.get(-offset - sum(r[0] for r in combo), ()):
             assignment = [0] * len(names)
@@ -247,18 +258,11 @@ def solve_pattern(
                     assignment[position[v]] = a
                 for i, v in zip(term_ids, vals):
                     values[i] = v
-            if pattern.require_primitive and gcd(*values) != 1:
-                continue
-            if pattern.forbid_vanishing_subsums and has_vanishing_subsum(values):
-                continue
-            if side_predicate is not None and not side_predicate(dict(zip(names, assignment))):
-                continue
-            out.append(PatternSolution(names, tuple(assignment), tuple(values)))
-    out.sort(key=lambda s: s.values)
-    return out
+            if _keep(pattern, values):
+                yield assignment, values
 
 
-def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[int, ...], pows) -> Iterator[tuple]:
+def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[int, ...]) -> Iterator[tuple]:
     """(sum, assignment, term values) of each row of one block within value_bound.
 
     Exponents index an extended assignment: the block's variables, then
@@ -270,12 +274,43 @@ def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[i
     spec = [(t.coefficient, slot[t.p_exp], slot[t.q_exp]) for t in terms]
     bound = dict(pattern.var_bounds)
     limit = pattern.value_bound
-    p_pows, q_pows = pows
     for assign in itertools.product(*(range(bound[v] + 1) for v in block_vars)):
         e = assign + fixed
-        vals = tuple(c * p_pows[e[i]] * q_pows[e[j]] for c, i, j in spec)
+        vals = tuple(c * pattern.p ** e[i] * pattern.q ** e[j] for c, i, j in spec)
         if limit is None or all(-limit <= v <= limit for v in vals):
             yield sum(vals), assign, vals
+
+
+def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """(assignment, signed term values) of each solution that passes `_keep`, once, in canonical orientation."""
+    p, q, k, limit = pattern.p, pattern.q, len(pattern.terms), pattern.value_bound
+    bound = dict(pattern.var_bounds)
+    e_max, f_max = bound[pattern.terms[0].p_exp], bound[pattern.terms[0].q_exp]
+    # the largest admissible p-exponent beside each admissible q^f
+    e_tops = [min(e_max, ilog(limit // q**f, p)) for f in range(min(f_max, ilog(limit, q)) + 1)] if limit else []
+    n = sum(e_tops) + len(e_tops)
+    rows = 4 * comb(max(n - 1, 0), 2) + 2 ** (k - 3) * comb(n, k - 3)
+    if rows > budget:
+        raise SearchBudgetExceeded(rows, budget, "join rows")
+    exponents = {p**e * q**f: (e, f) for f, top in enumerate(e_tops) for e in range(top + 1)}
+    values = sorted(exponents)
+
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for lo, v in enumerate(values):
+        for low in values[:max(lo - 1, 0)]:  # admit the pairs (j, l) with l < j = lo - 1
+            for pair in itertools.product((values[lo - 1], -values[lo - 1]), (low, -low)):
+                pairs.setdefault(sum(pair), []).append(pair)
+        for mid in itertools.combinations(range(lo + 1, len(values)), k - 4):
+            above = values[(mid[-1] if mid else lo) + 1:]  # the values i0 may take
+            for walked in itertools.product(*((u, -u) for u in (v, *map(values.__getitem__, mid)))):
+                rest = -sum(walked)
+                for target in pairs.keys() & map(rest.__sub__, above):
+                    for signed in ((rest - target, *walked[::-1], *pair) for pair in pairs[target]):
+                        if _keep(pattern, signed):
+                            env = {}
+                            for t, s in zip(pattern.terms, signed):
+                                env[t.p_exp], env[t.q_exp] = exponents[abs(s)]
+                            yield [env[x] for x in pattern.variables], signed
 
 
 # ---------------------------------------------------------------------------
@@ -483,65 +518,19 @@ class FiveTermSolution:
         return tuple(t.signed_value for t in self.terms)
 
 
-def _bb5_value_list(alpha_max: int, beta_max: int, value_bound: int) -> list[tuple[int, int, int]]:
-    vals = []
-    b3 = 1
-    for b in range(beta_max + 1):
-        v = b3
-        for a in range(alpha_max + 1):
-            if v > value_bound:
-                break
-            vals.append((v, a, b))
-            v *= 2
-        b3 *= 3
-    vals.sort()
-    return vals
-
-
-def bajpai_bennett_5term(
-    alpha_max: int = BB5_ALPHA_MAX,
-    beta_max: int = BB5_BETA_MAX,
-    value_bound: int = BB5_VALUE_BOUND,
-) -> list[FiveTermSolution]:
+def bajpai_bennett_5term(alpha_max: int = BB5_ALPHA_MAX, beta_max: int = BB5_BETA_MAX) -> list[FiveTermSolution]:
     """Complete primitive solutions of the five-term signed {2,3} equation.
 
-    Works over the sorted value set {2^a 3^b <= value_bound : a <= alpha_max,
-    b <= beta_max} in canonical orientation (module docstring).  Solutions
-    have pairwise distinct term magnitudes, which for five terms is
-    equivalent to excluding vanishing subsums, and gcd of the magnitudes 1,
-    that is min alpha = min beta = 0.  Negative bounds raise ValueError.
+    The interchangeable pattern of five distinct monomials 2^a 3^b <= 3^12,
+    a <= alpha_max, b <= beta_max, with gcd 1 (module docstring).  Distinct
+    magnitudes exclude more than vanishing subsums: the primitive
+    8 - 4 - 2 - 1 - 1 = 0 has none, yet repeats 1 and is not listed.
+    Sorted by signed values, descending.  Negative bounds raise ValueError.
     """
-    if min(alpha_max, beta_max, value_bound) < 0:
-        raise ValueError(
-            f"bounds must be >= 0, got alpha_max={alpha_max}, beta_max={beta_max}, value_bound={value_bound}"
-        )
-    vals = _bb5_value_list(alpha_max, beta_max, value_bound)
-    values = [v for v, _, _ in vals]
-    index = {v: i for i, v in enumerate(values)}
-
-    pair_sums: dict[int, list[tuple[int, int, int, int]]] = {}
-    solutions: list[FiveTermSolution] = []
-    for i2, v2 in enumerate(values):
-        # admit the pairs with j = i2 - 1, so every stored pair lies below i2
-        j = i2 - 1
-        for k in range(j):
-            for sj, sk in SIGN_PAIRS:
-                pair_sums.setdefault(sj * values[j] + sk * values[k], []).append((j, sj, k, sk))
-        for i1 in range(i2 + 1, len(values)):
-            above = values[i1 + 1:]
-            for s1, s2 in SIGN_PAIRS:
-                # v0 + s1 v1 + s2 v2 + pair = 0, so pair = rest - v0
-                rest = -(s1 * values[i1] + s2 * v2)
-                for target in pair_sums.keys() & map(rest.__sub__, above):
-                    i0 = index[rest - target]
-                    for j, sj, k, sk in pair_sums[target]:
-                        picked = [vals[i] for i in (i0, i1, i2, j, k)]
-                        if min(a for _, a, _ in picked) or min(b for _, _, b in picked):
-                            continue  # not primitive
-                        terms = tuple(
-                            SignedMonomial(s, a, b, v)
-                            for s, (v, a, b) in zip((1, s1, s2, sj, sk), picked)
-                        )
-                        solutions.append(FiveTermSolution(terms))
-    solutions.sort(key=lambda sol: sol.signed_values(), reverse=True)
-    return solutions
+    names = [(f"a{i}", f"b{i}") for i in range(5)]
+    pattern = Pattern(2, 3, tuple(PatternTerm(1, a, b) for a, b in names),
+                      tuple(item for a, b in names for item in ((a, alpha_max), (b, beta_max))),
+                      require_primitive=True, value_bound=BB5_VALUE_BOUND, interchangeable=True)
+    solutions = [FiveTermSolution(tuple(SignedMonomial(1 if v > 0 else -1, *s.values[2 * i:2 * i + 2], abs(v))
+                                        for i, v in enumerate(s.term_values))) for s in solve_pattern(pattern)]
+    return sorted(solutions, key=FiveTermSolution.signed_values, reverse=True)

@@ -240,6 +240,26 @@ MALFORMED = {
     "lemma21-note-not-str": (
         "lemma21-sweep", ("discrepancy_note",), 1, "check 'lemma21-sweep': discrepancy_note must be a string, got 1"
     ),
+    "pattern-extra-key": (
+        "sec3-baj-eq15", ("solver", "side_predicte"), "baj-eq15-context",
+        "check 'sec3-baj-eq15': unknown pattern key 'side_predicte'; known: p, q, terms, bounds, "
+        "require_primitive, forbid_vanishing_subsums, value_bound, side_predicate",
+    ),
+    "pillai-extra-key": (
+        "sec4-pillai-list", ("solver", "power_bnd"), 32768,
+        "check 'sec4-pillai-list': solver key 'power_bnd' is not one of prime_pairs, power_bound",
+    ),
+    "rn-extra-key": (
+        "sec5-rn-family", ("solver", "e_min"), 2, "check 'sec5-rn-family': solver key 'e_min' is not one of e_max"
+    ),
+    "kruk-extra-key": (
+        "kruk-b-scan", ("solver", "exp_min"), 0,
+        "check 'kruk-b-scan': solver key 'exp_min' is not one of b_min, b_max, exp_max",
+    ),
+    "lemma21-extra-key": (
+        "lemma21-sweep", ("solver", "y_max"), 8,
+        "check 'lemma21-sweep': solver key 'y_max' is not one of b_min, b_max, x_max, alpha_max, beta_max",
+    ),
     "unknown-kind": (
         "kruk-b-scan", ("solver", "kind"), "kruk",
         "check 'kruk-b-scan': solver kind 'kruk' is not one of "

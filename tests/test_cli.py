@@ -152,6 +152,12 @@ class TestGoldenOutput:
         assert code == 0
         assert json.loads(captured.out.splitlines()[-1])["count"] == 1213
 
+    def test_bb5_huge_exponent_bounds(self, capsys, tmp_path):
+        # monomials above 3^12 are never walked, so these bounds cost nothing
+        code, captured, _ = run(capsys, tmp_path, "sunit", "bb5", "--alpha-max", "1e9", "--beta-max", "1e9")
+        assert code == 0
+        assert json.loads(captured.out.splitlines()[-1])["count"] == 1213
+
 
 VALID_PATTERN = {"p": 2, "q": 3, "terms": [[1, 0, "a"], [-1, "b", 0], [-1, 0, 0]], "bounds": [["a", 12], ["b", 19]]}
 
@@ -182,11 +188,16 @@ class TestRefusals:
             {**VALID_PATTERN, "p": "2"},
             {**VALID_PATTERN, "require_primitive": 1},
             {**VALID_PATTERN, "value_bound": "100"},
+            {**VALID_PATTERN, "value_bound": -1},
+            {**VALID_PATTERN, "side_predicte": "baj-eq15-context"},
+            {**VALID_PATTERN, "valu_bound": 100},
+            {**VALID_PATTERN, "interchangeable": True},
         ],
         ids=[
             "no-terms", "unknown-predicate", "list-predicate", "top-level-list", "negative-bound",
             "repeated-bound", "float-bound", "short-term", "bool-coefficient", "string-prime",
-            "int-flag", "string-value-bound",
+            "int-flag", "string-value-bound", "negative-value-bound", "misspelled-side-predicate",
+            "misspelled-value-bound", "interchangeable",
         ],
     )
     def test_malformed_pattern_refused(self, capsys, tmp_path, spec):
@@ -218,6 +229,14 @@ class TestRefusals:
         code, captured, _ = self.solve(capsys, tmp_path, VALID_PATTERN, "--budget", "100")
         assert code == 3
         assert "260 assignments" in captured.err
+
+    def test_huge_two_block_pattern_refused(self, capsys, tmp_path):
+        # 2^a - 3^b = 0: two blocks of 10^6 + 1 rows of up to 1.6 million bits each
+        spec = {"p": 2, "q": 3, "terms": [[1, "a", 0], [-1, 0, "b"]], "bounds": [["a", 10**6], ["b", 10**6]]}
+        code, captured, manifest = self.solve(capsys, tmp_path, spec)
+        assert code == 3
+        assert manifest is None
+        assert "search space of 1000002000001 assignments exceeds budget 50000000" in captured.err
 
     def test_deweger_beyond_int64_refused(self, capsys, tmp_path):
         code, captured, manifest = run(capsys, tmp_path, "sunit", "deweger", "--z-limit", "10000000000000000000")

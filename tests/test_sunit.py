@@ -1,5 +1,5 @@
 import itertools
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -122,16 +122,14 @@ class TestSolvePattern:
         assert solve_pattern(pat) == []
 
     def test_lexicographic_order(self):
+        # 2^a = 2^b + 2^c only at b = c = a - 1
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, "a", 0), PatternTerm(-1, 0, "b")),
-            (("a", 6), ("b", 4)),
+            (PatternTerm(1, "a", 0), PatternTerm(-1, "b", 0), PatternTerm(-1, "c", 0)),
+            (("a", 5), ("b", 5), ("c", 5)),
         )
         sols = [s.values for s in solve_pattern(pat)]
-        assert sols == sorted(sols)
-        assert sols == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)][:0] or True
-        # 2^a = 3^b only at a = b = 0
-        assert sols == [(0, 0)]
+        assert sols == [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3), (5, 4, 4)]
 
     def test_budget_refusal(self):
         pat = Pattern(
@@ -142,6 +140,10 @@ class TestSolvePattern:
         with pytest.raises(SearchBudgetExceeded) as info:
             solve_pattern(pat, budget=10**6)
         assert info.value.estimate == 1000**4
+
+    def test_negative_value_bound_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            Pattern(2, 3, (PatternTerm(1, "a", 0), PatternTerm(-1, 0, 1)), (("a", 3),), value_bound=-1)
 
     def test_primitive_filter(self):
         # 2^a - 2^b = 0 has gcd > 1 except a = b = 0
@@ -227,6 +229,108 @@ class TestSolvePattern:
         pattern, predicate = case
         got = [(s.values, s.term_values) for s in solve_pattern(pattern, predicate)]
         assert got == naive_solve(pattern, predicate)
+
+
+def interchangeable(p, q, k, e_max, f_max, value_bound, **filters):
+    """The interchangeable pattern of k monomials p^e_i q^f_i <= value_bound, e_i <= e_max, f_i <= f_max."""
+    names = [(f"e{i}", f"f{i}") for i in range(k)]
+    return Pattern(
+        p, q, tuple(PatternTerm(1, e, f) for e, f in names),
+        tuple(item for e, f in names for item in ((e, e_max), (f, f_max))),
+        value_bound=value_bound, interchangeable=True, **filters,
+    )
+
+
+def naive_interchangeable(pattern, predicate=None):
+    """(assignment, signed values) of every set of k distinct monomials with signs summing to 0.
+
+    Each is normalised to decreasing magnitude with the largest term positive.
+    """
+    bound = dict(pattern.var_bounds)
+    e_max, f_max = bound[pattern.terms[0].p_exp], bound[pattern.terms[0].q_exp]
+    limit = pattern.value_bound
+    monomials = {
+        pattern.p**e * pattern.q**f: (e, f)
+        for e in range(e_max + 1)
+        for f in range(f_max + 1)
+        if pattern.p**e * pattern.q**f <= limit
+    }
+    found = set()
+    for combo in itertools.combinations(sorted(monomials, reverse=True), len(pattern.terms)):
+        for signs in itertools.product((1, -1), repeat=len(combo)):
+            signed = tuple(s * v * signs[0] for s, v in zip(signs, combo))
+            if sum(signed) != 0:
+                continue
+            if pattern.require_primitive and gcd(*signed) != 1:
+                continue
+            if pattern.forbid_vanishing_subsums and has_vanishing_subsum(signed):
+                continue
+            env = {}
+            for t, v in zip(pattern.terms, signed):
+                env[t.p_exp], env[t.q_exp] = monomials[abs(v)]
+            if predicate is not None and not predicate(env):
+                continue
+            found.add((tuple(env[name] for name in pattern.variables), signed))
+    return sorted(found)
+
+
+@st.composite
+def interchangeable_cases(draw):
+    """A random interchangeable pattern of 4 or 5 terms, bounds <= 2, declared in any order, and a predicate."""
+    k = draw(st.integers(4, 5))
+    pattern = interchangeable(
+        *draw(st.sampled_from(((2, 3), (3, 2), (2, 5), (3, 5)))), k, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+        draw(st.integers(0, 250)),
+        require_primitive=draw(st.booleans()),
+        forbid_vanishing_subsums=draw(st.booleans()),
+    )
+    pattern = Pattern(pattern.p, pattern.q, pattern.terms, tuple(draw(st.permutations(pattern.var_bounds))),
+                      pattern.require_primitive, pattern.forbid_vanishing_subsums, pattern.value_bound, True)
+    return pattern, draw(st.sampled_from((None, even_sum)))
+
+
+class TestInterchangeable:
+    @settings(max_examples=200, deadline=None)
+    @given(case=interchangeable_cases())
+    @example(case=(interchangeable(2, 3, 4, 2, 2, 36), None))
+    @example(case=(interchangeable(2, 3, 4, 2, 2, 36, require_primitive=True), None))
+    @example(case=(interchangeable(2, 3, 5, 2, 2, 36, forbid_vanishing_subsums=True), even_sum))
+    def test_matches_naive_walk(self, case):
+        pattern, predicate = case
+        sols = solve_pattern(pattern, predicate)
+        assert [s.values for s in sols] == sorted(s.values for s in sols)
+        assert sorted((s.values, s.term_values) for s in sols) == naive_interchangeable(pattern, predicate)
+
+    def test_no_value_bound_refused_at_once(self):
+        # without a value bound these exponent bounds would admit 10^12 monomials
+        with pytest.raises(ValueError, match="value_bound"):
+            interchangeable(2, 3, 5, 10**6, 10**6, None)
+
+    def test_bb5_join_rows(self):
+        # 131 monomials 2^a 3^b <= 3^12: 4 C(130, 2) pair sums plus 4 C(131, 2) walked rows
+        pattern = interchangeable(2, 3, 5, 19, 12, 3**12, require_primitive=True)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            solve_pattern(pattern, budget=67_599)
+        assert info.value.estimate == 67_600 == 4 * comb(130, 2) + 4 * comb(131, 2)
+        assert len(solve_pattern(pattern, budget=67_600)) == 1213
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda terms, bounds: (terms[:3], bounds[:6]),
+            lambda terms, bounds: ((*terms[:3], PatternTerm(-1, "e3", "f3")), bounds),
+            lambda terms, bounds: ((*terms[:3], PatternTerm(1, "e3", 0)), bounds[:7]),
+            lambda terms, bounds: ((*terms[:3], PatternTerm(1, "e0", "f3")), (*bounds[:6], bounds[7])),
+            lambda terms, bounds: (terms, (*bounds[:6], ("e3", 3), bounds[7])),
+            lambda terms, bounds: (terms, (*bounds[:7], ("f3", 1))),
+        ],
+        ids=["three-terms", "coefficient", "fixed-exponent", "shared-variable", "unequal-p-bound", "unequal-q-bound"],
+    )
+    def test_malformed_mode_rejected(self, edit):
+        valid = interchangeable(2, 3, 4, 2, 2, 100)
+        terms, bounds = edit(valid.terms, valid.var_bounds)
+        with pytest.raises(ValueError, match="interchangeable"):
+            Pattern(2, 3, terms, bounds, value_bound=100, interchangeable=True)
 
 
 def vanishing_oracle(values):
@@ -507,28 +611,31 @@ class TestBajpaiBennett:
             assert not has_vanishing_subsum(s.signed_values())
 
     def test_matches_naive_small(self):
-        got = {
-            tuple((t.value, t.sign) for t in s.terms)
-            for s in bajpai_bennett_5term(4, 3, 10**9)
-        }
+        got = {tuple((t.value, t.sign) for t in s.terms) for s in bajpai_bennett_5term(4, 3)}
         assert got == naive_bb5(4, 3)
+        sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 10**9, require_primitive=True))
+        assert {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in sols} == got
 
     def test_matches_naive_below_largest_monomial(self):
         # 2^4 * 3^3 = 432 is the largest monomial; the bound drops every term above 100
-        got = {
-            tuple((t.value, t.sign) for t in s.terms)
-            for s in bajpai_bennett_5term(4, 3, 100)
-        }
+        sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 100, require_primitive=True))
+        got = {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in sols}
         assert got == {sol for sol in naive_bb5(4, 3) if sol[0][0] <= 100}
         assert got
 
     def test_deterministic_order(self):
-        a = [s.signed_values() for s in bajpai_bennett_5term(6, 4, 10**9)]
-        b = [s.signed_values() for s in bajpai_bennett_5term(6, 4, 10**9)]
+        a = [s.signed_values() for s in bajpai_bennett_5term(6, 4)]
+        b = [s.signed_values() for s in bajpai_bennett_5term(6, 4)]
         assert a == b
         assert a == sorted(a, reverse=True)
 
-    @pytest.mark.parametrize("bounds", [(-1, 6), (8, -1), (8, 6, -1)])
+    def test_repeated_monomial_omitted(self):
+        # a primitive zero sum with no vanishing subsum that repeats 1, so it is no solution
+        values = (8, -4, -2, -1, -1)
+        assert sum(values) == 0 and gcd(*values) == 1 and not has_vanishing_subsum(values)
+        assert values not in {s.signed_values() for s in bajpai_bennett_5term()}
+
+    @pytest.mark.parametrize("bounds", [(-1, 6), (8, -1)])
     def test_negative_bound_rejected(self, bounds):
         with pytest.raises(ValueError, match=">= 0"):
             bajpai_bennett_5term(*bounds)
