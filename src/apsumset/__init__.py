@@ -19,7 +19,7 @@ from .classify import (
     theorem1_match,
     verify_theorem1,
 )
-from .families import FamilySpec, family_params, find_prog3_pairs, generate, verify
+from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .numutil import PrimeSet, power_exponent, smooth_enumerate
 from .sumset import Representation, SumsetElement, SumsetParams, enumerate_up_to, representations
 from .sunit import (

@@ -27,17 +27,14 @@ from . import __version__
 from .apsearch import count_3term_stable, find_progressions
 from .catalog import build_pattern, check_ids, run_all, run_check
 from .classify import SweepConfig, theorem1_match, verify_theorem1
-from .families import (
-    FAMILY_IDS,
-    FamilySpec,
-    family_params,
-    find_prog3_pairs,
-    generate,
-    verify,
-)
+from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .sumset import SumsetParams, enumerate_up_to, representations
 from .sunit import (
+    BB5_ALPHA_MAX,
+    BB5_BETA_MAX,
+    DEFAULT_BUDGET,
     DEWEGER_PRIMES,
+    DEWEGER_Z_LIMIT,
     SearchBudgetExceeded,
     bajpai_bennett_5term,
     deweger_3term,
@@ -132,8 +129,6 @@ def _run_ap(args, out: _Output) -> int:
     params = SumsetParams(args.a, args.b)
     report = find_progressions(params, args.len, args.limit)
     for prog, maximal in zip(report.progressions, report.maximal_flags):
-        if args.maximal_only and not maximal:
-            continue
         out.emit(_progression_obj(args.a, args.b, prog, maximal))
     return EXIT_OK
 
@@ -302,17 +297,13 @@ def _run_family(args, out: _Output) -> int:
         for a, b, d1, d2 in find_prog3_pairs(args.limit):
             out.emit({"a": a, "b": b, "delta1": d1, "delta2": d2})
         return EXIT_OK
-    # gen / verify; a bad or inadmissible parameter raises ValueError (exit 2)
-    spec = FamilySpec(args.family_id, _parse_params(args.params))
-    prog = generate(spec)
-    params = family_params(spec)
-    verified = verify(prog, params)
+    # gen / verify; a bad parameter, or terms out of progression or outside
+    # the sumset, raises ValueError (exit 2), so an emitted line is verified
+    params, prog = generate(args.family_id, _parse_params(args.params))
     obj = _progression_obj(params.a, params.b, prog)
     obj["family"] = args.family_id
-    obj["verified"] = verified
+    obj["verified"] = True
     out.emit(obj)
-    if args.action == "verify":
-        return EXIT_OK if verified else EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -370,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=_int_arg)
     p.add_argument("--len", type=_int_arg, required=True)
     p.add_argument("--limit", type=_int_arg, required=True)
-    p.add_argument("--maximal-only", action="store_true")
 
     p = sub.add_parser("count3", help="3-term progression counts at a ladder of limits")
     p.add_argument("a", type=_int_arg)
@@ -386,16 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sunit", help="bounded exponential-equation solvers")
     ssub = p.add_subparsers(dest="solver", required=True)
     sp = ssub.add_parser("deweger", help="x + y = z in coprime 13-smooth integers")
-    sp.add_argument("--z-limit", type=_int_arg, default=10**12)
+    sp.add_argument("--z-limit", type=_int_arg, default=DEWEGER_Z_LIMIT)
     sp = ssub.add_parser("dt", help="four-term two-prime shapes, powers <= 2^15")
     sp.add_argument("p", type=_int_arg)
     sp.add_argument("q", type=_int_arg)
     sp = ssub.add_parser("bb5", help="five-term {2,3}-unit equation")
-    sp.add_argument("--alpha-max", type=_int_arg, default=19)
-    sp.add_argument("--beta-max", type=_int_arg, default=12)
+    sp.add_argument("--alpha-max", type=_int_arg, default=BB5_ALPHA_MAX)
+    sp.add_argument("--beta-max", type=_int_arg, default=BB5_BETA_MAX)
     sp = ssub.add_parser("pattern", help="generic pattern from a JSON file")
     sp.add_argument("pattern_file")
-    sp.add_argument("--budget", type=_int_arg, default=50_000_000)
+    sp.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("check", help="run registered verification checks")
     p.add_argument("id", nargs="?")

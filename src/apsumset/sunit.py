@@ -26,9 +26,11 @@ join is complete and yields each assignment once.  A pattern whose terms
 all share variables is one block, streamed against the one-row empty side.
 Sums are exact Python ints; the other filters run on matches only.  The
 budget counts the whole box, which keeps the stored side near its square
-root, and is checked before any enumeration.  Deze-Tijdeman is one pattern
-per shape and sign vector, with the pairs shape's swap rule as a side
-predicate; Pillai is p^x - p^y - q^z + q^w = 0 with x > y, z > w.
+root, and then the row words, each block's box times the 64-bit words of
+its widest term, which keeps rows of huge powers out; both are checked
+before any enumeration.  Deze-Tijdeman is one pattern per shape and sign
+vector, with the pairs shape's swap rule as a side predicate; Pillai is
+p^x - p^y - q^z + q^w = 0 with x > y, z > w.
 
 Canonical orientation.  An ``interchangeable`` pattern's k >= 4 terms are
 p^e_i q^f_i under shared bounds and a ``value_bound``, so a solution is a
@@ -65,6 +67,7 @@ from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_enumerate
 
 DEFAULT_BUDGET = 50_000_000
 DEWEGER_PRIMES = PrimeSet((2, 3, 5, 7, 11, 13))
+DEWEGER_Z_LIMIT = 10**12
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -184,9 +187,10 @@ def solve_pattern(
     variable order) and complete over the box; see the module docstring for
     the block join and the canonical orientation, whose term values carry
     the signs.  A search larger than `budget` raises SearchBudgetExceeded
-    before anything is enumerated: the block join counts the whole box, the
-    walk over n admissible monomials counts 4 C(n-1, 2) + 2^(k-3) C(n, k-3)
-    rows (67,600 for Bajpai-Bennett, n = 131, whose box is about 1.2e12).
+    before anything is enumerated: the block join counts the whole box and
+    its row words, the walk over n admissible monomials counts
+    4 C(n-1, 2) + 2^(k-3) C(n, k-3) rows (67,600 for Bajpai-Bennett,
+    n = 131, whose box is about 1.2e12).
     """
     names = pattern.variables
     join = _canonical_walk if pattern.interchangeable else _block_join
@@ -230,6 +234,12 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
         sizes[k] *= boxes[b]
     if sizes[0] * sizes[1] > budget:
         raise SearchBudgetExceeded(sizes[0] * sizes[1], budget)
+    # each block's rows times the 64-bit words of its widest term, whose bits p <= 2^bit_length(p - 1) bounds
+    bits = [abs(t.coefficient).bit_length() + bound.get(t.p_exp, t.p_exp) * (pattern.p - 1).bit_length()
+            + bound.get(t.q_exp, t.q_exp) * (pattern.q - 1).bit_length() for t in terms]
+    words = sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
+    if words > budget:
+        raise SearchBudgetExceeded(words, budget, "row words")
     stored, streamed = sides if sizes[0] <= sizes[1] else sides[::-1]
     if limit is not None and any(abs(v) > limit for v in template if v is not None):
         return
@@ -343,7 +353,7 @@ def _support_masks(values: list[int], primes: tuple[int, ...]) -> list[int]:
 
 
 def deweger_3term(
-    primes: PrimeSet = DEWEGER_PRIMES, z_limit: int = 10**12
+    primes: PrimeSet = DEWEGER_PRIMES, z_limit: int = DEWEGER_Z_LIMIT
 ) -> list[TripleSolution]:
     """Complete list of x + y = z, x <= y, gcd(x,y) = 1, xyz smooth, z <= z_limit.
 

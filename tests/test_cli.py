@@ -1,10 +1,13 @@
 import hashlib
 import json
+import time
 
 import pytest
 
+from apsumset import families
 from apsumset.catalog import registry
 from apsumset.cli import main
+from apsumset.sumset import SumsetParams
 
 # result_sha256 of the benchmark's pinned progressions commands
 GOLDEN = {
@@ -238,6 +241,17 @@ class TestRefusals:
         assert manifest is None
         assert "search space of 1000002000001 assignments exceeds budget 50000000" in captured.err
 
+    def test_wide_row_pattern_refused(self, capsys, tmp_path):
+        # 2^a - 3 = 0: a box of 4*10^7 + 1 rows is under the budget, but rows of 2^a reach 4*10^7 bits
+        spec = {"p": 2, "q": 3, "terms": [[1, "a", 0], [-1, 0, 1]], "bounds": [["a", 40_000_000]]}
+        start = time.perf_counter()
+        code, captured, manifest = self.solve(capsys, tmp_path, spec)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert manifest is None
+        assert captured.out == ""
+        assert "row words exceeds budget 50000000" in captured.err
+
     def test_deweger_beyond_int64_refused(self, capsys, tmp_path):
         code, captured, manifest = run(capsys, tmp_path, "sunit", "deweger", "--z-limit", "10000000000000000000")
         assert code == 2
@@ -350,3 +364,40 @@ class TestFamilyParams:
         assert manifest is None
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "family_id, params, name",
+        [("prog1", "n=5,k=3", "'k'"), ("three-term-B", "k=1", "'j'")],
+        ids=["unknown-k", "missing-j"],
+    )
+    def test_missing_or_unknown_parameter_refused(self, capsys, tmp_path, family_id, params, name):
+        for action in ("gen", "verify"):
+            code, captured, manifest = run(capsys, tmp_path, "family", action, family_id, "--params", params)
+            assert code == 2
+            assert manifest is None
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and name in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_closed_form_slip_refused(self, capsys, tmp_path, monkeypatch):
+        # 2, 6, 10, 34 at n = 5: members of S_{5,9}, but not in progression
+        monkeypatch.setitem(
+            families.FAMILIES, "prog1", lambda n: (SumsetParams(n, 2 * n - 1), [(0, 0), (1, 0), (0, 1), (2, 1)])
+        )
+        code, captured, manifest = run(capsys, tmp_path, "family", "verify", "prog1", "--params", "n=5")
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert "not in progression" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv in GOLDEN_FAMILY if argv[1] == "verify"], ids=lambda argv: argv[2]
+    )
+    def test_gen_and_verify_agree(self, capsys, tmp_path, argv):
+        outs = []
+        for action in ("gen", "verify"):
+            code, captured, _ = run(capsys, tmp_path, "family", action, *argv[2:])
+            assert code == 0
+            outs.append(captured.out)
+        assert outs[0] == outs[1]

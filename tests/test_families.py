@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apsumset.families import FAMILY_IDS, FamilySpec, _recipe, find_prog3_pairs, generate, verify
-from apsumset.sumset import SumsetParams
+from apsumset.families import FAMILIES, FAMILY_IDS, FamilyConstraintError, find_prog3_pairs, generate
 
 
 def brute_reps(a, b, n):
@@ -76,20 +75,67 @@ def test_every_family_has_a_strategy():
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_generate_matches_closed_form(family_id, data):
-    spec = FamilySpec(family_id, data.draw(ADMISSIBLE[family_id]))
-    params, closed = _recipe(spec)
-    a, b = params.a, params.b
-    prog = generate(spec)
+    params = data.draw(ADMISSIBLE[family_id])
+    base, closed = FAMILIES[family_id](**params)
+    a, b = base.a, base.b
+    got, prog = generate(family_id, params)
+    assert got == base
     values = [a**x + b**y for x, y in closed]
     assert prog.term_values() == [t.value for t in prog.terms] == values
     assert prog.D >= 1 and prog.length == len(closed)
     for (x, y), term in zip(closed, prog.terms):
         assert list(term.reps) == brute_reps(a, b, term.value)
         assert (x, y) in term.reps
-    assert verify(prog, params)
 
 
-def test_verify_rejects_terms_outside_the_sumset():
-    prog = generate(FamilySpec("prog1", {"n": 5}))  # 2, 6, 10, 14 in S_{5,9}
-    assert verify(prog, SumsetParams(5, 9))
-    assert not verify(prog, SumsetParams(2, 3))  # 6 = 2^x + 3^y has no solution
+def powers2_reference(d, c, k, j, m, want):
+    """The exponent pairs as exponents of 2, (kd, jc) shifted by mcd, divided by (d, c)."""
+    if want == 1:
+        pairs2 = [(k * d, j * c), (k * d, j * c + m * c * d), (k * d + m * c * d, j * c),
+                  (k * d + m * c * d, j * c + m * c * d)]
+    else:
+        pairs2 = [(k * d, j * c), (k * d + m * c * d, j * c), (k * d, j * c + m * c * d),
+                  (k * d + m * c * d, j * c + m * c * d)]
+    assert all(e1 % d == 0 and e2 % c == 0 for e1, e2 in pairs2)
+    return [(e1 // d, e2 // c) for e1, e2 in pairs2]
+
+
+@pytest.mark.parametrize("family_id, want", [("four-term-powers2-A", 1), ("four-term-powers2-B", -1)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_powers2_closed_form_matches_the_2_adic_reference(family_id, want, data):
+    params = data.draw(powers2(want))
+    base, closed = FAMILIES[family_id](**params)
+    assert (base.a, base.b) == (2 ** params["d"], 2 ** params["c"])
+    assert closed == powers2_reference(**params, want=want)
+
+
+@pytest.mark.parametrize(
+    "family_id, params, name",
+    [("prog1", {"n": 5, "k": 3}, "k"), ("three-term-B", {"k": 1}, "j"), ("prog1", {"n": 5, "typo": 9}, "typo")],
+    ids=["unknown-k", "missing-j", "unknown-typo"],
+)
+def test_missing_or_unknown_parameter_refused(family_id, params, name):
+    with pytest.raises(FamilyConstraintError, match=f"'{name}'"):
+        generate(family_id, params)
+
+
+def test_constraint_message_names_the_family():
+    with pytest.raises(FamilyConstraintError, match=r"^prog7: 1 <= s <= t - 2 required$"):
+        generate("prog7", {"s": 3, "t": 4})
+    with pytest.raises(FamilyConstraintError, match="unknown family 'prog8'"):
+        generate("prog8", {})
+
+
+def test_prog3_pairs_match_brute_force():
+    # b^2 - b^d2 = 2a^2 - 2a^d1 with b > a forces b < 2a
+    brute = [
+        (a, b, d1, d2)
+        for a in range(2, 400)
+        for b in range(a + 1, 2 * a)
+        for d1 in (0, 1)
+        for d2 in (0, 1)
+        if b**2 - b**d2 == 2 * a**2 - 2 * a**d1
+    ]
+    assert find_prog3_pairs(399) == sorted(brute)
+    assert len(brute) > 4
