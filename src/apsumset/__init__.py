@@ -10,10 +10,9 @@ recorded expected outputs.
 
 __version__ = "0.1.0"
 
-from .apsearch import ApSearchReport, Progression, count_3term_stable, find_progressions, progression
+from .apsearch import Progression, count_3term_stable, find_progressions, progression
 from .catalog import LemmaSolution, lemma21_classify, lemma21_solve, run_all, run_check
 from .classify import (
-    ClassEntry,
     SweepConfig,
     family_nonextension,
     theorem1_match,

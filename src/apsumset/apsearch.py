@@ -64,18 +64,6 @@ def progression(params: SumsetParams, values: list[int]) -> Progression:
     return Progression(values[0], d, len(values), tuple(terms))
 
 
-@dataclass(frozen=True)
-class ApSearchReport:
-    params: SumsetParams
-    k: int
-    limit: int
-    progressions: tuple[Progression, ...]
-    maximal_flags: tuple[bool, ...]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(p.N, p.D) for p in self.progressions]
-
-
 def _find_pairs(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], set[int]]:
     values = value_set(params, limit)
     ordered = sorted(values)
@@ -113,38 +101,27 @@ def _scan(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int
     return pairs, flags
 
 
-def find_progressions(params: SumsetParams, k: int, limit: int) -> ApSearchReport:
+def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[Progression, bool]]:
     """All (N, D) with N, N+D, ..., N+(k-1)D in the sumset and N+(k-1)D <= limit.
 
-    Progressions are reported as (N, D, k) windows sorted by (N, D); windows
-    of a longer progression appear separately, with the maximal flag telling
-    them apart (true iff neither N-D nor N+kD is in the sumset).
+    One row per (N, D, k) window, sorted by (N, D): the progression with
+    its witnesses, and the maximal flag (true iff neither N-D nor N+kD is
+    in the sumset).  Windows of a longer progression appear separately,
+    and the flag tells them apart.
     """
     pairs, flags = _scan(params, k, limit)
-    progs = tuple(progression(params, [n + i * d for i in range(k)]) for n, d in pairs)
-    return ApSearchReport(params, k, limit, progs, tuple(flags))
+    return [
+        (progression(params, [n + i * d for i in range(k)]), flag)
+        for (n, d), flag in zip(pairs, flags)
+    ]
 
 
-@dataclass(frozen=True)
-class Count3Report:
-    """3-term progression counts at a ladder of limits, both conventions."""
+def count_3term_stable(params: SumsetParams, limits: list[int]) -> list[tuple[int, int, int]]:
+    """One (limit, windows, maximal) row per limit of an ascending ladder.
 
-    params: SumsetParams
-    limits: tuple[int, ...]
-    window_counts: tuple[int, ...]
-    maximal_counts: tuple[int, ...]
-
-    def stabilized(self, convention: str = "window") -> bool:
-        counts = self.window_counts if convention == "window" else self.maximal_counts
-        return len(counts) >= 2 and counts[-1] == counts[-2]
-
-
-def count_3term_stable(params: SumsetParams, limits: list[int]) -> Count3Report:
-    """Counts of distinct (N, D) 3-term progressions per limit.
-
-    Reports both the raw window count and the maximal-progression count
-    (windows whose one-step extensions in either direction leave the
-    sumset); a stabilized flag compares the last two counts.
+    ``windows`` counts the distinct (N, D) 3-term progressions with final
+    term N + 2D <= limit; ``maximal`` counts those whose one-step
+    extensions in either direction leave the sumset.
 
     One scan at the largest limit serves the whole ladder: a window counts
     at limit L iff its final term N + 2D is <= L, and its maximal flag
@@ -154,11 +131,12 @@ def count_3term_stable(params: SumsetParams, limits: list[int]) -> Count3Report:
     if any(l2 < l1 for l1, l2 in zip(limits, limits[1:])):
         raise ValueError("limits must be ascending")
     if not limits:
-        return Count3Report(params, (), (), ())
+        return []
     if limits[0] < 2:
         raise ValueError(f"limit must be >= 2, got {limits[0]}")
     pairs, flags = _scan(params, 3, limits[-1])
     finals = [(n + 2 * d, flag) for (n, d), flag in zip(pairs, flags)]
-    windows = tuple(sum(f <= lim for f, _ in finals) for lim in limits)
-    maximal = tuple(sum(flag and f <= lim for f, flag in finals) for lim in limits)
-    return Count3Report(params, tuple(limits), windows, maximal)
+    return [
+        (lim, sum(f <= lim for f, _ in finals), sum(flag and f <= lim for f, flag in finals))
+        for lim in limits
+    ]

@@ -33,15 +33,6 @@ SPORADIC_5TERM: tuple[tuple[int, int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    """One classification entry: a family instance (with its k) or a sporadic."""
-
-    kind: str  # 'family1' | 'family2' | 'sporadic'
-    k: int | None
-    tuple: tuple[int, int, int, int]
-
-
 def family1_tuple(k: int) -> tuple[int, int, int, int]:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -54,23 +45,24 @@ def family2_tuple(k: int) -> tuple[int, int, int, int]:
     return (3, 4 * 3 ** (k - 1) + 1, 3 ** (k - 1) + 1, 2 * 3 ** (k - 1))
 
 
-def theorem1_match(a: int, b: int, N: int, D: int) -> ClassEntry | None:
-    """The classification entry matching (a, b, N, D), or None.
+def theorem1_match(a: int, b: int, N: int, D: int) -> tuple[str, int | None] | None:
+    """The classification entry matching (a, b, N, D) as (kind, k), or None.
 
-    Family parameters are recovered exactly (power_exponent on b - 1 resp.
-    (b - 1) / 4); no floating point.
+    kind is 'family1', 'family2' or 'sporadic'; k is the family parameter,
+    None for a sporadic.  Family parameters are recovered exactly
+    (power_exponent on b - 1 resp. (b - 1) / 4); no floating point.
     """
     t = (a, b, N, D)
     if t in SPORADIC_5TERM:
-        return ClassEntry("sporadic", None, t)
+        return ("sporadic", None)
     if a == 2:
         k = power_exponent(b - 1, 2) if b >= 3 else None
         if k is not None and k >= 1 and t == family1_tuple(k):
-            return ClassEntry("family1", k, t)
+            return ("family1", k)
     if a == 3 and (b - 1) % 4 == 0:
         e = power_exponent((b - 1) // 4, 3) if b >= 5 else None
         if e is not None and t == family2_tuple(e + 1):
-            return ClassEntry("family2", e + 1, t)
+            return ("family2", e + 1)
     return None
 
 
@@ -84,8 +76,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not (2 <= self.a_max <= self.b_max):
             raise ValueError("need 2 <= a_max <= b_max")
-        if self.term_limit < 2 or self.k < 3:
-            raise ValueError("bad term_limit or k")
+        if self.k < 3:
+            raise ValueError(f"k must be >= 3, got {self.k}")
+        if self.term_limit < 2:
+            raise ValueError(f"limit must be >= 2, got {self.term_limit}")
 
     def pairs(self) -> list[tuple[int, int]]:
         return [
@@ -95,53 +89,9 @@ class SweepConfig:
         ]
 
 
-@dataclass(frozen=True)
-class SweepFinding:
-    a: int
-    b: int
-    N: int
-    D: int
-    maximal: bool
-    entry: ClassEntry | None
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    config: SweepConfig
-    findings: tuple[SweepFinding, ...]
-
-    @property
-    def unclassified(self) -> tuple[SweepFinding, ...]:
-        return tuple(f for f in self.findings if f.entry is None)
-
-    @property
-    def witnessed_sporadics(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple(
-            sorted(
-                {
-                    (f.a, f.b, f.N, f.D)
-                    for f in self.findings
-                    if f.entry is not None and f.entry.kind == "sporadic"
-                }
-            )
-        )
-
-    def witnessed_family(self, kind: str) -> tuple[int, ...]:
-        ks = {
-            f.entry.k
-            for f in self.findings
-            if f.entry is not None and f.entry.kind == kind and f.entry.k
-        }
-        return tuple(sorted(ks))
-
-
 def _sweep_pair(args: tuple[int, int, int, int]) -> list[tuple[int, int, int, int, bool]]:
     a, b, k, limit = args
-    report = find_progressions(SumsetParams(a, b), k, limit)
-    return [
-        (a, b, p.N, p.D, flag)
-        for p, flag in zip(report.progressions, report.maximal_flags)
-    ]
+    return [(a, b, p.N, p.D, maximal) for p, maximal in find_progressions(SumsetParams(a, b), k, limit)]
 
 
 def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, int, bool]]:
@@ -165,17 +115,17 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     return rows
 
 
-def verify_theorem1(cfg: SweepConfig, threads: int = 1) -> SweepReport:
-    """Exhaustive k=5 sweep; every finding is matched against the table.
+def verify_theorem1(
+    cfg: SweepConfig, threads: int = 1
+) -> list[tuple[int, int, int, int, bool, tuple[str, int | None] | None]]:
+    """The `sweep_grid` rows (a, b, N, D, maximal), each with its `theorem1_match`.
 
-    The report lists unclassified progressions (expected: none) and which
-    sporadic tuples / family parameters were witnessed within the grid.
+    The sweep runs at any k.  The table lists 5-term progressions, and a
+    row is matched on (a, b, N, D) alone, that is on its window's first
+    five terms.  A match of None is unclassified, which at k = 5
+    contradicts the table.
     """
-    findings = tuple(
-        SweepFinding(a, b, n, d, maximal, theorem1_match(a, b, n, d))
-        for a, b, n, d, maximal in sweep_grid(cfg, threads)
-    )
-    return SweepReport(cfg, findings)
+    return [(*row, theorem1_match(*row[:4])) for row in sweep_grid(cfg, threads)]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import time
 from . import __version__
 from .apsearch import count_3term_stable, find_progressions
 from .catalog import build_pattern, check_ids, run_all, run_check
-from .classify import SweepConfig, theorem1_match, verify_theorem1
+from .classify import SweepConfig, verify_theorem1
 from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .sumset import SumsetParams, enumerate_up_to, representations
 from .sunit import (
@@ -126,56 +126,50 @@ def _run_enum(args, out: _Output) -> int:
 
 
 def _run_ap(args, out: _Output) -> int:
-    params = SumsetParams(args.a, args.b)
-    report = find_progressions(params, args.len, args.limit)
-    for prog, maximal in zip(report.progressions, report.maximal_flags):
+    for prog, maximal in find_progressions(SumsetParams(args.a, args.b), args.len, args.limit):
         out.emit(_progression_obj(args.a, args.b, prog, maximal))
     return EXIT_OK
 
 
 def _run_count3(args, out: _Output) -> int:
-    params = SumsetParams(args.a, args.b)
-    rep = count_3term_stable(params, args.limits)
-    for lim, wins, maxi in zip(rep.limits, rep.window_counts, rep.maximal_counts):
+    rows = count_3term_stable(SumsetParams(args.a, args.b), args.limits)
+    for lim, wins, maxi in rows:
         out.emit({"limit": _s(lim), "windows": wins, "maximal": maxi})
-    out.emit(
-        {
-            "stabilized_windows": rep.stabilized("window"),
-            "stabilized_maximal": rep.stabilized("maximal"),
-        }
-    )
+    # a count has stabilized when the last two limits give the same value
+    windows, maximal = (len(rows) >= 2 and rows[-1][i] == rows[-2][i] for i in (1, 2))
+    out.emit({"stabilized_windows": windows, "stabilized_maximal": maximal})
     return EXIT_OK
 
 
 def _run_sweep(args, out: _Output) -> int:
     cfg = SweepConfig(args.a_max, args.b_max, args.limit, args.len)
-    report = verify_theorem1(cfg, threads=args.threads)
-    for f in report.findings:
-        entry = None
-        if f.entry is not None:
-            entry = {"kind": f.entry.kind, "k": f.entry.k}
+    rows = verify_theorem1(cfg, threads=args.threads)
+    for a, b, n, d, maximal, match in rows:
         out.emit(
             {
-                "a": f.a,
-                "b": f.b,
-                "N": _s(f.N),
-                "D": _s(f.D),
+                "a": a,
+                "b": b,
+                "N": _s(n),
+                "D": _s(d),
                 "len": cfg.k,
-                "maximal": f.maximal,
-                "class": entry,
+                "maximal": maximal,
+                "class": None if match is None else {"kind": match[0], "k": match[1]},
             }
         )
+    matched = [((a, b, n, d), match) for a, b, n, d, _, match in rows if match is not None]
+    unclassified = len(rows) - len(matched)
     summary = {
         "pairs_swept": len(cfg.pairs()),
-        "findings": len(report.findings),
-        "unclassified": len(report.unclassified),
+        "findings": len(rows),
+        "unclassified": unclassified,
     }
+    # the table classifies 5-term progressions, so only a 5-term sweep can refute it
     if cfg.k == 5:
-        summary["witnessed_sporadics"] = [list(t) for t in report.witnessed_sporadics]
-        summary["witnessed_family1_k"] = list(report.witnessed_family("family1"))
-        summary["witnessed_family2_k"] = list(report.witnessed_family("family2"))
+        summary["witnessed_sporadics"] = sorted({t for t, (kind, _) in matched if kind == "sporadic"})
+        for family in ("family1", "family2"):
+            summary[f"witnessed_{family}_k"] = sorted({k for _, (kind, k) in matched if kind == family})
     out.emit(summary)
-    return EXIT_MISMATCH if (cfg.k == 5 and report.unclassified) else EXIT_OK
+    return EXIT_MISMATCH if (cfg.k == 5 and unclassified) else EXIT_OK
 
 
 def _run_sunit(args, out: _Output) -> int:
@@ -211,8 +205,8 @@ def _run_sunit(args, out: _Output) -> int:
             out.emit(
                 {
                     "terms": [
-                        {"sign": t.sign, "alpha": t.alpha, "beta": t.beta, "value": _s(t.value)}
-                        for t in s.terms
+                        {"sign": 1 if v > 0 else -1, "alpha": alpha, "beta": beta, "value": _s(abs(v))}
+                        for v, alpha, beta in zip(s.term_values, s.values[::2], s.values[1::2])
                     ]
                 }
             )

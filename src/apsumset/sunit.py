@@ -501,46 +501,20 @@ BB5_BETA_MAX = 12
 BB5_VALUE_BOUND = 3**12
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
-    sign: int
-    alpha: int
-    beta: int
-    value: int  # 2^alpha * 3^beta, always positive
-
-    @property
-    def signed_value(self) -> int:
-        return self.sign * self.value
-
-
-@dataclass(frozen=True)
-class FiveTermSolution:
-    """Five signed monomials 2^a 3^b summing to zero.
-
-    Terms are ordered by decreasing magnitude; the largest-magnitude term
-    has positive sign (global sign normalization).  Magnitudes are pairwise
-    distinct and the five share no common factor.
-    """
-
-    terms: tuple[SignedMonomial, ...]
-
-    def signed_values(self) -> tuple[int, ...]:
-        return tuple(t.signed_value for t in self.terms)
-
-
-def bajpai_bennett_5term(alpha_max: int = BB5_ALPHA_MAX, beta_max: int = BB5_BETA_MAX) -> list[FiveTermSolution]:
+def bajpai_bennett_5term(alpha_max: int = BB5_ALPHA_MAX, beta_max: int = BB5_BETA_MAX) -> list[PatternSolution]:
     """Complete primitive solutions of the five-term signed {2,3} equation.
 
     The interchangeable pattern of five distinct monomials 2^a 3^b <= 3^12,
     a <= alpha_max, b <= beta_max, with gcd 1 (module docstring).  Distinct
     magnitudes exclude more than vanishing subsums: the primitive
     8 - 4 - 2 - 1 - 1 = 0 has none, yet repeats 1 and is not listed.
-    Sorted by signed values, descending.  Negative bounds raise ValueError.
+    Each solution's ``term_values`` are its signed terms in decreasing
+    magnitude, the first positive, and term i = +-2^a 3^b with (a, b) =
+    ``values[2i:2i+2]``.  Sorted by term values, descending.  Negative
+    bounds raise ValueError.
     """
     names = [(f"a{i}", f"b{i}") for i in range(5)]
     pattern = Pattern(2, 3, tuple(PatternTerm(1, a, b) for a, b in names),
                       tuple(item for a, b in names for item in ((a, alpha_max), (b, beta_max))),
                       require_primitive=True, value_bound=BB5_VALUE_BOUND, interchangeable=True)
-    solutions = [FiveTermSolution(tuple(SignedMonomial(1 if v > 0 else -1, *s.values[2 * i:2 * i + 2], abs(v))
-                                        for i, v in enumerate(s.term_values))) for s in solve_pattern(pattern)]
-    return sorted(solutions, key=FiveTermSolution.signed_values, reverse=True)
+    return sorted(solve_pattern(pattern), key=lambda s: s.term_values, reverse=True)

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apsumset.apsearch import count_3term_stable, find_progressions, progression
+from apsumset.cli import main
 from apsumset.sumset import SumsetParams, enumerate_up_to, value_set
 
 
@@ -36,30 +38,39 @@ def brute_windows(params, k, limit):
     return sorted(out)
 
 
+def windows(rows):
+    """The (N, D) of each `find_progressions` row."""
+    return [(prog.N, prog.D) for prog, _ in rows]
+
+
+def flags_by_window(rows):
+    return {(prog.N, prog.D): maximal for prog, maximal in rows}
+
+
 class TestFindProgressions:
     def test_s23_six_term(self):
-        rep = find_progressions(SumsetParams(2, 3), 6, 10**6)
-        assert rep.pairs() == [(3, 2), (17, 24)]
+        rows = find_progressions(SumsetParams(2, 3), 6, 10**6)
+        assert windows(rows) == [(3, 2), (17, 24)]
 
     def test_s29_six_term(self):
-        rep = find_progressions(SumsetParams(2, 9), 6, 10**6)
-        assert (17, 24) in rep.pairs()
+        rows = find_progressions(SumsetParams(2, 9), 6, 10**6)
+        assert (17, 24) in windows(rows)
 
     def test_tiny_window(self):
-        rep = find_progressions(SumsetParams(2, 3), 3, 4)
-        assert rep.pairs() == [(2, 1)]
-        assert rep.progressions[0].term_values() == [2, 3, 4]
+        rows = find_progressions(SumsetParams(2, 3), 3, 4)
+        assert windows(rows) == [(2, 1)]
+        assert rows[0][0].term_values() == [2, 3, 4]
 
     def test_matches_brute_force(self):
         params = SumsetParams(2, 3)
-        rep = find_progressions(params, 3, 10**4)
-        assert rep.pairs() == brute_3term(params, 10**4)
+        rows = find_progressions(params, 3, 10**4)
+        assert windows(rows) == brute_3term(params, 10**4)
 
     def test_terms_reverify_by_membership(self):
         params = SumsetParams(2, 5)
         witnesses = {e.value: e.reps for e in enumerate_up_to(params, 10**6)}
-        rep = find_progressions(params, 4, 10**6)
-        for prog in rep.progressions:
+        rows = find_progressions(params, 4, 10**6)
+        for prog, _ in rows:
             assert [t.value for t in prog.terms] == prog.term_values()
             for term in prog.terms:
                 assert term.reps == witnesses[term.value]
@@ -67,26 +78,25 @@ class TestFindProgressions:
     def test_subwindow_closure(self):
         params = SumsetParams(2, 3)
         limit = 10**5
-        k4 = set(find_progressions(params, 4, limit).pairs())
-        k3 = set(find_progressions(params, 3, limit).pairs())
+        k4 = set(windows(find_progressions(params, 4, limit)))
+        k3 = set(windows(find_progressions(params, 3, limit)))
         for n, d in k4:
             assert (n, d) in k3
             assert (n + d, d) in k3
 
     def test_monotone_in_limit(self):
         params = SumsetParams(2, 7)
-        small = set(find_progressions(params, 3, 10**4).pairs())
-        large = set(find_progressions(params, 3, 10**6).pairs())
+        small = set(windows(find_progressions(params, 3, 10**4)))
+        large = set(windows(find_progressions(params, 3, 10**6)))
         assert small <= large
 
     def test_final_term_within_limit(self):
-        rep = find_progressions(SumsetParams(2, 3), 5, 300)
-        for prog in rep.progressions:
+        rows = find_progressions(SumsetParams(2, 3), 5, 300)
+        for prog, _ in rows:
             assert prog.N + 4 * prog.D <= 300
 
     def test_maximal_flags(self):
-        rep = find_progressions(SumsetParams(2, 3), 5, 10**4)
-        by_pair = dict(zip(rep.pairs(), rep.maximal_flags))
+        by_pair = flags_by_window(find_progressions(SumsetParams(2, 3), 5, 10**4))
         # 3,5,...,11 extends to 13 on the right; 5,...,13 extends to 3 on the left
         assert by_pair[(3, 2)] is False
         assert by_pair[(5, 2)] is False
@@ -117,11 +127,11 @@ class TestFindProgressions:
                 if lim >= 2
             ]
         for lim, want in cases:
-            rep = find_progressions(params, k, lim)
-            assert rep.pairs() == want
+            rows = find_progressions(params, k, lim)
+            assert windows(rows) == want
             # both neighbours of a window lie below twice the limit
             around = value_set(params, 2 * lim)
-            assert list(rep.maximal_flags) == [
+            assert [maximal for _, maximal in rows] == [
                 not (n - d in around or n + k * d in around) for n, d in want
             ]
 
@@ -139,28 +149,27 @@ class TestExtend:
         # 3, 5, ..., 11 ends at the limit; the neighbour 13 lies above it
         params = SumsetParams(2, 3)
         five = find_progressions(params, 5, 11)
-        assert dict(zip(five.pairs(), five.maximal_flags))[(3, 2)] is False
+        assert flags_by_window(five)[(3, 2)] is False
         six = find_progressions(params, 6, 13)
-        assert six.pairs() == [(3, 2)]
-        assert six.progressions[0].term_values()[-1] == 13
+        assert windows(six) == [(3, 2)]
+        assert six[0][0].term_values()[-1] == 13
 
     def test_forward_six_stops(self):
-        rep = find_progressions(SumsetParams(2, 3), 6, 10**6)
-        assert rep.pairs()[0] == (3, 2)
-        assert rep.maximal_flags[0] is True  # 1 and 15 are not in S_{2,3}
+        (prog, maximal), *_ = find_progressions(SumsetParams(2, 3), 6, 10**6)
+        assert (prog.N, prog.D) == (3, 2)
+        assert maximal is True  # 1 and 15 are not in S_{2,3}
 
     def test_forward_17_24_stops_at_161(self):
         # 17, ..., 137 ends at the limit, so 161 is tested above it
-        rep = find_progressions(SumsetParams(2, 3), 6, 137)
-        assert dict(zip(rep.pairs(), rep.maximal_flags))[(17, 24)] is True
+        assert flags_by_window(find_progressions(SumsetParams(2, 3), 6, 137))[(17, 24)] is True
 
     def test_backward(self):
         params = SumsetParams(2, 3)
         five = find_progressions(params, 5, 100)
-        assert dict(zip(five.pairs(), five.maximal_flags))[(5, 2)] is False
+        assert flags_by_window(five)[(5, 2)] is False
         six = find_progressions(params, 6, 100)
-        assert six.pairs() == [(3, 2)]
-        assert six.progressions[0].term_values() == [3, 5, 7, 9, 11, 13]
+        assert windows(six) == [(3, 2)]
+        assert six[0][0].term_values() == [3, 5, 7, 9, 11, 13]
 
 
 class TestProgression:
@@ -185,21 +194,32 @@ class TestProgression:
             progression(SumsetParams(2, 3), [2, 4, 6])
 
 
+def count3_summary(capsys, a, b, limits):
+    """The stabilized flags of the `count3` command's last line."""
+    assert main(["count3", str(a), str(b), "--limits", ",".join(map(str, limits))]) == 0
+    return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
 class TestCount3:
-    def test_s27_stabilizes_at_22(self):
-        rep = count_3term_stable(SumsetParams(2, 7), [10**6, 10**8])
-        assert rep.window_counts == (22, 22)
-        assert rep.stabilized("window")
+    def test_s27_stabilizes_at_22(self, capsys):
+        rows = count_3term_stable(SumsetParams(2, 7), [10**6, 10**8])
+        assert [wins for _, wins, _ in rows] == [22, 22]
+        assert count3_summary(capsys, 2, 7, [10**6, 10**8])["stabilized_windows"] is True
 
-    def test_s29_strictly_increasing(self):
-        rep = count_3term_stable(SumsetParams(2, 9), [10**6, 10**9])
-        assert rep.window_counts[0] < rep.window_counts[1]
-        assert not rep.stabilized("window")
+    def test_s29_strictly_increasing(self, capsys):
+        (_, low, _), (_, high, _) = count_3term_stable(SumsetParams(2, 9), [10**6, 10**9])
+        assert low < high
+        assert count3_summary(capsys, 2, 9, [10**6, 10**9])["stabilized_windows"] is False
 
-    def test_equal_limits_stabilized(self):
-        rep = count_3term_stable(SumsetParams(4, 5), [10, 10])
-        assert rep.window_counts[0] == rep.window_counts[1]
-        assert rep.stabilized("window")
+    def test_equal_limits_stabilized(self, capsys):
+        first, second = count_3term_stable(SumsetParams(4, 5), [10, 10])
+        assert first == second
+        summary = count3_summary(capsys, 4, 5, [10, 10])
+        assert summary == {"stabilized_windows": True, "stabilized_maximal": True}
+
+    def test_single_limit_not_stabilized(self, capsys):
+        summary = count3_summary(capsys, 2, 7, [10**8])
+        assert summary == {"stabilized_windows": False, "stabilized_maximal": False}
 
     @pytest.mark.parametrize(
         "a, b, limits",
@@ -211,11 +231,15 @@ class TestCount3:
     )
     def test_matches_per_limit_search(self, a, b, limits):
         params = SumsetParams(a, b)
-        rep = count_3term_stable(params, limits)
-        for lim, windows, maximal in zip(limits, rep.window_counts, rep.maximal_counts):
+        rows = count_3term_stable(params, limits)
+        assert [lim for lim, _, _ in rows] == limits
+        for lim, wins, maximal in rows:
             single = find_progressions(params, 3, lim)
-            assert windows == len(single.progressions)
-            assert maximal == sum(single.maximal_flags)
+            assert wins == len(single)
+            assert maximal == sum(flag for _, flag in single)
+
+    def test_empty_ladder(self):
+        assert count_3term_stable(SumsetParams(2, 3), []) == []
 
     def test_rejects_descending(self):
         with pytest.raises(ValueError):

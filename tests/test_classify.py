@@ -2,7 +2,68 @@ import multiprocessing
 
 import pytest
 
-from apsumset.classify import SweepConfig, family1_tuple, family2_tuple, family_nonextension, sweep_grid
+from apsumset.apsearch import progression
+from apsumset.classify import (
+    SPORADIC_5TERM,
+    SweepConfig,
+    family1_tuple,
+    family2_tuple,
+    family_nonextension,
+    sweep_grid,
+    theorem1_match,
+    verify_theorem1,
+)
+from apsumset.sumset import SumsetParams
+
+
+class TestTheorem1Match:
+    @pytest.mark.parametrize("t", SPORADIC_5TERM, ids=str)
+    def test_sporadic(self, t):
+        assert theorem1_match(*t) == ("sporadic", None)
+
+    @pytest.mark.parametrize("t", SPORADIC_5TERM, ids=str)
+    def test_sporadic_is_a_progression(self, t):
+        a, b, n, d = t
+        prog = progression(SumsetParams(a, b), [n + i * d for i in range(5)])
+        assert (prog.N, prog.D, prog.length) == (n, d, 5)
+
+    @pytest.mark.parametrize("kind, maker", [("family1", family1_tuple), ("family2", family2_tuple)])
+    def test_family_parameter_recovered(self, kind, maker):
+        for k in range(1, 41):
+            assert theorem1_match(*maker(k)) == (kind, k)
+
+    @pytest.mark.parametrize("maker", [family1_tuple, family2_tuple])
+    def test_near_misses(self, maker):
+        for k in range(1, 41):
+            a, b, n, d = maker(k)
+            for miss in ((a, b, n, d - 1), (a, b, n, d + 1), (a, b, n + 1, d), (a, b + 1, n, d), (a + 1, b, n, d)):
+                assert theorem1_match(*miss) is None, miss
+
+    @pytest.mark.parametrize(
+        "t",
+        [(2, 7, 7, 6), (2, 2, 2, 1), (3, 21, 6, 10), (3, 23, 7, 12), (3, 4, 7, 5), (2, 3, 5, 3), (4, 5, 5, 2)],
+        ids=["b-1-not-power-of-2", "b-1-is-2^0", "b-1-over-4-not-power-of-3", "b-1-not-4k",
+             "sporadic-D-off", "sporadic-D-off-2", "sporadic-a-off"],
+    )
+    def test_no_match(self, t):
+        assert theorem1_match(*t) is None
+
+
+class TestVerifyTheorem1:
+    def test_rows_are_sweep_rows_with_match(self):
+        cfg = SweepConfig(3, 10, 10**4, 5)
+        rows = verify_theorem1(cfg)
+        assert [row[:5] for row in rows] == sweep_grid(cfg)
+        assert [row[5] for row in rows] == [theorem1_match(*row[:4]) for row in rows]
+        assert all(match is not None for *_, match in rows)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [((2, 3, 100, 2), "k must be >= 3, got 2"), ((2, 3, 1, 5), "limit must be >= 2, got 1")],
+    )
+    def test_config_names_bad_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(*fields)
 
 
 class TestFamilyNonextension:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from apsumset import families
+from apsumset import classify, families
 from apsumset.catalog import registry
 from apsumset.cli import main
 from apsumset.sumset import SumsetParams
@@ -57,6 +57,15 @@ GOLDEN_FAMILY = {
         "b93aaa8d697191bc06c076ac94b9ea37920704286e7eadd0f597fd2b8131b2c2",
     ("family", "verify", "three-term-multdep", "--params", "a=4,b=8,k=30,j=40"):
         "b492cb45e0228cbc2ca699fd52273d7b428a75bd145295e2d82f71a7536e70b8",
+}
+# result_sha256 of the benchmark's pinned sweep, a six-term sweep and a count3 ladder
+GOLDEN_SWEEP = {
+    ("--threads", "2", "sweep", "--a-max", "8", "--b-max", "120", "--len", "5", "--limit", "1000000000"):
+        "5ce51ac8878b8317d227df19ba2950548a4a8845498f6eee9edb4b9707cd1ff3",
+    ("--threads", "1", "sweep", "--a-max", "4", "--b-max", "40", "--len", "6", "--limit", "1e12"):
+        "e376beb132bef9dcad6a9e584c55b97fb0c1a58352e57f1f3f9dba8f58e66065",
+    ("count3", "2", "7", "--limits", "1e8,1e12"):
+        "f8a06031f0bf7d37b6191294b4944ee81134a405c8f0c8fe3fb633c83187a8ca",
 }
 # result_sha256 of member and enum at large exact bounds
 GOLDEN_SUMSET = {
@@ -140,6 +149,13 @@ class TestGoldenOutput:
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == {**GOLDEN_FAMILY, **GOLDEN_SUMSET}[argv]
 
+    @pytest.mark.parametrize("argv", list(GOLDEN_SWEEP), ids=["sweep-len5", "sweep-len6", "count3"])
+    def test_sweep_and_count3_digest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 0
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == manifest["result_sha256"] == GOLDEN_SWEEP[argv]
+
     def test_sweep_independent_of_threads(self, capsys, tmp_path):
         argv = ["sweep", "--a-max", "4", "--b-max", "40", "--len", "5", "--limit", "1000000"]
         outs = []
@@ -149,6 +165,22 @@ class TestGoldenOutput:
             outs.append(captured.out)
         assert outs[0] == outs[1]
         assert json.loads(outs[0].splitlines()[-1])["findings"] > 0
+
+    def test_sweep_mismatch_exits_1(self, capsys, tmp_path, monkeypatch):
+        # with (2, 3, 5, 2) gone from the table, 5, 7, 9, 11, 13 is unclassified
+        dropped = tuple(t for t in classify.SPORADIC_5TERM if t != (2, 3, 5, 2))
+        monkeypatch.setattr(classify, "SPORADIC_5TERM", dropped)
+        argv = ["--threads", "1", "sweep", "--a-max", "2", "--b-max", "3", "--len", "5", "--limit", "1000"]
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 1
+        assert manifest is not None
+        *lines, summary = map(json.loads, captured.out.splitlines())
+        (line,) = [obj for obj in lines if (obj["N"], obj["D"]) == ("5", "2")]
+        assert line["class"] is None
+        assert all(obj["class"] is not None for obj in lines if obj is not line)
+        assert summary["unclassified"] == 1
+        assert [2, 3, 5, 2] not in summary["witnessed_sporadics"]
+        assert summary["findings"] == len(lines)
 
     def test_bb5_default_bounds_count(self, capsys, tmp_path):
         code, captured, _ = run(capsys, tmp_path, "sunit", "bb5")
@@ -265,8 +297,10 @@ class TestRefusals:
             ("--threads", "-1", "check", "--all"),
             ("sunit", "bb5", "--alpha-max", "-1"),
             ("sunit", "bb5", "--beta-max", "-1"),
+            ("sweep", "--a-max", "2", "--b-max", "3", "--len", "2", "--limit", "100"),
+            ("sweep", "--a-max", "2", "--b-max", "3", "--len", "5", "--limit", "1"),
         ],
-        ids=["threads-0", "threads-negative", "bb5-alpha", "bb5-beta"],
+        ids=["threads-0", "threads-negative", "bb5-alpha", "bb5-beta", "sweep-len", "sweep-limit"],
     )
     def test_bad_bound_refused(self, capsys, tmp_path, argv):
         code, captured, manifest = run(capsys, tmp_path, *argv)

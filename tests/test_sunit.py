@@ -592,26 +592,35 @@ def naive_bb5(alpha_max, beta_max):
 class TestBajpaiBennett:
     def test_known_solution_present(self):
         sols = bajpai_bennett_5term()
-        assert any(s.signed_values() == (16, -9, -4, -2, -1) for s in sols)
+        assert any(s.term_values == (16, -9, -4, -2, -1) for s in sols)
 
     def test_stated_maxima(self):
         sols = bajpai_bennett_5term()
-        assert max(t.value for s in sols for t in s.terms) <= 3**12
-        assert max(t.alpha for s in sols for t in s.terms) <= 19
-        assert max(t.beta for s in sols for t in s.terms) <= 12
+        assert max(abs(v) for s in sols for v in s.term_values) <= 3**12
+        assert max(a for s in sols for a in s.values[::2]) <= 19
+        assert max(b for s in sols for b in s.values[1::2]) <= 12
+
+    def test_exponents_pair_with_values(self):
+        # the CLI reads term i's (alpha, beta) from values[2i:2i+2] and its sign and value from term_values[i]
+        for s in bajpai_bennett_5term():
+            assert s.variables == ("a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3", "a4", "b4")
+            magnitudes = [abs(v) for v in s.term_values]
+            assert magnitudes == [2 ** s.values[2 * i] * 3 ** s.values[2 * i + 1] for i in range(5)]
+            assert all(x > y for x, y in zip(magnitudes, magnitudes[1:]))
+            assert s.term_values[0] > 0
 
     def test_no_equal_magnitudes(self):
         for s in bajpai_bennett_5term():
-            assert len({t.value for t in s.terms}) == 5
+            assert len({abs(v) for v in s.term_values}) == 5
 
     def test_primitive_and_zero_sum(self):
         for s in bajpai_bennett_5term():
-            assert sum(s.signed_values()) == 0
-            assert gcd(*(t.value for t in s.terms)) == 1
-            assert not has_vanishing_subsum(s.signed_values())
+            assert sum(s.term_values) == 0
+            assert gcd(*s.term_values) == 1
+            assert not has_vanishing_subsum(s.term_values)
 
     def test_matches_naive_small(self):
-        got = {tuple((t.value, t.sign) for t in s.terms) for s in bajpai_bennett_5term(4, 3)}
+        got = {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in bajpai_bennett_5term(4, 3)}
         assert got == naive_bb5(4, 3)
         sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 10**9, require_primitive=True))
         assert {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in sols} == got
@@ -624,8 +633,8 @@ class TestBajpaiBennett:
         assert got
 
     def test_deterministic_order(self):
-        a = [s.signed_values() for s in bajpai_bennett_5term(6, 4)]
-        b = [s.signed_values() for s in bajpai_bennett_5term(6, 4)]
+        a = [s.term_values for s in bajpai_bennett_5term(6, 4)]
+        b = [s.term_values for s in bajpai_bennett_5term(6, 4)]
         assert a == b
         assert a == sorted(a, reverse=True)
 
@@ -633,7 +642,7 @@ class TestBajpaiBennett:
         # a primitive zero sum with no vanishing subsum that repeats 1, so it is no solution
         values = (8, -4, -2, -1, -1)
         assert sum(values) == 0 and gcd(*values) == 1 and not has_vanishing_subsum(values)
-        assert values not in {s.signed_values() for s in bajpai_bennett_5term()}
+        assert values not in {s.term_values for s in bajpai_bennett_5term()}
 
     @pytest.mark.parametrize("bounds", [(-1, 6), (8, -1)])
     def test_negative_bound_rejected(self, bounds):
