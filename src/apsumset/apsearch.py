@@ -1,22 +1,43 @@
 """Exhaustive search for k-term arithmetic progressions inside a sumset.
 
-Strategy: enumerate the sumset up to the limit (a set of polylog size),
-then for every ordered value pair (s0, s1) with s1 > s0 take N = s0,
-D = s1 - s0 and test the remaining k-2 terms by hash lookup.  Complete by
-construction: any progression's first two terms are such a pair.
+Strategy: enumerate the sumset S = S_{a,b} up to the limit L (a set of
+n ~ log_a L * log_b L values), then join it against the two power ladders
+A = {a^x < L} and B = {b^y < L}.  The first three terms s0 < s1 < s2 of
+any window satisfy s0 + s2 = 2*s1, and the middle term has some
+representation s1 = a^x + b^y, so
 
-The loop over s1 runs in C.  The final term N + (k-1)D = (k-1)*s1 - (k-2)*s0
-grows with s1, so for each s0 the admissible s1 are exactly the sorted
-values up to (limit + (k-2)*s0) // (k-1), found by bisection; integer
-floor division makes that cut exact.  The candidate third terms
-2*s1 - s0 of that range are formed by ``map`` over a list of doubled
-values, and one ``set.intersection`` keeps those in the sumset.  Each hit
-fixes D = (t - s0) / 2, and the remaining k-3 terms are confirmed by set
-lookup.  All arithmetic is on Python ints, so nothing is filtered or
-decided by a fixed-width or floating value.  The range can be empty for
-one s0 and not for a later one, because the gap to the next value is not
-monotone (in S_{2,3} at limit 257 the range is empty at s0 = 155 while
-245, 251, 257 follows), so the outer loop visits every value.
+    s0 - 2*a^x == 2*b^y - s2.
+
+The streamed side forms the key s0 - 2*a^x for every value and every power
+of a, the stored side the key 2*b^y - s2 for every value and every power
+of b, and one ``set.intersection`` per power of a finds the equal keys.
+Every window has such a match, so the join is complete for every k >= 3,
+and it forms n * (|A| + |B|) keys where a scan of all value pairs would
+test about n^2 / 2.
+
+A matched key fixes s0 and a^x but not which b^y met it, so each match
+walks the powers of b whose middle term a^x + b^y gives D >= 1 and a final
+term s0 + (k-1)D <= L (two bisections; integer floor division makes the
+cut exact) and keeps the third terms tb - key that lie in S.  Most matches
+are the trivial s0 = s1 = s2, which the cut D >= 1 drops.  The remaining
+k-3 terms are confirmed by set lookup, and (N, D) is deduplicated, because
+a middle term with several representations is met once per representation.
+
+The stored side is the b-side, the shorter ladder.  Keys are partitioned
+by their residue mod m: a key = r (mod m) comes from s0 = r + 2*a^x on the
+streamed side and from s2 = 2*b^y - r on the stored side, so with the
+values pre-bucketed by residue each key is formed exactly once, by ``map``
+over one bucket.  m is the least prime at or above n * |B| // _STORED_KEYS
+(1 when that is below 2), so one class stores about _STORED_KEYS keys; a
+prime spreads the values of most base pairs evenly, where a modulus
+sharing a factor with their structure crowds a few classes.  S_{2,3} at
+10^30 forms 396,093 stored keys (about 35 MiB as one set); m = 97 keeps
+the largest class at 4,213 keys.  Bases congruent to each other modulo a
+small m still crowd it: over a <= 30, b < 200 at 10^30 the largest class
+is 24,375 keys, (6, 16) with m = 5.
+
+Residues only partition: every key, term and difference is an exact Python
+int, so nothing is filtered or decided by a fixed-width or floating value.
 """
 
 from __future__ import annotations
@@ -24,7 +45,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .numutil import is_prime
 from .sumset import SumsetElement, SumsetParams, representations, value_set
+
+# the join's stored side holds about this many keys per residue class
+_STORED_KEYS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,22 +89,46 @@ def progression(params: SumsetParams, values: list[int]) -> Progression:
     return Progression(values[0], d, len(values), tuple(terms))
 
 
+def _doubled_ladder(base: int, limit: int) -> list[int]:
+    """2 * base^e for every power base^e < limit, ascending."""
+    out, power = [], 1
+    while power < limit:
+        out.append(2 * power)
+        power *= base
+    return out
+
+
 def _find_pairs(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], set[int]]:
     values = value_set(params, limit)
-    ordered = sorted(values)
-    doubled = [2 * v for v in ordered]
-    pairs: list[tuple[int, int]] = []
-    for i, s0 in enumerate(ordered):
-        hi = bisect_right(ordered, (limit + (k - 2) * s0) // (k - 1), i + 1)
-        for t in values.intersection(map(s0.__rsub__, doubled[i + 1 : hi])):
-            d = (t - s0) >> 1
-            for _ in range(k - 3):
-                t += d
-                if t not in values:
-                    break
-            else:
-                pairs.append((s0, d))
-    return pairs, values
+    twice_a = _doubled_ladder(params.a, limit)
+    twice_b = _doubled_ladder(params.b, limit)
+    m = max(1, len(values) * len(twice_b) // _STORED_KEYS)
+    while m > 1 and not is_prime(m):
+        m += 1
+    buckets: list[list[int]] = [[] for _ in range(m)]
+    for v in values:
+        buckets[v % m].append(v)
+    found: set[tuple[int, int]] = set()
+    for r in range(m):
+        stored: set[int] = set()
+        for tb in twice_b:
+            stored.update(map(tb.__sub__, buckets[(tb - r) % m]))
+        for ta in twice_a:
+            for key in stored.intersection(map(ta.__rsub__, buckets[(r + ta) % m])):
+                s0 = key + ta
+                # s1 = (ta + tb) / 2 with D = s1 - s0 >= 1 and s0 + (k-1)D <= limit
+                low = 2 * s0 - ta
+                lo = bisect_right(twice_b, low)
+                hi = bisect_right(twice_b, low + 2 * ((limit - s0) // (k - 1)), lo)
+                for t in values.intersection(map(key.__rsub__, twice_b[lo:hi])):
+                    d = (t - s0) >> 1
+                    for _ in range(k - 3):
+                        t += d
+                        if t not in values:
+                            break
+                    else:
+                        found.add((s0, d))
+    return list(found), values
 
 
 def _scan(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], list[bool]]:

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apsumset.apsearch import count_3term_stable, find_progressions, progression
+from apsumset.apsearch import _STORED_KEYS, count_3term_stable, find_progressions, progression
 from apsumset.cli import main
 from apsumset.sumset import SumsetParams, enumerate_up_to, value_set
 
@@ -112,6 +113,11 @@ class TestFindProgressions:
     )
     @example(ab=(2, 3), k=3, limit=257, data=None)  # 245, 251, 257 ends at the limit
     @example(ab=(5, 7), k=3, limit=10**25, data=None)  # values above 2^64
+    # dependent bases: a middle term can have several representations
+    @example(ab=(2, 4), k=3, limit=10**9, data=None)
+    @example(ab=(2, 8), k=4, limit=10**12, data=None)
+    @example(ab=(3, 9), k=3, limit=10**12, data=None)
+    @example(ab=(4, 8), k=3, limit=10**15, data=None)
     def test_matches_brute_force_property(self, ab, k, limit, data):
         params = SumsetParams(*ab)
         expected = brute_windows(params, k, limit)
@@ -134,6 +140,24 @@ class TestFindProgressions:
             assert [maximal for _, maximal in rows] == [
                 not (n - d in around or n + k * d in around) for n, d in want
             ]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_residue_classes_match_brute_force(self, k):
+        # about 27,000 stored keys: the join runs over several residue classes
+        params, limit = SumsetParams(2, 3), 10**12
+        assert len(value_set(params, limit)) * 26 > 2 * _STORED_KEYS  # 3^25 < 10^12 < 3^26
+        assert windows(find_progressions(params, k, limit)) == brute_windows(params, k, limit)
+
+    def test_peak_memory_at_1e30(self):
+        # one set of all 396,093 stored keys would take about 35 MiB
+        tracemalloc.start()
+        try:
+            rows = find_progressions(SumsetParams(2, 3), 3, 10**30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 505
+        assert peak < 4 * 2**20
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,19 @@ GOLDEN_SWEEP = {
     ("count3", "2", "7", "--limits", "1e8,1e12"):
         "f8a06031f0bf7d37b6191294b4944ee81134a405c8f0c8fe3fb633c83187a8ca",
 }
+# result_sha256 of progression searches large enough that the join's stored
+# side spans several residue buckets, one with dependent bases (2, 4) whose
+# middle terms have several representations, and a count3 ladder to 10^30
+GOLDEN_JOIN = {
+    ("ap", "2", "3", "--len", "3", "--limit", "1e30"):
+        "cba66231238b878dc25f1055b5bee060b0083d9a24ccbcd6cc0ad8d500a8589b",
+    ("ap", "2", "4", "--len", "3", "--limit", "1e20"):
+        "abd0105b5b48fa9b2ccc26aa65802187844a7b1c0e56d93f411104406fe4fdf7",
+    ("ap", "2", "3", "--len", "5", "--limit", "1e30"):
+        "3e7eb4ab63e8bcd7ad97382fce7ae5263fb4d478e5208d9ba56d33e34dfc64a9",
+    ("count3", "2", "3", "--limits", "1e10,1e20,1e30"):
+        "c5b5ec628e5a5fd71aadedba3b8938edc7edb7f34d5e9a2a936a3b5aa0d451ce",
+}
 # result_sha256 of member and enum at large exact bounds
 GOLDEN_SUMSET = {
     ("member", "2", "3", "1e400"):
@@ -156,6 +169,15 @@ class TestGoldenOutput:
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == GOLDEN_SWEEP[argv]
 
+    @pytest.mark.parametrize(
+        "argv", list(GOLDEN_JOIN), ids=["ap23-len3-1e30", "ap24-len3-1e20", "ap23-len5-1e30", "count3-23"]
+    )
+    def test_progression_join_digest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 0
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == manifest["result_sha256"] == GOLDEN_JOIN[argv]
+
     def test_sweep_independent_of_threads(self, capsys, tmp_path):
         argv = ["sweep", "--a-max", "4", "--b-max", "40", "--len", "5", "--limit", "1000000"]
         outs = []
@@ -181,6 +203,18 @@ class TestGoldenOutput:
         assert summary["unclassified"] == 1
         assert [2, 3, 5, 2] not in summary["witnessed_sporadics"]
         assert summary["findings"] == len(lines)
+
+    def test_six_term_sweep_mismatch_exits_1(self, capsys, tmp_path, monkeypatch):
+        # 17, 41, ..., 137 starts with the sporadic 5-term window (2, 3, 17, 24)
+        dropped = tuple(t for t in classify.SPORADIC_5TERM if t != (2, 3, 17, 24))
+        monkeypatch.setattr(classify, "SPORADIC_5TERM", dropped)
+        argv = ["--threads", "1", "sweep", "--a-max", "2", "--b-max", "3", "--len", "6", "--limit", "1e6"]
+        code, captured, _ = run(capsys, tmp_path, *argv)
+        assert code == 1
+        *lines, summary = map(json.loads, captured.out.splitlines())
+        (line,) = [obj for obj in lines if (obj["N"], obj["D"]) == ("17", "24")]
+        assert line["class"] is None
+        assert summary["unclassified"] == 1
 
     def test_bb5_default_bounds_count(self, capsys, tmp_path):
         code, captured, _ = run(capsys, tmp_path, "sunit", "bb5")
