@@ -10,7 +10,7 @@ order); optionally ``documented_extras`` rows and a string
 document the entry.  A ``KINDS`` record holds a whole-spec check that
 returns the row length (a scan kind takes exactly its typed keys, and
 ``build_pattern`` checks a pattern), a run function returning (found,
-bounds used, details) and an exact re-check of one expected row.  Every
+bounds used) and an exact re-check of one expected row.  Every
 entry is validated when the registry loads; a malformed one raises a
 ValueError naming the check id and the key.  A check runs the solver at
 the recorded bounds and reports found versus expected, with two safeguards:
@@ -29,7 +29,7 @@ difference equation b^x - b^y = 2^alpha 3^beta.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -165,34 +165,14 @@ def rn_scan(e_max: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _lemma21_sweep(
-    b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max: int
-) -> tuple[list[tuple], dict]:
-    """Returns (unlisted solutions, detail dict) for the classification sweep."""
-    unlisted = []
-    out_of_hyp = []
-    tags: dict[str, int] = {}
-    for b in range(b_min, b_max + 1):
-        for sol in lemma21_solve(b, x_max, alpha_max, beta_max):
-            tag = lemma21_classify(sol)
-            tags[tag] = tags.get(tag, 0) + 1
-            row = (sol.b, sol.x, sol.y, sol.alpha, sol.beta)
-            if tag == CASE_UNLISTED:
-                unlisted.append(row)
-            elif tag == CASE_OUT_OF_HYPOTHESIS:
-                out_of_hyp.append(row)
-    printed_bad = [
-        t
-        for t in LEMMA_SPORADIC_PRINTED
-        if t[0] ** t[1] - 1 != 2 ** t[2] * 3 ** t[3]
+def _lemma21_sweep(b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max: int) -> list[tuple]:
+    """The solutions of the classification sweep that no case covers."""
+    return [
+        (sol.b, sol.x, sol.y, sol.alpha, sol.beta)
+        for b in range(b_min, b_max + 1)
+        for sol in lemma21_solve(b, x_max, alpha_max, beta_max)
+        if lemma21_classify(sol) == CASE_UNLISTED
     ]
-    details = {
-        "tag_counts": tags,
-        "out_of_hypothesis": out_of_hyp,
-        "printed_sporadics_failing_recheck": printed_bad,
-        "corrected_sporadics": [t for t in LEMMA_SPORADIC if t not in LEMMA_SPORADIC_PRINTED],
-    }
-    return unlisted, details
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +261,12 @@ class Kind(NamedTuple):
     """One solver kind of the registry."""
 
     row_length: Callable[[dict], int]  # of an expected row; checks the spec whole and raises ValueError first
-    run: Callable[[dict], tuple[list[tuple], dict, dict]]  # spec -> (found, bounds_used, details)
+    run: Callable[[dict], tuple[list[tuple], dict]]  # spec -> (found, bounds_used)
     recheck: Callable[[dict, tuple], bool]  # (spec, expected row) -> exact re-check
 
 
 def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Callable[..., bool]) -> Kind:
-    """A kind whose spec holds exactly `keys` (name -> type), the keyword arguments of `scan` -> (found, details)."""
+    """A kind whose spec holds exactly `keys` (name -> type), the keyword arguments of `scan` -> found."""
 
     def row_length(spec: dict) -> int:
         for key in sorted(spec.keys() - {"kind", *keys}):
@@ -297,33 +277,33 @@ def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Cal
                                  else f"solver lacks key {key!r}")
         return length
 
-    def run(spec: dict) -> tuple[list[tuple], dict, dict]:
+    def run(spec: dict) -> tuple[list[tuple], dict]:
         args = {k: spec[k] for k in keys}
-        found, details = scan(**args)
-        return found, args, details
+        return scan(**args), args
 
     return Kind(row_length, run, lambda spec, row: row_check(*row))
 
 
-def _run_pattern(spec: dict) -> tuple[list[tuple], dict, dict]:
+def _run_pattern(spec: dict) -> tuple[list[tuple], dict]:
     pattern, predicate = build_pattern(spec)
-    return [s.values for s in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds), {}
+    return [s.values for s in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds)
 
 
+# scans are looked up by name when they run, so a wrapper later bound to
+# that name (a tracer's, say) sees the call
 KINDS: dict[str, Kind] = {
     "pattern": Kind(lambda spec: len(build_pattern(spec)[0].var_bounds), _run_pattern,
                     lambda spec, row: sum(build_pattern(spec)[0].term_values(row)) == 0),
     "pillai_table": _scan_kind(
-        {"prime_pairs": _INT_PAIRS, "power_bound": _INT}, 6,
-        lambda prime_pairs, power_bound: (pillai_difference_table(prime_pairs, power_bound), {}),
+        {"prime_pairs": _INT_PAIRS, "power_bound": _INT}, 6, lambda **args: pillai_difference_table(**args),
         lambda p, q, x, y, z, w: p**x - p**y == q**z - q**w > 0,
     ),
     "rn_scan": _scan_kind(
-        {"e_max": _INT}, 4, lambda e_max: (rn_scan(e_max), {}),
+        {"e_max": _INT}, 4, lambda e_max: rn_scan(e_max),
         lambda b, m, e1, e2: b**m == 2**e1 + 2**e2 + 1 and m >= 2 and e1 > e2 >= 1,
     ),
     "kruk_scan": _scan_kind(
-        dict.fromkeys(("b_min", "b_max", "exp_max"), _INT), 4, lambda **args: (kruk_scan(**args), {}),
+        dict.fromkeys(("b_min", "b_max", "exp_max"), _INT), 4, lambda **args: kruk_scan(**args),
         lambda b, x0, y1, y2: 1 + b**y2 + 2**x0 == 2 * b**y1,
     ),
     "lemma21_sweep": _scan_kind(
@@ -352,7 +332,6 @@ class VerificationReport:
     expected_recheck_failures: list[tuple]
     bounds_used: dict
     discrepancy_note: str | None = None
-    details: dict = field(default_factory=dict)
 
     @property
     def undocumented_extra(self) -> list[tuple]:
@@ -420,11 +399,11 @@ def run_check(check_id: str) -> VerificationReport:
     """Execute one registered check and compare found against expected."""
     checks = registry()
     if check_id not in checks:
-        raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(sorted(checks))}")
+        raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(sorted(checks))}")
     check = checks[check_id]
     kind = KINDS[check.solver["kind"]]
     recheck_failures = [t for t in check.expected if not kind.recheck(check.solver, t)]
-    found, bounds, details = kind.run(check.solver)
+    found, bounds = kind.run(check.solver)
     found_set, expected_set = set(found), set(check.expected)
     extra = found_set - expected_set
     return VerificationReport(
@@ -436,7 +415,6 @@ def run_check(check_id: str) -> VerificationReport:
         expected_recheck_failures=recheck_failures,
         bounds_used=bounds,
         discrepancy_note=check.discrepancy_note,
-        details=details,
     )
 
 

@@ -14,6 +14,7 @@ classification at desk scale, they do not prove it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .apsearch import find_progressions
@@ -99,10 +100,11 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
 
     The grid is embarrassingly parallel; results are re-sorted after the
     merge so the output is independent of the worker count.  At most one
-    worker per job is started, and a single worker runs inline.
+    worker per job and one per CPU is started, and a single worker runs
+    inline.
     """
     jobs = [(a, b, cfg.k, cfg.term_limit) for a, b in cfg.pairs()]
-    workers = min(threads, len(jobs))
+    workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:
         import multiprocessing
 

@@ -9,6 +9,10 @@ command, the full parameter set including defaults, the artifact version,
 wall-clock duration and a digest of the result bytes goes to stderr, or to
 ``--manifest FILE``.
 
+Each leaf command binds its runner with ``set_defaults(run=...)``.  A
+runner takes the parsed arguments and returns (rows, exit code); ``main``
+alone serialises the rows, digests them and writes them.
+
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 usage error,
 3 search-budget refusal.
 """
@@ -25,7 +29,7 @@ import time
 
 from . import __version__
 from .apsearch import count_3term_stable, find_progressions
-from .catalog import build_pattern, check_ids, run_all, run_check
+from .catalog import build_pattern, run_all, run_check
 from .classify import SweepConfig, verify_theorem1
 from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .sumset import SumsetParams, enumerate_up_to, representations
@@ -49,47 +53,26 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _s(n: int) -> str:
-    """Decimal-string form for integers that may exceed 64 bits."""
-    return str(n)
-
-
 def _param(v):
     """Manifest form of a parameter: integers of 64 bits or more as decimal strings."""
     if isinstance(v, list):
         return [_param(x) for x in v]
-    return _s(v) if isinstance(v, int) and abs(v) >= 2**63 else v
+    return str(v) if isinstance(v, int) and abs(v) >= 2**63 else v
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class _Output:
-    """Collects result lines so the manifest can digest the exact bytes."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def emit(self, obj) -> None:
-        self.lines.append(_dump(obj))
-
-    def flush(self) -> bytes:
-        blob = "".join(line + "\n" for line in self.lines).encode()
-        sys.stdout.write(blob.decode())
-        sys.stdout.flush()
-        return blob
-
-
 def _progression_obj(a: int, b: int, prog, maximal: bool | None = None):
     obj = {
         "a": a,
         "b": b,
-        "N": _s(prog.N),
-        "D": _s(prog.D),
+        "N": str(prog.N),
+        "D": str(prog.D),
         "len": prog.length,
         "terms": [
-            {"value": _s(t.value), "reps": [[x, y] for x, y in t.reps]}
+            {"value": str(t.value), "reps": [[x, y] for x, y in t.reps]}
             for t in prog.terms
         ],
     }
@@ -99,68 +82,67 @@ def _progression_obj(a: int, b: int, prog, maximal: bool | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners; each returns an exit code
+# Runners, one per leaf command; each returns (rows, exit code)
 # ---------------------------------------------------------------------------
 
 
-def _run_member(args, out: _Output) -> int:
-    params = SumsetParams(args.a, args.b)
-    reps = representations(params, args.n)
-    out.emit(
-        {
-            "a": args.a,
-            "b": args.b,
-            "n": _s(args.n),
-            "member": bool(reps),
-            "reps": [[x, y] for x, y in reps],
-        }
-    )
-    return EXIT_OK
+def _run_member(args):
+    reps = representations(SumsetParams(args.a, args.b), args.n)
+    row = {
+        "a": args.a,
+        "b": args.b,
+        "n": str(args.n),
+        "member": bool(reps),
+        "reps": [[x, y] for x, y in reps],
+    }
+    return [row], EXIT_OK
 
 
-def _run_enum(args, out: _Output) -> int:
-    params = SumsetParams(args.a, args.b)
-    for el in enumerate_up_to(params, args.limit):
-        out.emit({"value": _s(el.value), "reps": [[x, y] for x, y in el.reps]})
-    return EXIT_OK
+def _run_enum(args):
+    rows = [
+        {"value": str(el.value), "reps": [[x, y] for x, y in el.reps]}
+        for el in enumerate_up_to(SumsetParams(args.a, args.b), args.limit)
+    ]
+    return rows, EXIT_OK
 
 
-def _run_ap(args, out: _Output) -> int:
-    for prog, maximal in find_progressions(SumsetParams(args.a, args.b), args.len, args.limit):
-        out.emit(_progression_obj(args.a, args.b, prog, maximal))
-    return EXIT_OK
+def _run_ap(args):
+    rows = [
+        _progression_obj(args.a, args.b, prog, maximal)
+        for prog, maximal in find_progressions(SumsetParams(args.a, args.b), args.len, args.limit)
+    ]
+    return rows, EXIT_OK
 
 
-def _run_count3(args, out: _Output) -> int:
-    rows = count_3term_stable(SumsetParams(args.a, args.b), args.limits)
-    for lim, wins, maxi in rows:
-        out.emit({"limit": _s(lim), "windows": wins, "maximal": maxi})
+def _run_count3(args):
+    counts = count_3term_stable(SumsetParams(args.a, args.b), args.limits)
+    rows = [{"limit": str(lim), "windows": wins, "maximal": maxi} for lim, wins, maxi in counts]
     # a count has stabilized when the last two limits give the same value
-    windows, maximal = (len(rows) >= 2 and rows[-1][i] == rows[-2][i] for i in (1, 2))
-    out.emit({"stabilized_windows": windows, "stabilized_maximal": maximal})
-    return EXIT_OK
+    windows, maximal = (len(counts) >= 2 and counts[-1][i] == counts[-2][i] for i in (1, 2))
+    rows.append({"stabilized_windows": windows, "stabilized_maximal": maximal})
+    return rows, EXIT_OK
 
 
-def _run_sweep(args, out: _Output) -> int:
+def _run_sweep(args):
     cfg = SweepConfig(args.a_max, args.b_max, args.limit, args.len)
-    rows = verify_theorem1(cfg, threads=args.threads)
-    for a, b, n, d, maximal, match in rows:
-        out.emit(
-            {
-                "a": a,
-                "b": b,
-                "N": _s(n),
-                "D": _s(d),
-                "len": cfg.k,
-                "maximal": maximal,
-                "class": None if match is None else {"kind": match[0], "k": match[1]},
-            }
-        )
-    matched = [((a, b, n, d), match) for a, b, n, d, _, match in rows if match is not None]
-    unclassified = len(rows) - len(matched)
+    found = verify_theorem1(cfg, threads=args.threads)
+    rows = [
+        {
+            "a": a,
+            "b": b,
+            "N": str(n),
+            "D": str(d),
+            "len": cfg.k,
+            "maximal": maximal,
+            "class": None if match is None else {"kind": match[0], "k": match[1]},
+        }
+        for a, b, n, d, maximal, match in found
+    ]
+    matched = [((a, b, n, d), match) for a, b, n, d, _, match in found if match is not None]
+    unclassified = len(found) - len(matched)
     summary = {
         "pairs_swept": len(cfg.pairs()),
-        "findings": len(rows),
+        "findings": len(found),
         "unclassified": unclassified,
     }
     # witnessed entries are listed for a 5-term sweep, whose windows are the table's entries
@@ -168,66 +150,70 @@ def _run_sweep(args, out: _Output) -> int:
         summary["witnessed_sporadics"] = sorted({t for t, (kind, _) in matched if kind == "sporadic"})
         for family in ("family1", "family2"):
             summary[f"witnessed_{family}_k"] = sorted({k for _, (kind, k) in matched if kind == family})
-    out.emit(summary)
+    rows.append(summary)
     # every window of k >= 5 terms starts a 5-term progression the table must
     # classify; below 5 terms most windows lie outside the table by design
-    return EXIT_MISMATCH if (cfg.k >= 5 and unclassified) else EXIT_OK
+    return rows, EXIT_MISMATCH if (cfg.k >= 5 and unclassified) else EXIT_OK
 
 
-def _run_sunit(args, out: _Output) -> int:
-    if args.solver == "deweger":
-        sols = deweger_3term(DEWEGER_PRIMES, args.z_limit)
-        for t in sols:
-            out.emit(
-                {
-                    "x": _s(t.x),
-                    "y": _s(t.y),
-                    "z": _s(t.z),
-                    "ords": {str(p): e for p, e in triple_ord_profile(t).items()},
-                }
-            )
-        out.emit({"count": len(sols), "z_limit": _s(args.z_limit)})
-        return EXIT_OK
-    if args.solver == "dt":
-        sols = deze_tijdeman_4term(args.p, args.q)
-        for s in sols:
-            out.emit(
-                {
-                    "shape": s.shape,
-                    "signs": list(s.signs),
-                    "exponents": list(s.exponents),
-                    "terms": [_s(t) for t in s.terms],
-                }
-            )
-        out.emit({"count": len(sols), "p": args.p, "q": args.q})
-        return EXIT_OK
-    if args.solver == "bb5":
-        sols = bajpai_bennett_5term(args.alpha_max, args.beta_max)
-        for s in sols:
-            out.emit(
-                {
-                    "terms": [
-                        {"sign": 1 if v > 0 else -1, "alpha": alpha, "beta": beta, "value": _s(abs(v))}
-                        for v, alpha, beta in zip(s.term_values, s.values[::2], s.values[1::2])
-                    ]
-                }
-            )
-        out.emit({"count": len(sols), "alpha_max": args.alpha_max, "beta_max": args.beta_max})
-        return EXIT_OK
-    if args.solver == "pattern":
-        with open(args.pattern_file) as fh:
-            pattern, pred = build_pattern(json.load(fh))
-        sols = solve_pattern(pattern, side_predicate=pred, budget=args.budget)
-        for s in sols:
-            out.emit(
-                {
-                    "assignment": dict(zip(s.variables, s.values)),
-                    "terms": [_s(v) for v in s.term_values],
-                }
-            )
-        out.emit({"count": len(sols)})
-        return EXIT_OK
-    raise AssertionError(args.solver)
+def _run_deweger(args):
+    sols = deweger_3term(DEWEGER_PRIMES, args.z_limit)
+    rows = [
+        {
+            "x": str(t.x),
+            "y": str(t.y),
+            "z": str(t.z),
+            "ords": {str(p): e for p, e in triple_ord_profile(t).items()},
+        }
+        for t in sols
+    ]
+    rows.append({"count": len(sols), "z_limit": str(args.z_limit)})
+    return rows, EXIT_OK
+
+
+def _run_dt(args):
+    sols = deze_tijdeman_4term(args.p, args.q)
+    rows = [
+        {
+            "shape": s.shape,
+            "signs": list(s.signs),
+            "exponents": list(s.exponents),
+            "terms": [str(t) for t in s.terms],
+        }
+        for s in sols
+    ]
+    rows.append({"count": len(sols), "p": args.p, "q": args.q})
+    return rows, EXIT_OK
+
+
+def _run_bb5(args):
+    sols = bajpai_bennett_5term(args.alpha_max, args.beta_max)
+    rows = [
+        {
+            "terms": [
+                {"sign": 1 if v > 0 else -1, "alpha": alpha, "beta": beta, "value": str(abs(v))}
+                for v, alpha, beta in zip(s.term_values, s.values[::2], s.values[1::2])
+            ]
+        }
+        for s in sols
+    ]
+    rows.append({"count": len(sols), "alpha_max": args.alpha_max, "beta_max": args.beta_max})
+    return rows, EXIT_OK
+
+
+def _run_pattern(args):
+    with open(args.pattern_file) as fh:
+        pattern, pred = build_pattern(json.load(fh))
+    sols = solve_pattern(pattern, side_predicate=pred, budget=args.budget)
+    rows = [
+        {
+            "assignment": dict(zip(s.variables, s.values)),
+            "terms": [str(v) for v in s.term_values],
+        }
+        for s in sols
+    ]
+    rows.append({"count": len(sols)})
+    return rows, EXIT_OK
 
 
 def _check_obj(rep) -> dict:
@@ -249,20 +235,12 @@ def _check_obj(rep) -> dict:
     return obj
 
 
-def _run_check(args, out: _Output) -> int:
-    if args.all:
-        reports = run_all()
-    else:
-        if args.id is None:
-            raise ValueError("check needs an id or --all")
-        if args.id not in check_ids():
-            raise ValueError(f"unknown check id {args.id!r}; known: {', '.join(check_ids())}")
-        reports = [run_check(args.id)]
-    ok = True
-    for rep in reports:
-        out.emit(_check_obj(rep))
-        ok = ok and rep.passed
-    return EXIT_OK if ok else EXIT_MISMATCH
+def _run_check(args):
+    if args.all == (args.id is not None):
+        raise ValueError("check needs either an id or --all")
+    reports = run_all() if args.all else [run_check(args.id)]
+    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_MISMATCH
+    return [_check_obj(rep) for rep in reports], code
 
 
 def _parse_params(text: str) -> dict[str, int]:
@@ -284,23 +262,26 @@ def _parse_params(text: str) -> dict[str, int]:
     return params
 
 
-def _run_family(args, out: _Output) -> int:
-    if args.action == "list":
-        for fid in FAMILY_IDS:
-            out.emit({"family": fid})
-        return EXIT_OK
-    if args.action == "prog3-pairs":
-        for a, b, d1, d2 in find_prog3_pairs(args.limit):
-            out.emit({"a": a, "b": b, "delta1": d1, "delta2": d2})
-        return EXIT_OK
-    # gen / verify; a bad parameter, or terms out of progression or outside
-    # the sumset, raises ValueError (exit 2), so an emitted line is verified
+def _run_family_list(args):
+    return [{"family": fid} for fid in FAMILY_IDS], EXIT_OK
+
+
+def _run_family(args):
+    """`family gen` and `family verify`.
+
+    A bad parameter, or terms out of progression or outside the sumset,
+    raises ValueError (exit 2), so a returned row is verified.
+    """
     params, prog = generate(args.family_id, _parse_params(args.params))
     obj = _progression_obj(params.a, params.b, prog)
     obj["family"] = args.family_id
     obj["verified"] = True
-    out.emit(obj)
-    return EXIT_OK
+    return [obj], EXIT_OK
+
+
+def _run_prog3_pairs(args):
+    rows = [{"a": a, "b": b, "delta1": d1, "delta2": d2} for a, b, d1, d2 in find_prog3_pairs(args.limit)]
+    return rows, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -339,77 +320,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--manifest", metavar="FILE", help="write the run manifest to FILE instead of stderr")
     ap.add_argument("--threads", type=_threads_arg, default=os.cpu_count() or 1,
-                    help="worker processes for sweeps (results are independent of this)")
+                    help="worker processes for sweeps, at most the CPU count (results are independent of this)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("member", help="membership and representations of n in S_{a,b}")
     p.add_argument("a", type=_int_arg)
     p.add_argument("b", type=_int_arg)
     p.add_argument("n", type=_int_arg)
+    p.set_defaults(run=_run_member)
 
     p = sub.add_parser("enum", help="enumerate S_{a,b} up to a limit")
     p.add_argument("a", type=_int_arg)
     p.add_argument("b", type=_int_arg)
     p.add_argument("--limit", type=_int_arg, required=True)
+    p.set_defaults(run=_run_enum)
 
     p = sub.add_parser("ap", help="k-term arithmetic progressions in S_{a,b}")
     p.add_argument("a", type=_int_arg)
     p.add_argument("b", type=_int_arg)
     p.add_argument("--len", type=_int_arg, required=True)
     p.add_argument("--limit", type=_int_arg, required=True)
+    p.set_defaults(run=_run_ap)
 
     p = sub.add_parser("count3", help="3-term progression counts at a ladder of limits")
     p.add_argument("a", type=_int_arg)
     p.add_argument("b", type=_int_arg)
     p.add_argument("--limits", type=_int_list_arg, required=True, help="comma-separated, e.g. 1e8,1e10,1e12")
+    p.set_defaults(run=_run_count3)
 
     p = sub.add_parser("sweep", help="grid sweep with classification matching")
     p.add_argument("--a-max", type=_int_arg, required=True)
     p.add_argument("--b-max", type=_int_arg, required=True)
     p.add_argument("--len", type=_int_arg, required=True)
     p.add_argument("--limit", type=_int_arg, required=True)
+    p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("sunit", help="bounded exponential-equation solvers")
     ssub = p.add_subparsers(dest="solver", required=True)
     sp = ssub.add_parser("deweger", help="x + y = z in coprime 13-smooth integers")
     sp.add_argument("--z-limit", type=_int_arg, default=DEWEGER_Z_LIMIT)
+    sp.set_defaults(run=_run_deweger)
     sp = ssub.add_parser("dt", help="four-term two-prime shapes, powers <= 2^15")
     sp.add_argument("p", type=_int_arg)
     sp.add_argument("q", type=_int_arg)
+    sp.set_defaults(run=_run_dt)
     sp = ssub.add_parser("bb5", help="five-term {2,3}-unit equation")
     sp.add_argument("--alpha-max", type=_int_arg, default=BB5_ALPHA_MAX)
     sp.add_argument("--beta-max", type=_int_arg, default=BB5_BETA_MAX)
+    sp.set_defaults(run=_run_bb5)
     sp = ssub.add_parser("pattern", help="generic pattern from a JSON file")
     sp.add_argument("pattern_file")
     sp.add_argument("--budget", type=_int_arg, default=DEFAULT_BUDGET)
+    sp.set_defaults(run=_run_pattern)
 
     p = sub.add_parser("check", help="run registered verification checks")
     p.add_argument("id", nargs="?")
     p.add_argument("--all", action="store_true")
+    p.set_defaults(run=_run_check)
 
     p = sub.add_parser("family", help="constructive progression families")
     fsub = p.add_subparsers(dest="action", required=True)
     fp = fsub.add_parser("list", help="list family identifiers")
+    fp.set_defaults(run=_run_family_list)
     for action in ("gen", "verify"):
         fp = fsub.add_parser(action)
         fp.add_argument("family_id")
         fp.add_argument("--params", default="", help="comma-separated name=value, e.g. k=3,j=0")
+        fp.set_defaults(run=_run_family)
     fp = fsub.add_parser("prog3-pairs", help="base pairs satisfying the prog3 constraint")
     fp.add_argument("--limit", type=_int_arg, required=True)
+    fp.set_defaults(run=_run_prog3_pairs)
 
     return ap
-
-
-_RUNNERS = {
-    "member": _run_member,
-    "enum": _run_enum,
-    "ap": _run_ap,
-    "count3": _run_count3,
-    "sweep": _run_sweep,
-    "sunit": _run_sunit,
-    "check": _run_check,
-    "family": _run_family,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -418,28 +400,29 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    out = _Output()
     start = time.perf_counter()
     try:
-        code = _RUNNERS[args.command](args, out)
+        rows, code = args.run(args)
+        text = "".join(_dump(row) + "\n" for row in rows)
     except SearchBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    blob = out.flush()
+    sys.stdout.write(text)
+    sys.stdout.flush()
     manifest = {
         "command": args.command,
         "parameters": {
             k: _param(v)
             for k, v in sorted(vars(args).items())
-            if k not in ("manifest",)
+            if k not in ("manifest", "run")
         },
         "version": __version__,
         "duration_s": round(time.perf_counter() - start, 3),
-        "result_lines": len(out.lines),
-        "result_sha256": hashlib.sha256(blob).hexdigest(),
+        "result_lines": len(rows),
+        "result_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
     if args.manifest:
         with open(args.manifest, "w") as fh:

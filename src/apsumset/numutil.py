@@ -10,13 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# Witnesses proving deterministic Miller-Rabin correct for n < 3.3 * 10^24,
-# far beyond every quantity handled here; is_prime also trial-divides by them.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses are proven deterministic for
+# n < _MR_LIMIT (the first 12 only below 318665857834031151167461, a
+# strong pseudoprime to all of them); is_prime also trial-divides by them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for word-sized (and moderately larger) n."""
+    """Deterministic primality test for n < 3317044064679887385961981 (about 3.3 * 10^24).
+
+    Larger n raise ValueError rather than risk a wrong answer.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided here (proven only below {_MR_LIMIT})")
     if n < 2:
         return False
     for p in _MR_BASES:

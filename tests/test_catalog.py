@@ -8,6 +8,8 @@ from apsumset.catalog import (
     CASE_SPORADIC,
     CASE_UNLISTED,
     KINDS,
+    LEMMA_SPORADIC,
+    LEMMA_SPORADIC_PRINTED,
     LemmaSolution,
     build_pattern,
     check_ids,
@@ -107,7 +109,7 @@ class TestRegistry:
         assert required <= set(check_ids())
 
     def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown check id 'no-such-check'"):
             run_check("no-such-check")
 
     def test_entries_carry_bounds_and_expected(self):
@@ -160,9 +162,12 @@ class TestRunCheck:
         rep = run_check("lemma21-sweep")
         assert rep.passed and rep.flagged
         assert rep.found == []  # no unlisted solutions
-        assert rep.details["printed_sporadics_failing_recheck"] == [(17, 1, 5, 2)]
-        assert rep.details["corrected_sporadics"] == [(17, 2, 5, 2)]
-        assert all(row[0] == 2 for row in rep.details["out_of_hypothesis"])
+        # the printed (17, 1, 5, 2) fails the exact re-check; (17, 2, 5, 2) replaces it
+        assert [t for t in LEMMA_SPORADIC_PRINTED if t not in LEMMA_SPORADIC] == [(17, 1, 5, 2)]
+        assert [t for t in LEMMA_SPORADIC if t not in LEMMA_SPORADIC_PRINTED] == [(17, 2, 5, 2)]
+        with pytest.raises(ValueError):
+            LemmaSolution(17, 1, 0, 5, 2)  # 17 - 1 != 288
+        assert lemma21_classify(LemmaSolution(17, 2, 0, 5, 2)) == CASE_SPORADIC
 
     def test_run_all_passes(self):
         reports = run_all()

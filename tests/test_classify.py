@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import pytest
 
@@ -90,12 +91,9 @@ class TestFamilyNonextension:
 
 
 class TestSweepGrid:
-    @pytest.mark.parametrize(
-        "b_max, threads, pool_sizes",
-        [(2, 4, []), (3, 4, []), (4, 4, [2]), (5, 2, [2]), (6, 8, [4]), (5, 1, [])],
-    )
-    def test_pool_size(self, monkeypatch, b_max, threads, pool_sizes):
-        """At most one worker per (a, b) job; one worker runs inline."""
+    @staticmethod
+    def recorded_pool_sizes(monkeypatch, cpus, b_max, threads):
+        """The worker counts sweep_grid asks of a fake pool that maps inline, on `cpus` CPUs."""
         sizes = []
 
         class RecordingPool:
@@ -113,6 +111,20 @@ class TestSweepGrid:
 
         cfg = SweepConfig(2, b_max, 10**4, 3)
         inline = sweep_grid(cfg, threads=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         assert sweep_grid(cfg, threads=threads) == inline
-        assert sizes == pool_sizes
+        return sizes
+
+    @pytest.mark.parametrize(
+        "b_max, threads, pool_sizes",
+        [(2, 4, []), (3, 4, []), (4, 4, [2]), (5, 2, [2]), (6, 8, [4]), (5, 1, [])],
+    )
+    def test_pool_size(self, monkeypatch, b_max, threads, pool_sizes):
+        """At most one worker per (a, b) job; one worker runs inline."""
+        assert self.recorded_pool_sizes(monkeypatch, 8, b_max, threads) == pool_sizes
+
+    @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (3, [3]), (1, []), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pool_sizes):
+        """No more workers than CPUs, whatever --threads asks; an unknown count means one."""
+        assert self.recorded_pool_sizes(monkeypatch, cpus, 9, 10**6) == pool_sizes

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -6,7 +7,7 @@ import pytest
 
 from apsumset import classify, families
 from apsumset.catalog import registry
-from apsumset.cli import main
+from apsumset.cli import build_parser, main
 from apsumset.sumset import SumsetParams
 
 # result_sha256 of the benchmark's pinned progressions commands
@@ -261,12 +262,13 @@ class TestRefusals:
             {**VALID_PATTERN, "side_predicte": "baj-eq15-context"},
             {**VALID_PATTERN, "valu_bound": 100},
             {**VALID_PATTERN, "interchangeable": True},
+            {**VALID_PATTERN, "p": 2**89 - 1},  # prime, but above is_prime's proven bound
         ],
         ids=[
             "no-terms", "unknown-predicate", "list-predicate", "top-level-list", "negative-bound",
             "repeated-bound", "float-bound", "short-term", "bool-coefficient", "string-prime",
             "int-flag", "string-value-bound", "negative-value-bound", "misspelled-side-predicate",
-            "misspelled-value-bound", "interchangeable",
+            "misspelled-value-bound", "interchangeable", "prime-beyond-bound",
         ],
     )
     def test_malformed_pattern_refused(self, capsys, tmp_path, spec):
@@ -345,7 +347,11 @@ class TestRefusals:
 
 
 class TestCheckRefusals:
-    @pytest.mark.parametrize("argv", [("check",), ("check", "no-such-check")], ids=["no-id", "unknown-id"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("check",), ("check", "no-such-check"), ("check", "sec4-szalay", "--all"), ("check", "no-such-check", "--all")],
+        ids=["no-id", "unknown-id", "id-and-all", "unknown-id-and-all"],
+    )
     def test_refused_without_manifest(self, capsys, tmp_path, argv):
         code, captured, manifest = run(capsys, tmp_path, *argv)
         assert code == 2
@@ -469,3 +475,52 @@ class TestFamilyParams:
             assert code == 0
             outs.append(captured.out)
         assert outs[0] == outs[1]
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) for every parser of the tree that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+# each leaf command: the arguments of a small run (PATTERN is a valid pattern
+# file) and its manifest parameters, every option with its default but not
+# the bound runner
+LEAF_RUNS = {
+    ("member",): ("2 3 5", "a b command n threads"),
+    ("enum",): ("2 3 --limit 100", "a b command limit threads"),
+    ("ap",): ("2 3 --len 3 --limit 100", "a b command len limit threads"),
+    ("count3",): ("2 3 --limits 100", "a b command limits threads"),
+    ("sweep",): ("--a-max 2 --b-max 3 --len 5 --limit 1000", "a_max b_max command len limit threads"),
+    ("sunit", "deweger"): ("--z-limit 100", "command solver threads z_limit"),
+    ("sunit", "dt"): ("2 3", "command p q solver threads"),
+    ("sunit", "bb5"): ("--alpha-max 2 --beta-max 2", "alpha_max beta_max command solver threads"),
+    ("sunit", "pattern"): ("PATTERN", "budget command pattern_file solver threads"),
+    ("check",): ("sec4-szalay", "all command id threads"),
+    ("family", "list"): ("", "action command threads"),
+    ("family", "gen"): ("prog1 --params n=5", "action command family_id params threads"),
+    ("family", "verify"): ("prog1 --params n=5", "action command family_id params threads"),
+    ("family", "prog3-pairs"): ("--limit 100", "action command limit threads"),
+}
+
+
+class TestDispatch:
+    def test_every_leaf_binds_a_runner(self):
+        leaves = dict(leaf_parsers(build_parser()))
+        assert set(leaves) == set(LEAF_RUNS)
+        for path, parser in leaves.items():
+            assert callable(parser.get_default("run")), path
+
+    @pytest.mark.parametrize("path", list(LEAF_RUNS), ids=" ".join)
+    def test_manifest_parameters(self, capsys, tmp_path, path):
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps(VALID_PATTERN))
+        args, parameters = LEAF_RUNS[path]
+        argv = [str(pattern) if arg == "PATTERN" else arg for arg in args.split()]
+        code, _, manifest = run(capsys, tmp_path, "--threads", "1", *path, *argv)
+        assert code == 0
+        assert sorted(manifest["parameters"]) == parameters.split()

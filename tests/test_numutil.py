@@ -133,6 +133,11 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+    # 399165290221 * 798330580441, a strong pseudoprime to each of the first 12 prime bases
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961980)  # the bound is exclusive
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
 
 
 def test_iroot_matches_definition():
