@@ -12,12 +12,7 @@ __version__ = "0.1.0"
 
 from .apsearch import Progression, count_3term_stable, find_progressions, progression
 from .catalog import LemmaSolution, lemma21_classify, lemma21_solve, run_all, run_check
-from .classify import (
-    SweepConfig,
-    family_nonextension,
-    theorem1_match,
-    verify_theorem1,
-)
+from .classify import SweepConfig, family_nonextension, theorem1_match
 from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .numutil import PrimeSet, power_exponent, smooth_enumerate
 from .sumset import Representation, SumsetElement, SumsetParams, enumerate_up_to, representations

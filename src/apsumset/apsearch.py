@@ -54,7 +54,7 @@ _STORED_KEYS = 4096
 
 @dataclass(frozen=True)
 class Progression:
-    """An arithmetic progression N, N+D, ..., N+(length-1)D with witnesses.
+    """An arithmetic progression N, N+D, N+2D, ... with witnesses.
 
     Every term carries its complete representation list; D >= 1 always.
     Build one with `progression`, which checks both.
@@ -62,11 +62,7 @@ class Progression:
 
     N: int
     D: int
-    length: int
     terms: tuple[SumsetElement, ...]
-
-    def term_values(self) -> list[int]:
-        return [self.N + i * self.D for i in range(self.length)]
 
 
 def progression(params: SumsetParams, values: list[int]) -> Progression:
@@ -86,7 +82,7 @@ def progression(params: SumsetParams, values: list[int]) -> Progression:
         if not reps:
             raise ValueError(f"{v} is not in S_{{{params.a},{params.b}}}")
         terms.append(SumsetElement(v, tuple(reps)))
-    return Progression(values[0], d, len(values), tuple(terms))
+    return Progression(values[0], d, tuple(terms))
 
 
 def _doubled_ladder(base: int, limit: int) -> list[int]:
@@ -131,38 +127,29 @@ def _find_pairs(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[in
     return list(found), values
 
 
-def _scan(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], list[bool]]:
-    """Sorted (N, D) windows up to the limit, with their maximal flags."""
+def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[int, int, bool]]:
+    """All (N, D) with N, N+D, ..., N+(k-1)D in the sumset and N+(k-1)D <= limit.
+
+    One (N, D, maximal) row per k-term window, sorted: maximal is true iff
+    neither N-D nor N+kD is in the sumset.  Windows of a longer
+    progression appear separately, and the flag tells them apart.  The
+    rows carry no witnesses; `progression` builds them for a window.
+    """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     pairs, values = _find_pairs(params, k, limit)
     pairs.sort()
-    flags = []
+    rows = []
     for n, d in pairs:
         before = n - d
         after = n + k * d
         extendable = (before >= 2 and before in values) or (
             after in values if after <= limit else bool(representations(params, after))
         )
-        flags.append(not extendable)
-    return pairs, flags
-
-
-def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[Progression, bool]]:
-    """All (N, D) with N, N+D, ..., N+(k-1)D in the sumset and N+(k-1)D <= limit.
-
-    One row per (N, D, k) window, sorted by (N, D): the progression with
-    its witnesses, and the maximal flag (true iff neither N-D nor N+kD is
-    in the sumset).  Windows of a longer progression appear separately,
-    and the flag tells them apart.
-    """
-    pairs, flags = _scan(params, k, limit)
-    return [
-        (progression(params, [n + i * d for i in range(k)]), flag)
-        for (n, d), flag in zip(pairs, flags)
-    ]
+        rows.append((n, d, not extendable))
+    return rows
 
 
 def count_3term_stable(params: SumsetParams, limits: list[int]) -> list[tuple[int, int, int]]:
@@ -183,8 +170,8 @@ def count_3term_stable(params: SumsetParams, limits: list[int]) -> list[tuple[in
         return []
     if limits[0] < 2:
         raise ValueError(f"limit must be >= 2, got {limits[0]}")
-    pairs, flags = _scan(params, 3, limits[-1])
-    finals = [(n + 2 * d, flag) for (n, d), flag in zip(pairs, flags)]
+    rows = find_progressions(params, 3, limits[-1])
+    finals = [(n + 2 * d, flag) for n, d, flag in rows]
     return [
         (lim, sum(f <= lim for f, _ in finals), sum(flag and f <= lim for f, flag in finals))
         for lim in limits

@@ -28,6 +28,7 @@ difference equation b^x - b^y = 2^alpha 3^beta.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -372,27 +373,15 @@ def _named_check(entry, seen: dict) -> NamedCheck:
     return NamedCheck(cid, spec, *(tuple(map(tuple, v)) for v in rows.values()), note)
 
 
-def _load_registry() -> dict[str, NamedCheck]:
-    raw = json.loads(resources.files("apsumset").joinpath("data/checks.json").read_text())
-    registry: dict[str, NamedCheck] = {}
-    for entry in raw["checks"]:
-        check = _named_check(entry, registry)
-        registry[check.id] = check
-    return registry
-
-
-_REGISTRY: dict[str, NamedCheck] | None = None
-
-
+@functools.cache
 def registry() -> dict[str, NamedCheck]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _load_registry()
-    return _REGISTRY
-
-
-def check_ids() -> list[str]:
-    return sorted(registry())
+    """The validated checks of ``data/checks.json`` by id, loaded on first call."""
+    raw = json.loads(resources.files("apsumset").joinpath("data/checks.json").read_text())
+    checks: dict[str, NamedCheck] = {}
+    for entry in raw["checks"]:
+        check = _named_check(entry, checks)
+        checks[check.id] = check
+    return checks
 
 
 def run_check(check_id: str) -> VerificationReport:
@@ -420,4 +409,4 @@ def run_check(check_id: str) -> VerificationReport:
 
 def run_all() -> list[VerificationReport]:
     """Every registered check, ordered by id."""
-    return [run_check(cid) for cid in check_ids()]
+    return [run_check(cid) for cid in sorted(registry())]

@@ -6,10 +6,11 @@ S_{a,b} with b > a > 1 belongs to one of two one-parameter families
     family1(k): (a, b, N, D) = (2, 2^k + 1, 2^k + 1, 2^k)
     family2(k): (a, b, N, D) = (3, 4*3^(k-1) + 1, 3^(k-1) + 1, 2*3^(k-1))
 
-or is one of nine sporadic tuples.  The sweeps here re-derive every 5-, 6-
-and 7-term progression within a bounded (a, b) grid by exhaustive search
-and match the findings against this table; they corroborate the
-classification at desk scale, they do not prove it.
+or is one of nine sporadic tuples.  The sweeps here re-derive every k-term
+progression (any k >= 3) within a bounded (a, b) grid by exhaustive search;
+at k >= 5 each finding is matched against this table on its first five
+terms.  They corroborate the classification at desk scale, they do not
+prove it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class SweepConfig:
 
 def _sweep_pair(args: tuple[int, int, int, int]) -> list[tuple[int, int, int, int, bool]]:
     a, b, k, limit = args
-    return [(a, b, p.N, p.D, maximal) for p, maximal in find_progressions(SumsetParams(a, b), k, limit)]
+    return [(a, b, *row) for row in find_progressions(SumsetParams(a, b), k, limit)]
 
 
 def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, int, bool]]:
@@ -115,19 +116,6 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     rows = [row for chunk in chunks for row in chunk]
     rows.sort()
     return rows
-
-
-def verify_theorem1(
-    cfg: SweepConfig, threads: int = 1
-) -> list[tuple[int, int, int, int, bool, tuple[str, int | None] | None]]:
-    """The `sweep_grid` rows (a, b, N, D, maximal), each with its `theorem1_match`.
-
-    The sweep runs at any k.  The table lists 5-term progressions, and a
-    row is matched on (a, b, N, D) alone, that is on its window's first
-    five terms.  A match of None is unclassified, which at k = 5
-    contradicts the table.
-    """
-    return [(*row, theorem1_match(*row[:4])) for row in sweep_grid(cfg, threads)]
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,9 @@ import re
 import sys
 import time
 
-from . import __version__
-from .apsearch import count_3term_stable, find_progressions
+from . import __version__, classify
+from .apsearch import count_3term_stable, find_progressions, progression
 from .catalog import build_pattern, run_all, run_check
-from .classify import SweepConfig, verify_theorem1
 from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .sumset import SumsetParams, enumerate_up_to, representations
 from .sunit import (
@@ -70,7 +69,7 @@ def _progression_obj(a: int, b: int, prog, maximal: bool | None = None):
         "b": b,
         "N": str(prog.N),
         "D": str(prog.D),
-        "len": prog.length,
+        "len": len(prog.terms),
         "terms": [
             {"value": str(t.value), "reps": [[x, y] for x, y in t.reps]}
             for t in prog.terms
@@ -107,10 +106,11 @@ def _run_enum(args):
 
 
 def _run_ap(args):
-    rows = [
-        _progression_obj(args.a, args.b, prog, maximal)
-        for prog, maximal in find_progressions(SumsetParams(args.a, args.b), args.len, args.limit)
-    ]
+    params = SumsetParams(args.a, args.b)
+    rows = []
+    for n, d, maximal in find_progressions(params, args.len, args.limit):
+        prog = progression(params, [n + i * d for i in range(args.len)])
+        rows.append(_progression_obj(args.a, args.b, prog, maximal))
     return rows, EXIT_OK
 
 
@@ -124,8 +124,14 @@ def _run_count3(args):
 
 
 def _run_sweep(args):
-    cfg = SweepConfig(args.a_max, args.b_max, args.limit, args.len)
-    found = verify_theorem1(cfg, threads=args.threads)
+    cfg = classify.SweepConfig(args.a_max, args.b_max, args.limit, args.len)
+    # the table lists 5-term progressions, so a row is matched on (a, b, N, D),
+    # its window's first five terms.  The functions are looked up in classify
+    # when they run, so a wrapper later bound there sees the call.
+    found = [
+        (*row, classify.theorem1_match(*row[:4]))
+        for row in classify.sweep_grid(cfg, args.threads)
+    ]
     rows = [
         {
             "a": a,

@@ -1,8 +1,7 @@
 """Exact arbitrary-precision integer utilities shared by all solvers.
 
 Everything here works on Python ints only; no floating point enters any
-arithmetic path.  Logarithms are used solely for search-space *estimates*,
-never to decide equality of integers.
+arithmetic path.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ def edited_registry(monkeypatch):
 
     ``edit(check_id, path, value)`` walks the keys and indexes of `path` in
     that entry and sets the last one to `value`, or deletes it when `value`
-    is ``...``.  The next ``registry()`` call loads the edited data.
+    is ``...``.  The next ``registry()`` call loads the edited data, and
+    the cached registry is dropped again at teardown, so no later test sees
+    the edit.
     """
 
     def edit(check_id, path, value):
@@ -30,6 +32,7 @@ def edited_registry(monkeypatch):
         else:
             target[last] = value
         monkeypatch.setattr(catalog, "json", SimpleNamespace(loads=lambda text: raw))
-        monkeypatch.setattr(catalog, "_REGISTRY", None)
+        catalog.registry.cache_clear()
 
-    return edit
+    yield edit
+    catalog.registry.cache_clear()

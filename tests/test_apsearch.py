@@ -41,11 +41,11 @@ def brute_windows(params, k, limit):
 
 def windows(rows):
     """The (N, D) of each `find_progressions` row."""
-    return [(prog.N, prog.D) for prog, _ in rows]
+    return [(n, d) for n, d, _ in rows]
 
 
 def flags_by_window(rows):
-    return {(prog.N, prog.D): maximal for prog, maximal in rows}
+    return {(n, d): maximal for n, d, maximal in rows}
 
 
 class TestFindProgressions:
@@ -59,8 +59,7 @@ class TestFindProgressions:
 
     def test_tiny_window(self):
         rows = find_progressions(SumsetParams(2, 3), 3, 4)
-        assert windows(rows) == [(2, 1)]
-        assert rows[0][0].term_values() == [2, 3, 4]
+        assert rows == [(2, 1, False)]  # not maximal: 5 = 4 + 1 lies in S_{2,3}
 
     def test_matches_brute_force(self):
         params = SumsetParams(2, 3)
@@ -70,9 +69,9 @@ class TestFindProgressions:
     def test_terms_reverify_by_membership(self):
         params = SumsetParams(2, 5)
         witnesses = {e.value: e.reps for e in enumerate_up_to(params, 10**6)}
-        rows = find_progressions(params, 4, 10**6)
-        for prog, _ in rows:
-            assert [t.value for t in prog.terms] == prog.term_values()
+        for n, d, _ in find_progressions(params, 4, 10**6):
+            prog = progression(params, [n + i * d for i in range(4)])
+            assert (prog.N, prog.D) == (n, d)
             for term in prog.terms:
                 assert term.reps == witnesses[term.value]
 
@@ -93,8 +92,8 @@ class TestFindProgressions:
 
     def test_final_term_within_limit(self):
         rows = find_progressions(SumsetParams(2, 3), 5, 300)
-        for prog, _ in rows:
-            assert prog.N + 4 * prog.D <= 300
+        for n, d, _ in rows:
+            assert n + 4 * d <= 300
 
     def test_maximal_flags(self):
         by_pair = flags_by_window(find_progressions(SumsetParams(2, 3), 5, 10**4))
@@ -137,7 +136,7 @@ class TestFindProgressions:
             assert windows(rows) == want
             # both neighbours of a window lie below twice the limit
             around = value_set(params, 2 * lim)
-            assert [maximal for _, maximal in rows] == [
+            assert [maximal for _, _, maximal in rows] == [
                 not (n - d in around or n + k * d in around) for n, d in want
             ]
 
@@ -175,12 +174,11 @@ class TestExtend:
         five = find_progressions(params, 5, 11)
         assert flags_by_window(five)[(3, 2)] is False
         six = find_progressions(params, 6, 13)
-        assert windows(six) == [(3, 2)]
-        assert six[0][0].term_values()[-1] == 13
+        assert windows(six) == [(3, 2)]  # its sixth term is 3 + 5 * 2 = 13
 
     def test_forward_six_stops(self):
-        (prog, maximal), *_ = find_progressions(SumsetParams(2, 3), 6, 10**6)
-        assert (prog.N, prog.D) == (3, 2)
+        (n, d, maximal), *_ = find_progressions(SumsetParams(2, 3), 6, 10**6)
+        assert (n, d) == (3, 2)
         assert maximal is True  # 1 and 15 are not in S_{2,3}
 
     def test_forward_17_24_stops_at_161(self):
@@ -192,15 +190,14 @@ class TestExtend:
         five = find_progressions(params, 5, 100)
         assert flags_by_window(five)[(5, 2)] is False
         six = find_progressions(params, 6, 100)
-        assert windows(six) == [(3, 2)]
-        assert six[0][0].term_values() == [3, 5, 7, 9, 11, 13]
+        assert windows(six) == [(3, 2)]  # 3, 5, 7, 9, 11, 13
 
 
 class TestProgression:
     def test_builds_terms_with_witnesses(self):
         prog = progression(SumsetParams(2, 3), [5, 7, 9, 11])
-        assert (prog.N, prog.D, prog.length) == (5, 2, 4)
-        assert [t.value for t in prog.terms] == prog.term_values() == [5, 7, 9, 11]
+        assert (prog.N, prog.D) == (5, 2)
+        assert [t.value for t in prog.terms] == [5, 7, 9, 11]
         assert prog.terms[3].reps == ((1, 2), (3, 1))  # 11 = 2 + 9 = 8 + 3
 
     @pytest.mark.parametrize(
@@ -260,7 +257,7 @@ class TestCount3:
         for lim, wins, maximal in rows:
             single = find_progressions(params, 3, lim)
             assert wins == len(single)
-            assert maximal == sum(flag for _, flag in single)
+            assert maximal == sum(flag for _, _, flag in single)
 
     def test_empty_ladder(self):
         assert count_3term_stable(SumsetParams(2, 3), []) == []

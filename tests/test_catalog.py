@@ -12,7 +12,6 @@ from apsumset.catalog import (
     LEMMA_SPORADIC_PRINTED,
     LemmaSolution,
     build_pattern,
-    check_ids,
     kruk_scan,
     lemma21_classify,
     lemma21_solve,
@@ -106,7 +105,7 @@ class TestRegistry:
             "kruk-b-scan",
             "lemma21-sweep",
         }
-        assert required <= set(check_ids())
+        assert required <= set(registry())
 
     def test_unknown_id_raises(self):
         with pytest.raises(ValueError, match="unknown check id 'no-such-check'"):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from apsumset import apsearch
 from apsumset.apsearch import progression
 from apsumset.classify import (
     SPORADIC_5TERM,
@@ -12,7 +13,6 @@ from apsumset.classify import (
     family_nonextension,
     sweep_grid,
     theorem1_match,
-    verify_theorem1,
 )
 from apsumset.sumset import SumsetParams
 
@@ -26,7 +26,7 @@ class TestTheorem1Match:
     def test_sporadic_is_a_progression(self, t):
         a, b, n, d = t
         prog = progression(SumsetParams(a, b), [n + i * d for i in range(5)])
-        assert (prog.N, prog.D, prog.length) == (n, d, 5)
+        assert (prog.N, prog.D, len(prog.terms)) == (n, d, 5)
 
     @pytest.mark.parametrize("kind, maker", [("family1", family1_tuple), ("family2", family2_tuple)])
     def test_family_parameter_recovered(self, kind, maker):
@@ -51,12 +51,7 @@ class TestTheorem1Match:
 
 
 class TestVerifyTheorem1:
-    def test_rows_are_sweep_rows_with_match(self):
-        cfg = SweepConfig(3, 10, 10**4, 5)
-        rows = verify_theorem1(cfg)
-        assert [row[:5] for row in rows] == sweep_grid(cfg)
-        assert [row[5] for row in rows] == [theorem1_match(*row[:4]) for row in rows]
-        assert all(match is not None for *_, match in rows)
+    """The sweep configuration that drives the Theorem 1 check names its bad field."""
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -128,3 +123,14 @@ class TestSweepGrid:
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pool_sizes):
         """No more workers than CPUs, whatever --threads asks; an unknown count means one."""
         assert self.recorded_pool_sizes(monkeypatch, cpus, 9, 10**6) == pool_sizes
+
+    def test_builds_no_witnesses(self, monkeypatch):
+        cfg = SweepConfig(2, 10, 10**6, 5)
+        expected = sweep_grid(cfg)
+        assert expected
+
+        def refuse(params, values):
+            raise AssertionError(f"the sweep built the witnesses of {values}")
+
+        monkeypatch.setattr(apsearch, "progression", refuse)
+        assert sweep_grid(cfg) == expected

@@ -217,6 +217,18 @@ class TestGoldenOutput:
         assert line["class"] is None
         assert summary["unclassified"] == 1
 
+    def test_sweep_lines_carry_theorem1_match(self, capsys, tmp_path):
+        # a line is matched on its (a, b, N, D), the first five terms of its window
+        argv = ["--threads", "1", "sweep", "--a-max", "3", "--b-max", "10", "--len", "5", "--limit", "1e4"]
+        code, captured, _ = run(capsys, tmp_path, *argv)
+        assert code == 0
+        *lines, summary = map(json.loads, captured.out.splitlines())
+        assert lines and summary["findings"] == len(lines)
+        for obj in lines:
+            match = classify.theorem1_match(obj["a"], obj["b"], int(obj["N"]), int(obj["D"]))
+            assert match is not None
+            assert obj["class"] == {"kind": match[0], "k": match[1]}
+
     def test_bb5_default_bounds_count(self, capsys, tmp_path):
         code, captured, _ = run(capsys, tmp_path, "sunit", "bb5")
         assert code == 0
