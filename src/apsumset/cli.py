@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("family_id")
         fp.add_argument("--params", default="", help="comma-separated name=value, e.g. k=3,j=0")
         fp.set_defaults(run=_run_family)
-    fp = fsub.add_parser("prog3-pairs", help="base pairs satisfying the prog3 constraint")
+    fp = fsub.add_parser(
+        "prog3-pairs", help="base pairs satisfying the prog3 constraint; any limit is cheap (Pell orbits)"
+    )
     fp.add_argument("--limit", type=_int_arg, required=True)
     fp.set_defaults(run=_run_prog3_pairs)
 

@@ -18,6 +18,13 @@ Families:
                                   dk - cj = +1 / -1;
 * prog1 .. prog7               -- seven sporadic-parameter shapes, e.g.
                                   prog1: (a, b, N, D) = (n, 2n-1, 2, n-1).
+
+prog3 needs a base pair with b^2 - b^d2 = 2a^2 - 2a^d1.  With X = 2b - d2
+and Y = 2a - d1 each of the four (d1, d2) is the Pell equation
+X^2 - 2Y^2 = N, N = -4, -7, 2, -1, so the pairs grow geometrically by
+the unit 3 + 2 sqrt 2.  ``find_prog3_pairs`` walks the orbits of the
+solutions in Nagell's box under that unit, which gives every pair with
+a <= L in O(log L) steps.
 """
 
 from __future__ import annotations
@@ -191,21 +198,34 @@ def generate(family_id: str, params: dict[str, int]) -> tuple[SumsetParams, Prog
 
 
 def find_prog3_pairs(limit: int) -> list[tuple[int, int, int, int]]:
-    """All (a, b, delta1, delta2) with b^2 - b^d2 = 2a^2 - 2a^d1, a <= limit.
+    """All (a, b, delta1, delta2) with b^2 - b^d2 = 2a^2 - 2a^d1, 2 <= a < b, a <= limit.
 
-    Enumerates a and solves the quadratic in b exactly (integer square
-    root); each returned pair generates a valid prog3 progression.
+    With X = 2b - d2 and Y = 2a - d1 the constraint is the Pell equation
+    X^2 - 2Y^2 = n, n = 6d1 - 3d2 - 4, i.e. n = -4, -7, 2, -1 for
+    (d1, d2) = (0, 0), (0, 1), (1, 0), (1, 1); n mod 8 forces X = d2 and
+    Y = d1 (mod 2).  Every solution is +-(u + v sqrt 2)(3 + 2 sqrt 2)^k with
+    k in Z and (u, v) in Nagell's box (Thms 108/108a: 0 <= v <= sqrt(n/2)
+    for n > 0, 0 < v <= sqrt(-n) for n < 0).  (|X|, |Y|) is the same for
+    a solution, its negative and its conjugate, and a negative k is the
+    conjugate of a non-negative one, so the forward orbits of u + v sqrt 2
+    and -u + v sqrt 2 give every (|X|, |Y|).  Along an orbit |Y| falls,
+    then rises, from a seed v <= 2 < 2 * limit, so an orbit stops at its
+    first |Y| > 2 * limit.  That is O(log limit) steps, and every row is
+    rechecked exactly.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    out = []
+    out = set()
     for d1, d2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for a in range(2, limit + 1):
-            # b^2 - d2 b - (1 - d2) = 2a^2 - 2a^d1, so b = (d2 + r) / 2 with r^2 = disc
-            disc = 8 * (a * a - a**d1) + 4 - 3 * d2
-            r = isqrt(disc)
-            if r * r == disc and (d2 + r) % 2 == 0 and (d2 + r) // 2 > a:
-                out.append((a, (d2 + r) // 2, d1, d2))
-    out.sort()
-    return out
-
+        n = 6 * d1 - 3 * d2 - 4
+        for v in range(isqrt(n // 2 if n > 0 else -n) + 1):
+            u = isqrt(max(n + 2 * v * v, 0))
+            if u * u != n + 2 * v * v:
+                continue
+            for x, y in ((u, v), (-u, v)):
+                while abs(y) <= 2 * limit:
+                    a, b = (abs(y) + d1) // 2, (abs(x) + d2) // 2
+                    if 2 <= a < b and b * b - b**d2 == 2 * a * a - 2 * a**d1:
+                        out.add((a, b, d1, d2))
+                    x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    return sorted(out)

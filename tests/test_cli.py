@@ -68,6 +68,8 @@ GOLDEN_SWEEP = {
     ("count3", "2", "7", "--limits", "1e8,1e12"):
         "f8a06031f0bf7d37b6191294b4944ee81134a405c8f0c8fe3fb633c83187a8ca",
 }
+# result_sha256 of the prog3 base pairs at the paper's scale, 195 rows
+PROG3_PAIRS_1E30 = "6f1f46a297e1f7aa8ffeddf8939e08d09d635c2603ac7cbf3674526860a987b5"
 # result_sha256 of progression searches large enough that the join's stored
 # side spans several residue buckets, one with dependent bases (2, 4) whose
 # middle terms have several representations, and a count3 ladder to 10^30
@@ -162,6 +164,17 @@ class TestGoldenOutput:
         assert code == 0
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == {**GOLDEN_FAMILY, **GOLDEN_SUMSET}[argv]
+
+    def test_prog3_pairs_1e30_digest(self, capsys, tmp_path):
+        code, captured, manifest = run(capsys, tmp_path, "family", "prog3-pairs", "--limit", "1e30")
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == manifest["result_sha256"] == PROG3_PAIRS_1E30
+        rows = [(r["a"], r["b"], r["delta1"], r["delta2"]) for r in map(json.loads, captured.out.splitlines())]
+        assert len(rows) == 195
+        assert all(row < nxt for row, nxt in zip(rows, rows[1:]))
+        for a, b, d1, d2 in rows:
+            assert 2 <= a < b and a <= 10**30
+            assert b**2 - b**d2 == 2 * a**2 - 2 * a**d1
 
     @pytest.mark.parametrize("argv", list(GOLDEN_SWEEP), ids=["sweep-len5", "sweep-len6", "count3"])
     def test_sweep_and_count3_digest(self, capsys, tmp_path, argv):
@@ -347,8 +360,9 @@ class TestRefusals:
             ("sunit", "bb5", "--beta-max", "-1"),
             ("sweep", "--a-max", "2", "--b-max", "3", "--len", "2", "--limit", "100"),
             ("sweep", "--a-max", "2", "--b-max", "3", "--len", "5", "--limit", "1"),
+            ("family", "prog3-pairs", "--limit", "1"),
         ],
-        ids=["threads-0", "threads-negative", "bb5-alpha", "bb5-beta", "sweep-len", "sweep-limit"],
+        ids=["threads-0", "threads-negative", "bb5-alpha", "bb5-beta", "sweep-len", "sweep-limit", "prog3-limit"],
     )
     def test_bad_bound_refused(self, capsys, tmp_path, argv):
         code, captured, manifest = run(capsys, tmp_path, *argv)

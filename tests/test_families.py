@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -57,7 +57,7 @@ ADMISSIBLE = {
     "four-term-powers2-B": powers2(-1),
     "prog1": st.fixed_dictionaries({"n": st.integers(2, 10**30)}),
     "prog2": st.fixed_dictionaries({"k": st.integers(1, 50), "t": st.integers(2, 20)}),
-    "prog3": st.sampled_from(find_prog3_pairs(2000)).map(
+    "prog3": st.sampled_from(find_prog3_pairs(10**30)).map(
         lambda p: dict(zip(("a", "b", "delta1", "delta2"), p))
     ),
     "prog4": st.fixed_dictionaries({"t": st.integers(1, 40)}),
@@ -139,3 +139,35 @@ def test_prog3_pairs_match_brute_force():
     ]
     assert find_prog3_pairs(399) == sorted(brute)
     assert len(brute) > 4
+
+
+def scan_prog3_pairs(limit):
+    """The prog3 rows with a <= limit, by an integer square root for every a and (d1, d2)."""
+    out = []
+    for d1, d2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for a in range(2, limit + 1):
+            # b^2 - d2 b - (1 - d2) = 2a^2 - 2a^d1, so b = (d2 + r) / 2 with r^2 = disc
+            disc = 8 * (a * a - a**d1) + 4 - 3 * d2
+            r = isqrt(disc)
+            if r * r == disc and (d2 + r) % 2 == 0 and (d2 + r) // 2 > a:
+                out.append((a, (d2 + r) // 2, d1, d2))
+    out.sort()
+    return out
+
+
+def test_prog3_pairs_match_scan():
+    scanned = scan_prog3_pairs(2000)
+    for limit in range(2, 2001):
+        assert find_prog3_pairs(limit) == [row for row in scanned if row[0] <= limit]
+    assert find_prog3_pairs(10**5) == scan_prog3_pairs(10**5)
+
+
+def test_prog3_pairs_cut_at_limit():
+    rows = find_prog3_pairs(10**30)
+    for a, *_ in rows:
+        for limit in (a - 1, a):
+            if limit < 2:
+                with pytest.raises(ValueError):
+                    find_prog3_pairs(limit)
+                continue
+            assert find_prog3_pairs(limit) == [row for row in rows if row[0] <= limit]
