@@ -1,40 +1,65 @@
 """Exhaustive search for k-term arithmetic progressions inside a sumset.
 
-Strategy: enumerate the sumset S = S_{a,b} up to the limit L (a set of
-n ~ log_a L * log_b L values), then join it against the two power ladders
-A = {a^x < L} and B = {b^y < L}.  The first three terms s0 < s1 < s2 of
-any window satisfy s0 + s2 = 2*s1, and the middle term has some
-representation s1 = a^x + b^y, so
+The first three terms s0 < s1 < s2 of any window in S = S_{a,b} satisfy
+s0 + s2 = 2*s1, and each has some representation s_i = a^x_i + b^y_i, so
+with the pair sums P = a^x0 + a^x2 and Q = b^y0 + b^y2
 
-    s0 - 2*a^x == 2*b^y - s2.
+    P + Q == 2*a^x1 + 2*b^y1.
 
-The streamed side forms the key s0 - 2*a^x for every value and every power
-of a, the stored side the key 2*b^y - s2 for every value and every power
-of b, and one ``set.intersection`` per power of a finds the equal keys.
-Every window has such a match, so the join is complete for every k >= 3,
-and it forms n * (|A| + |B|) keys where a scan of all value pairs would
-test about n^2 / 2.
+The search is a join on this identity over the two power ladders
+A = {a^x < L} and B = {b^y < L}: the stored side forms P - 2w, the
+streamed side 2w' - Q, and one ``set.intersection`` per streamed power w'
+finds the equal keys.  Every window has such a match, so the join is
+complete for every k >= 3.  Which power goes to which side is a choice:
 
-A matched key fixes s0 and a^x but not which b^y met it, so each match
-walks the powers of b whose middle term a^x + b^y gives D >= 1 and a final
-term s0 + (k-1)D <= L (two bisections; integer floor division makes the
-cut exact) and keeps the third terms tb - key that lie in S.  Most matches
-are the trivial s0 = s1 = s2, which the cut D >= 1 drops.  The remaining
-k-3 terms are confirmed by set lookup, and (N, D) is deduplicated, because
-a middle term with several representations is met once per representation.
+- One pair (`find_progressions`): the stored side is the pair sums of the
+  shorter ladder less each doubled power of the longer one, the streamed
+  side each doubled power of the shorter ladder less the pair sums of the
+  longer one.  That forms about |A|*|B|*(|A| + |B|) / 2 keys, about half
+  of what joining the values of S against both ladders forms, whatever
+  the ratio of the ladders.
+- One a and several b (`find_progressions_over`, the sweep): the stored
+  side is P - 2*a^x1, which depends on a alone, and is built once for all
+  the b; each b streams 2*b^y1 - Q.  That forms |A|^3 / 2 keys once and
+  |B|^3 / 2 per b.  For a single pair that is about (|A| + |B|)(|A| - |B|)^2 / 2
+  keys more than the split above, so the gain rests on the ladder ratio
+  |A| / |B| and on how many b share the a-side: a job of n b pays
+  |A|^3 / (2n) per b for it.  The sweep over a <= 8, b <= 120 at 10^9, in
+  jobs of up to 32 b, forms 214,352 keys this way and would form
+  1,046,510 with the one-pair split.
 
-The stored side is the b-side, the shorter ladder.  Keys are partitioned
-by their residue mod m: a key = r (mod m) comes from s0 = r + 2*a^x on the
-streamed side and from s2 = 2*b^y - r on the stored side, so with the
-values pre-bucketed by residue each key is formed exactly once, by ``map``
-over one bucket.  m is the least prime at or above n * |B| // _STORED_KEYS
-(1 when that is below 2), so one class stores about _STORED_KEYS keys; a
-prime spreads the values of most base pairs evenly, where a modulus
-sharing a factor with their structure crowds a few classes.  S_{2,3} at
-10^30 forms 396,093 stored keys (about 35 MiB as one set); m = 97 keeps
-the largest class at 4,213 keys.  Bases congruent to each other modulo a
-small m still crowd it: over a <= 30, b < 200 at 10^30 the largest class
-is 24,375 keys, (6, 16) with m = 5.
+Neither split forms the matches of a term with itself.  A pair sum is
+strict (two distinct powers) or doubled (2*a^x).  A match of two doubled
+sums gives s0 = s2 under both pairings below, so D = 0; every value meets
+itself this way (x0 = x1 = x2 and y0 = y1 = y2, the key 0 of the a-side
+split), and these would be most of the matches.  So each residue class is
+joined in two phases: the stored strict sums meet the streamed doubled
+sums, then the stored doubled sums are added and all of them meet the
+streamed strict sums.  A match with D = 0 can still occur when one value
+has two representations (11 = 2 + 9 = 8 + 3 in S_{2,3}); the check D >= 1
+drops it.
+
+A match is turned into windows exactly.  The streamed side gives w' and Q,
+and P = key + 2w for each stored power w that makes it a pair sum.  A sum
+of two powers of one base has one such pair (its digits in that base are
+two 1s, or one 2, or for base 2 one 1), so a dict per ladder gives back
+the two powers of P and of Q.  Both pairings, s0, s2 = a^x0 + b^y0,
+a^x2 + b^y2 and a^x0 + b^y2, a^x2 + b^y0, have s0 + s2 = P + Q = 2*s1, so
+each is a 3-term progression in S.  One is kept when D = |s2 - s0| / 2 >= 1,
+its final term s0 + (k-1)*D is at most L, and its other k-3 terms lie in
+the value set.  (N, D) is deduplicated, because a window is met once per
+representation of its first three terms.
+
+Keys are partitioned by their residue mod m: a stored key = r (mod m)
+comes from P = r + 2w and a streamed key from Q = 2w' - r, so with the
+pair sums pre-bucketed by residue each key is formed exactly once, by
+``map`` over one bucket.  m is the least prime at or above the stored key
+count // _STORED_KEYS (1 when that is below 2), so one class stores about
+_STORED_KEYS keys.  S_{2,3} at 10^30 stores 201,600 keys (2,016 pair sums
+of 3 against 100 powers of 2) and streams 318,150; m = 53 keeps the
+largest class at 3,805 keys, and 461 keys match.  Powers crowded into few
+residues crowd a class: the a-side of a = 2 at 10^30 stores 505,000 keys
+with m = 127, at which 2 has order 7, and its largest class holds 18,208.
 
 Residues only partition: every key, term and difference is an exact Python
 int, so nothing is filtered or decided by a fixed-width or floating value.
@@ -42,7 +67,7 @@ int, so nothing is filtered or decided by a fixed-width or floating value.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .numutil import is_prime
@@ -85,46 +110,125 @@ def progression(params: SumsetParams, values: list[int]) -> Progression:
     return Progression(values[0], d, tuple(terms))
 
 
-def _doubled_ladder(base: int, limit: int) -> list[int]:
-    """2 * base^e for every power base^e < limit, ascending."""
+def _ladder(base: int, limit: int) -> list[int]:
+    """Every power base^e < limit, ascending."""
     out, power = [], 1
     while power < limit:
-        out.append(2 * power)
+        out.append(power)
         power *= base
     return out
 
 
-def _find_pairs(params: SumsetParams, k: int, limit: int) -> tuple[list[tuple[int, int]], set[int]]:
-    values = value_set(params, limit)
-    twice_a = _doubled_ladder(params.a, limit)
-    twice_b = _doubled_ladder(params.b, limit)
-    m = max(1, len(values) * len(twice_b) // _STORED_KEYS)
+def _pair_sums(ladder: list[int]) -> dict[int, tuple[int, int]]:
+    """p + q -> (p, q) for every pair p <= q of one base's ladder."""
+    return {p + q: (p, q) for i, p in enumerate(ladder) for q in ladder[i:]}
+
+
+def _classes(sums: dict[int, tuple[int, int]], m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The pair sums by residue mod m: those of two distinct powers, then the doubled powers."""
+    strict: list[list[int]] = [[] for _ in range(m)]
+    doubled: list[list[int]] = [[] for _ in range(m)]
+    for s, (p, q) in sums.items():
+        (strict if p < q else doubled)[s % m].append(s)
+    return strict, doubled
+
+
+def _modulus(keys: int) -> int:
+    """The least prime at or above keys // _STORED_KEYS; 1 when that is below 2."""
+    m = max(1, keys // _STORED_KEYS)
     while m > 1 and not is_prime(m):
         m += 1
-    buckets: list[list[int]] = [[] for _ in range(m)]
-    for v in values:
-        buckets[v % m].append(v)
-    found: set[tuple[int, int]] = set()
+    return m
+
+
+def _add_windows(
+    p: tuple[int, int], q: tuple[int, int], k: int, limit: int, values: set[int], found: set[tuple[int, int]]
+) -> None:
+    """Add (N, D) for each pairing of the powers in p and q that starts a k-term window."""
+    (p0, p2), (q0, q2) = p, q
+    for s0, s2 in ((p0 + q0, p2 + q2), (p0 + q2, p2 + q0)):
+        if s2 < s0:
+            s0, s2 = s2, s0
+        d = (s2 - s0) >> 1
+        if d < 1 or s0 + (k - 1) * d > limit:
+            continue
+        term = s2
+        for _ in range(k - 3):
+            term += d
+            if term not in values:
+                break
+        else:
+            found.add((s0, d))
+
+
+def _join(
+    x: list[int], u: list[int], streams: list[tuple[list[int], list[int], set[int]]], k: int, limit: int
+) -> list[set[tuple[int, int]]]:
+    """The (N, D) of every k-term window met by the join, one set per stream.
+
+    The stored keys are P - 2w for the pair sums P of ladder x and the
+    powers w of ladder u; a stream (v, y, values) is joined as 2w - Q for
+    the powers w of ladder v and the pair sums Q of ladder y.
+    """
+    sums_x = _pair_sums(x)
+    subtract = [2 * p for p in u]
+    m = _modulus(len(sums_x) * len(subtract))
+    strict_x, doubled_x = _classes(sums_x, m)
+    prepared = []
+    for v, y, values in streams:
+        sums_y = _pair_sums(y)
+        prepared.append(([2 * p for p in v], sums_y, _classes(sums_y, m), values, set()))
     for r in range(m):
         stored: set[int] = set()
-        for tb in twice_b:
-            stored.update(map(tb.__sub__, buckets[(tb - r) % m]))
-        for ta in twice_a:
-            for key in stored.intersection(map(ta.__rsub__, buckets[(r + ta) % m])):
-                s0 = key + ta
-                # s1 = (ta + tb) / 2 with D = s1 - s0 >= 1 and s0 + (k-1)D <= limit
-                low = 2 * s0 - ta
-                lo = bisect_right(twice_b, low)
-                hi = bisect_right(twice_b, low + 2 * ((limit - s0) // (k - 1)), lo)
-                for t in values.intersection(map(key.__rsub__, twice_b[lo:hi])):
-                    d = (t - s0) >> 1
-                    for _ in range(k - 3):
-                        t += d
-                        if t not in values:
-                            break
-                    else:
-                        found.add((s0, d))
-    return list(found), values
+        # strict x sums meet doubled y sums, then all x sums meet strict y sums
+        for classes_x, side in ((strict_x, 1), (doubled_x, 0)):
+            for t in subtract:
+                stored.update(map(t.__rsub__, classes_x[(r + t) % m]))
+            for twice_v, sums_y, classes_y, values, found in prepared:
+                for t in twice_v:
+                    for key in stored.intersection(map(t.__sub__, classes_y[side][(t - r) % m])):
+                        q = sums_y[t - key]
+                        for w in subtract:
+                            p = sums_x.get(key + w)
+                            if p is not None:
+                                _add_windows(p, q, k, limit, values, found)
+    return [found for *_, found in prepared]
+
+
+def _rows(params: SumsetParams, values: set[int], found: set[tuple[int, int]], k: int, limit: int):
+    rows = []
+    for n, d in sorted(found):
+        before = n - d
+        after = n + k * d
+        extendable = (before >= 2 and before in values) or (
+            after in values if after <= limit else bool(representations(params, after))
+        )
+        rows.append((n, d, not extendable))
+    return rows
+
+
+def find_progressions_over(a: int, bs: Sequence[int], k: int, limit: int) -> list[list[tuple[int, int, bool]]]:
+    """The rows of `find_progressions` for S_{a,b}, one list per b of `bs`.
+
+    Several b share one stored side built from a alone.  A single b stores
+    the shorter ladder's pair sums less the longer ladder's doubled powers.
+    """
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    all_params = [SumsetParams(a, b) for b in bs]
+    if not all_params:
+        return []
+    values = [value_set(params, limit) for params in all_params]
+    ladder_a = _ladder(a, limit)
+    ladders_b = [_ladder(b, limit) for b in bs]
+    if len(bs) == 1:
+        short, long = sorted((ladder_a, ladders_b[0]), key=len)
+        found = _join(short, long, [(short, long, values[0])], k, limit)
+    else:
+        found = _join(ladder_a, ladder_a, [(lb, lb, vs) for lb, vs in zip(ladders_b, values)], k, limit)
+    return [_rows(*args, k, limit) for args in zip(all_params, values, found)]
 
 
 def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[int, int, bool]]:
@@ -135,20 +239,7 @@ def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[in
     progression appear separately, and the flag tells them apart.  The
     rows carry no witnesses; `progression` builds them for a window.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    pairs, values = _find_pairs(params, k, limit)
-    pairs.sort()
-    rows = []
-    for n, d in pairs:
-        before = n - d
-        after = n + k * d
-        extendable = (before >= 2 and before in values) or (
-            after in values if after <= limit else bool(representations(params, after))
-        )
-        rows.append((n, d, not extendable))
+    (rows,) = find_progressions_over(params.a, [params.b], k, limit)
     return rows
 
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
-from .apsearch import find_progressions
+from .apsearch import find_progressions_over
 from .numutil import power_exponent
 from .sumset import SumsetParams, representations
 
@@ -91,28 +93,42 @@ class SweepConfig:
         ]
 
 
-def _sweep_pair(args: tuple[int, int, int, int]) -> list[tuple[int, int, int, int, bool]]:
-    a, b, k, limit = args
-    return [(a, b, *row) for row in find_progressions(SumsetParams(a, b), k, limit)]
+# The b of one sweep job: each job shares one a's stored keys across this
+# many b, and holds their value sets and pair sums at once.
+_B_SLICE = 32
+
+
+def _sweep_slice(args: tuple[int, list[int], int, int]) -> list[tuple[int, int, int, int, bool]]:
+    a, bs, k, limit = args
+    return [
+        (a, b, *row)
+        for b, rows in zip(bs, find_progressions_over(a, bs, k, limit))
+        for row in rows
+    ]
 
 
 def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, int, bool]]:
     """All k-term windows over the (a, b) grid, canonically sorted.
 
-    The grid is embarrassingly parallel; results are re-sorted after the
-    merge so the output is independent of the worker count.  At most one
-    worker per job and one per CPU is started, and a single worker runs
-    inline.
+    One job is one a and a slice of at most _B_SLICE of its b, taken from
+    `SweepConfig.pairs` in order, so the a-side keys of the join are built
+    once per job (`find_progressions_over`).  Results are re-sorted
+    after the merge, so the output does not depend on the worker count or
+    on the slice boundaries.  At most one worker per job and one per CPU is
+    started, and a single worker runs inline.
     """
-    jobs = [(a, b, cfg.k, cfg.term_limit) for a, b in cfg.pairs()]
+    jobs = []
+    for a, pairs in groupby(cfg.pairs(), key=itemgetter(0)):
+        bs = [b for _, b in pairs]
+        jobs += [(a, bs[i : i + _B_SLICE], cfg.k, cfg.term_limit) for i in range(0, len(bs), _B_SLICE)]
     workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_sweep_pair, jobs)
+            chunks = pool.map(_sweep_slice, jobs)
     else:
-        chunks = [_sweep_pair(j) for j in jobs]
+        chunks = [_sweep_slice(j) for j in jobs]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort()
     return rows

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apsumset.apsearch import _STORED_KEYS, count_3term_stable, find_progressions, progression
+from apsumset.apsearch import (
+    _STORED_KEYS,
+    count_3term_stable,
+    find_progressions,
+    find_progressions_over,
+    progression,
+)
 from apsumset.cli import main
 from apsumset.sumset import SumsetParams, enumerate_up_to, value_set
 
@@ -142,13 +148,15 @@ class TestFindProgressions:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_residue_classes_match_brute_force(self, k):
-        # about 27,000 stored keys: the join runs over several residue classes
+        # the stored side is the 351 pair sums of the 26 powers of 3 less each of
+        # the 40 doubled powers of 2: 14,040 keys, so several residue classes
         params, limit = SumsetParams(2, 3), 10**12
-        assert len(value_set(params, limit)) * 26 > 2 * _STORED_KEYS  # 3^25 < 10^12 < 3^26
+        assert 3**25 < limit < 3**26 and 2**39 < limit < 2**40
+        assert 26 * 27 // 2 * 40 > 2 * _STORED_KEYS
         assert windows(find_progressions(params, k, limit)) == brute_windows(params, k, limit)
 
     def test_peak_memory_at_1e30(self):
-        # one set of all 396,093 stored keys would take about 35 MiB
+        # one set of all 201,600 stored keys would take about 15 MiB
         tracemalloc.start()
         try:
             rows = find_progressions(SumsetParams(2, 3), 3, 10**30)
@@ -163,6 +171,51 @@ class TestFindProgressions:
             find_progressions(SumsetParams(2, 3), 2, 100)
         with pytest.raises(ValueError):
             find_progressions(SumsetParams(2, 3), 3, 1)
+
+
+# every base pair with a <= 6 and b <= 60
+SMALL_PAIRS = [(a, b) for a in range(2, 7) for b in range(a + 1, 61)]
+
+
+class TestJoinOracle:
+    """The join against the pair scan `brute_windows`."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_every_small_pair(self, k):
+        # the dependent pairs, whose terms can have several representations, are among them
+        assert {(2, 4), (2, 8), (3, 9), (4, 8)} <= set(SMALL_PAIRS)
+        for a, b in SMALL_PAIRS:
+            params = SumsetParams(a, b)
+            assert windows(find_progressions(params, k, 10**5)) == brute_windows(params, k, 10**5), (a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ab=st.integers(2, 8).flatmap(
+            lambda a: st.tuples(st.just(a), st.lists(st.integers(a + 1, 80), min_size=2, max_size=5, unique=True))
+        ),
+        k=st.integers(3, 5),
+        limit=st.integers(2, 10**12),
+    )
+    @example(ab=(2, [9, 3, 4, 8]), k=3, limit=10**9)
+    def test_shared_a_matches_brute_force(self, ab, k, limit):
+        a, bs = ab
+        for b, rows in zip(bs, find_progressions_over(a, bs, k, limit), strict=True):
+            params = SumsetParams(a, b)
+            want = brute_windows(params, k, limit)
+            assert windows(rows) == want
+            around = value_set(params, 2 * limit)
+            assert [maximal for _, _, maximal in rows] == [
+                not (n - d in around or n + k * d in around) for n, d in want
+            ]
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (2, 33), (2, 5000), (3, 1000)])
+    def test_one_pair_split_matches_shared(self, a, b):
+        # lopsided ladders included: 100 powers of 2 against 9 of 5000 at 10^30
+        shared, _ = find_progressions_over(a, [b, b + 1], 3, 10**30)
+        assert find_progressions(SumsetParams(a, b), 3, 10**30) == shared
+
+    def test_no_b(self):
+        assert find_progressions_over(2, [], 3, 100) == []
 
 
 class TestExtend:

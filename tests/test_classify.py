@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from apsumset import apsearch
-from apsumset.apsearch import progression
+from apsumset import apsearch, classify
+from apsumset.apsearch import find_progressions, progression
 from apsumset.classify import (
     SPORADIC_5TERM,
     SweepConfig,
@@ -88,7 +88,11 @@ class TestFamilyNonextension:
 class TestSweepGrid:
     @staticmethod
     def recorded_pool_sizes(monkeypatch, cpus, b_max, threads):
-        """The worker counts sweep_grid asks of a fake pool that maps inline, on `cpus` CPUs."""
+        """The worker counts sweep_grid asks of a fake pool that maps inline, on `cpus` CPUs.
+
+        The grid is every pair b > a with b <= b_max, so it makes one job per
+        a, b_max - 2 jobs, as long as no a has more than _B_SLICE of b.
+        """
         sizes = []
 
         class RecordingPool:
@@ -101,10 +105,11 @@ class TestSweepGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, jobs):
+            def map(self, func, jobs, *args, **kwargs):
                 return [func(job) for job in jobs]
 
-        cfg = SweepConfig(2, b_max, 10**4, 3)
+        assert b_max - 2 <= classify._B_SLICE
+        cfg = SweepConfig(max(2, b_max - 1), b_max, 10**4, 3)
         inline = sweep_grid(cfg, threads=1)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
@@ -116,7 +121,7 @@ class TestSweepGrid:
         [(2, 4, []), (3, 4, []), (4, 4, [2]), (5, 2, [2]), (6, 8, [4]), (5, 1, [])],
     )
     def test_pool_size(self, monkeypatch, b_max, threads, pool_sizes):
-        """At most one worker per (a, b) job; one worker runs inline."""
+        """At most one worker per job, one a and a slice of its b; one worker runs inline."""
         assert self.recorded_pool_sizes(monkeypatch, 8, b_max, threads) == pool_sizes
 
     @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (3, [3]), (1, []), (None, [])])
@@ -134,3 +139,15 @@ class TestSweepGrid:
 
         monkeypatch.setattr(apsearch, "progression", refuse)
         assert sweep_grid(cfg) == expected
+
+    def test_rows_independent_of_slice(self, monkeypatch):
+        cfg = SweepConfig(4, 14, 10**6, 3)
+        expected = [
+            (a, b, *row)
+            for a, b in cfg.pairs()
+            for row in find_progressions(SumsetParams(a, b), cfg.k, cfg.term_limit)
+        ]
+        # a = 2 has the most b, 12: every size up to that puts a boundary elsewhere
+        for size in range(1, 14):
+            monkeypatch.setattr(classify, "_B_SLICE", size, raising=False)
+            assert sweep_grid(cfg) == expected, size

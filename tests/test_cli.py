@@ -59,10 +59,13 @@ GOLDEN_FAMILY = {
     ("family", "verify", "three-term-multdep", "--params", "a=4,b=8,k=30,j=40"):
         "b492cb45e0228cbc2ca699fd52273d7b428a75bd145295e2d82f71a7536e70b8",
 }
-# result_sha256 of the benchmark's pinned sweep, a six-term sweep and a count3 ladder
+# result_sha256 of the benchmark's pinned sweep, the same grid at 10^15, a
+# six-term sweep and a count3 ladder
 GOLDEN_SWEEP = {
     ("--threads", "2", "sweep", "--a-max", "8", "--b-max", "120", "--len", "5", "--limit", "1000000000"):
         "5ce51ac8878b8317d227df19ba2950548a4a8845498f6eee9edb4b9707cd1ff3",
+    ("--threads", "2", "sweep", "--a-max", "8", "--b-max", "60", "--len", "5", "--limit", "1e15"):
+        "98563cefb5cffdf84c478da832dcd663ad01dc92576e4d90026d09938d284484",
     ("--threads", "1", "sweep", "--a-max", "4", "--b-max", "40", "--len", "6", "--limit", "1e12"):
         "e376beb132bef9dcad6a9e584c55b97fb0c1a58352e57f1f3f9dba8f58e66065",
     ("count3", "2", "7", "--limits", "1e8,1e12"):
@@ -176,7 +179,7 @@ class TestGoldenOutput:
             assert 2 <= a < b and a <= 10**30
             assert b**2 - b**d2 == 2 * a**2 - 2 * a**d1
 
-    @pytest.mark.parametrize("argv", list(GOLDEN_SWEEP), ids=["sweep-len5", "sweep-len6", "count3"])
+    @pytest.mark.parametrize("argv", list(GOLDEN_SWEEP), ids=["sweep-len5", "sweep-len5-1e15", "sweep-len6", "count3"])
     def test_sweep_and_count3_digest(self, capsys, tmp_path, argv):
         code, captured, manifest = run(capsys, tmp_path, *argv)
         assert code == 0
