@@ -133,11 +133,25 @@ def lemma21_classify(sol: LemmaSolution) -> str:
 
 
 def kruk_scan(b_min: int, b_max: int, exp_max: int) -> list[tuple[int, int, int, int]]:
-    """All (b, x0, y1, y2) with 1 + b^y2 + 2^x0 = 2 b^y1, exponents <= exp_max."""
+    """All (b, x0, y1, y2) with 1 + b^y2 + 2^x0 = 2 b^y1, b_min <= b <= b_max, exponents <= exp_max.
+
+    y1 stops once b^y1 > 2^exp_max + 1, which loses no row.  For b >= 2, r = 2 b^y1 - 1 - b^y2
+    >= 1 forces b^y2 < 2 b^y1 <= b^(y1 + 1), so y2 <= y1 and
+    r >= b^y1 - 1; as r = 2^x0 <= 2^exp_max, b^y1 <= 2^exp_max + 1.
+    b_min < 2 or exp_max < 0 raises ValueError.
+    """
+    if b_min < 2:
+        raise ValueError(f"b_min must be >= 2, got {b_min}")
+    if exp_max < 0:
+        raise ValueError(f"exp_max must be >= 0, got {exp_max}")
+    cap = 2**exp_max + 1
     out = []
     for b in range(b_min, b_max + 1):
+        by1 = 1
         for y1 in range(exp_max + 1):
-            target = 2 * b**y1 - 1
+            if by1 > cap:
+                break
+            target = 2 * by1 - 1
             by2 = 1
             for y2 in range(exp_max + 1):
                 r = target - by2
@@ -148,6 +162,7 @@ def kruk_scan(b_min: int, b_max: int, exp_max: int) -> list[tuple[int, int, int,
                     if x0 <= exp_max:
                         out.append((b, x0, y1, y2))
                 by2 *= b
+            by1 *= b
     out.sort()
     return out
 

@@ -116,32 +116,42 @@ class PrimeSet:
         return iter(self.primes)
 
 
-def smooth_enumerate(primes: PrimeSet | Iterable[int], limit: int) -> list[int]:
-    """All integers in [1, limit] whose prime factors all lie in `primes`, sorted.
+def smooth_buckets(primes: PrimeSet | Iterable[int], limit: int) -> dict[int, list[int]]:
+    """The integers in [1, limit] whose prime factors all lie in `primes`, keyed by support.
 
-    Depth-first products over the prime list rather than a sieve: the count of
-    smooth numbers is polylogarithmic in the limit, so this stays cheap even
-    at limits around 10^13 where sieving is hopeless.
+    Bit i of a key is set iff the i-th prime divides the value; each bucket
+    is sorted and no key maps to an empty one.  Built prime by prime from
+    {0: [1]}: every bucket present so far spawns the bucket with bit i set,
+    holding its values times p^e for e >= 1 up to `limit`.  So each smooth
+    number is formed once, directly in its own bucket, with no division.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    ps = tuple(primes)
-    out: list[int] = []
+    buckets = {0: [1]}
+    for i, p in enumerate(primes):
+        for mask, values in list(buckets.items()):
+            grown = []
+            for v in values:  # ascending, so the first v with v * p > limit ends the bucket
+                v *= p
+                if v > limit:
+                    break
+                while v <= limit:
+                    grown.append(v)
+                    v *= p
+            if grown:
+                grown.sort()
+                buckets[mask | 1 << i] = grown
+    return buckets
 
-    def descend(idx: int, value: int) -> None:
-        if idx == len(ps):
-            out.append(value)
-            return
-        p = ps[idx]
-        while True:
-            descend(idx + 1, value)
-            if value > limit // p:
-                break
-            value *= p
 
-    descend(0, 1)
-    out.sort()
-    return out
+def smooth_enumerate(primes: PrimeSet | Iterable[int], limit: int) -> list[int]:
+    """All integers in [1, limit] whose prime factors all lie in `primes`, sorted.
+
+    The union of the `smooth_buckets` rather than a sieve: the count of
+    smooth numbers is polylogarithmic in the limit, so this stays cheap even
+    at limits around 10^13 where sieving is hopeless.
+    """
+    return sorted([v for bucket in smooth_buckets(primes, limit).values() for v in bucket])
 
 
 def factor_over(n: int, primes: PrimeSet | Iterable[int]) -> tuple[dict[int, int], int]:

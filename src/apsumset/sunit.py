@@ -38,21 +38,27 @@ set of distinct monomials with signs, met once: in decreasing magnitude at
 indices i0 > m_1 > ... > lo > j > l of the n sorted monomials within the
 bound, i0's sign +.  Walking lo upward, the signed pair sums of j < lo are
 stored, and for each choice of middle indices and walked signs a set
-intersection over the values above finds i0.  The budget counts the rows,
-4 C(n-1, 2) pair sums plus 2^(k-3) C(n, k-3) walked signed tuples.
+intersection over a window of the values above finds i0.  With v the
+value at lo, every stored sum s has |s| <= values[lo-1] + values[lo-2]
+< 2v, and a match needs i0's value u = rest - s, where rest is minus the
+walked sum; so u lies in (rest - 2v, rest + 2v), a slice taken by
+bisection, for every k >= 4.  The budget counts the rows, 4 C(n-1, 2)
+pair sums plus 2^(k-3) C(n, k-3) walked signed tuples.
 
 Support buckets.  In a de Weger solution gcd(x, y) = 1 and z = x + y make
 x, y and z pairwise coprime, so their prime-support masks are pairwise
-disjoint.  The smooth numbers up to z_limit are grouped by exact mask into
-sorted buckets.  Two summands share a bucket only if both masks are empty,
-which is 1 + 1 = 2, emitted directly; every other solution lies in exactly
-one triple of distinct, pairwise disjoint buckets: an unordered summand
-pair {A, B} and a nonempty sum bucket C.  Each triple walks its smallest
-bucket in Python and maps the middle one in C against the largest, a set:
-sums w + v probe C when C is largest, differences probe a summand bucket
-otherwise, and a bisection cut keeps only terms that can meet it.  The
-probe meets a triple (x, y, z) iff x + y = z exactly, so the join is
-complete and yields each solution once; all arithmetic is on Python ints.
+disjoint.  The smooth numbers up to z_limit are generated per support,
+each straight into the sorted bucket of its exact mask
+(``numutil.smooth_buckets``), never grouped after the fact.  Two summands
+share a bucket only if both masks are empty, which is 1 + 1 = 2, emitted
+directly; every other solution lies in exactly one triple of distinct,
+pairwise disjoint buckets: an unordered summand pair {A, B} and a nonempty
+sum bucket C.  Each triple walks its smallest bucket in Python and maps
+the middle one in C against the largest, a set: sums w + v probe C when C
+is largest, differences probe a summand bucket otherwise, and a bisection
+cut keeps only terms that can meet it.  The probe meets a triple (x, y, z)
+iff x + y = z exactly, so the join is complete and yields each solution
+once; all arithmetic is on Python ints.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from dataclasses import dataclass
 from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
 
-from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_enumerate
+from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_buckets
 
 DEFAULT_BUDGET = 50_000_000
 DEWEGER_PRIMES = PrimeSet((2, 3, 5, 7, 11, 13))
@@ -311,10 +317,12 @@ def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], 
             for pair in itertools.product((values[lo - 1], -values[lo - 1]), (low, -low)):
                 pairs.setdefault(sum(pair), []).append(pair)
         for mid in itertools.combinations(range(lo + 1, len(values)), k - 4):
-            above = values[(mid[-1] if mid else lo) + 1:]  # the values i0 may take
+            start = (mid[-1] if mid else lo) + 1  # i0 lies above the walked indices
             for walked in itertools.product(*((u, -u) for u in (v, *map(values.__getitem__, mid)))):
                 rest = -sum(walked)
-                for target in pairs.keys() & map(rest.__sub__, above):
+                # a stored pair sum is below 2v in magnitude, so i0's value lies within 2v of rest
+                window = values[max(start, bisect_right(values, rest - 2 * v)):bisect_left(values, rest + 2 * v)]
+                for target in pairs.keys() & map(rest.__sub__, window):
                     for signed in ((rest - target, *walked[::-1], *pair) for pair in pairs[target]):
                         if _keep(pattern, signed):
                             env = {}
@@ -341,27 +349,17 @@ class TripleSolution:
             raise ValueError(f"invalid triple ({self.x}, {self.y}, {self.z})")
 
 
-def _support_masks(values: list[int], primes: tuple[int, ...]) -> list[int]:
-    masks = []
-    for v in values:
-        m = 0
-        for i, p in enumerate(primes):
-            if v % p == 0:
-                m |= 1 << i
-        masks.append(m)
-    return masks
-
-
 def deweger_3term(
     primes: PrimeSet = DEWEGER_PRIMES, z_limit: int = DEWEGER_Z_LIMIT
 ) -> list[TripleSolution]:
     """Complete list of x + y = z, x <= y, gcd(x,y) = 1, xyz smooth, z <= z_limit.
 
-    The smooth numbers are grouped by support mask into sorted buckets, and
-    each triple of pairwise disjoint buckets (summands A, B, sum C) walks
-    its two smaller buckets and probes the largest by set intersection;
-    see the module docstring for why this is complete.  Sorted by (z, x).
-    z_limit above 2^63 - 1 is refused, which bounds the enumeration.
+    The smooth numbers are built straight into sorted buckets by support
+    mask (`smooth_buckets`), and each triple of pairwise disjoint buckets
+    (summands A, B, sum C) walks its two smaller buckets and probes the
+    largest by set intersection; see the module docstring for why this is
+    complete.  Sorted by (z, x).  z_limit above 2^63 - 1 is refused, which
+    bounds the enumeration.
     """
     if z_limit < 2:
         raise ValueError(f"z_limit must be >= 2, got {z_limit}")
@@ -369,10 +367,7 @@ def deweger_3term(
         raise ValueError(f"z_limit must be <= 2**63 - 1, got {z_limit}")
 
     ps = tuple(primes)
-    smooth = smooth_enumerate(ps, z_limit)
-    buckets: dict[int, list[int]] = {}
-    for v, m in zip(smooth, _support_masks(smooth, ps)):
-        buckets.setdefault(m, []).append(v)
+    buckets = smooth_buckets(ps, z_limit)
     sets = {m: set(b) for m, b in buckets.items()}
 
     found = [(1, 1, 2)] if 2 in ps else []

@@ -78,6 +78,26 @@ class TestLemmaClassify:
                 assert lemma21_classify(s) != CASE_UNLISTED, s
 
 
+def scan_kruk(b_min, b_max, exp_max):
+    """The Kruk rows by every y1 <= exp_max, with no cap on b^y1."""
+    out = []
+    for b in range(b_min, b_max + 1):
+        for y1 in range(exp_max + 1):
+            target = 2 * b**y1 - 1
+            by2 = 1
+            for y2 in range(exp_max + 1):
+                r = target - by2
+                if r < 1:
+                    break
+                if r & (r - 1) == 0:  # power of two
+                    x0 = r.bit_length() - 1
+                    if x0 <= exp_max:
+                        out.append((b, x0, y1, y2))
+                by2 *= b
+    out.sort()
+    return out
+
+
 class TestScans:
     def test_kruk_only_b_2k_plus_1(self):
         from apsumset.numutil import power_exponent
@@ -85,6 +105,28 @@ class TestScans:
         for b, x0, y1, y2 in kruk_scan(3, 1025, 20):
             assert 1 + b**y2 + 2**x0 == 2 * b**y1
             assert power_exponent(b - 1, 2) is not None
+
+    @pytest.mark.parametrize("exp_max", [0, 1, 2, 10, 20, 40])
+    def test_kruk_matches_scan(self, exp_max):
+        scanned = scan_kruk(2, 5000, exp_max)
+        for b_min in (2, 3):
+            for b_max in (1, 2, 3, 5, 9, 17, 1024, 1025, 1026, 5000):
+                want = [row for row in scanned if b_min <= row[0] <= b_max]
+                assert kruk_scan(b_min, b_max, exp_max) == want
+
+    def test_kruk_keeps_the_row_at_the_cap(self):
+        # b^y1 = 1025 = 2^10 + 1 exactly
+        assert kruk_scan(1025, 1025, 10) == [(1025, 10, 1, 1)]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((1, 9, 4), "b_min must be >= 2, got 1"), ((-3, -3, 4), "b_min must be >= 2, got -3"),
+         ((3, 9, -1), "exp_max must be >= 0, got -1")],
+        ids=["b-min-1", "b-min-negative", "exp-max-negative"],
+    )
+    def test_kruk_refuses_bad_bounds(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            kruk_scan(*args)
 
     def test_rn_scan_rows_verify(self):
         rows = rn_scan(12)

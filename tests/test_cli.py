@@ -30,6 +30,8 @@ GOLDEN_UNIT = {
 }
 # the ROADMAP baseline: de Weger's 545 solutions at 10^12 and the count line
 DEWEGER_1E12 = "6737fabef7eadf5e9df91ff060862085721f4f574243ed0d8b0e3ce8e9101dba"
+# the ROADMAP baseline: bb5 at its default bounds, 1,213 solutions and the count line
+BB5_DEFAULT = "a1d2717663d7be8e7d12840c121d11be77ad02ae013e529fee8234a7846a9c3f"
 # result_sha256 of the benchmark's pinned family commands
 GOLDEN_FAMILY = {
     ("family", "prog3-pairs", "--limit", "100000"):
@@ -158,6 +160,12 @@ class TestGoldenOutput:
         assert code == 0
         assert manifest["result_lines"] == 546
         assert hashlib.sha256(captured.out.encode()).hexdigest() == manifest["result_sha256"] == DEWEGER_1E12
+
+    def test_bb5_default_digest(self, capsys, tmp_path):
+        code, captured, manifest = run(capsys, tmp_path, "sunit", "bb5")
+        assert code == 0
+        assert manifest["result_lines"] == 1214
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == manifest["result_sha256"] == BB5_DEFAULT
 
     @pytest.mark.parametrize(
         "argv", list(GOLDEN_FAMILY) + list(GOLDEN_SUMSET), ids=lambda argv: " ".join(argv[:3])

@@ -9,6 +9,7 @@ from apsumset.numutil import (
     iroot,
     is_prime,
     power_exponent,
+    smooth_buckets,
     smooth_enumerate,
 )
 
@@ -108,6 +109,27 @@ class TestSmoothEnumerate:
     def test_sorted_no_duplicates(self):
         got = smooth_enumerate(PrimeSet.of(2, 3, 5), 10**4)
         assert got == sorted(set(got))
+
+
+class TestSmoothBuckets:
+    @pytest.mark.parametrize("primes", [(2,), (3, 5, 7), (2, 3), (2, 3, 5, 7, 11, 13)], ids=str)
+    @pytest.mark.parametrize("limit", [1, 2, 10**6, 10**12])
+    def test_buckets_are_the_trial_division_masks(self, primes, limit):
+        want = {}
+        for v in smooth_enumerate(primes, limit):
+            mask = sum(1 << i for i, p in enumerate(primes) if v % p == 0)
+            want.setdefault(mask, []).append(v)
+        assert smooth_buckets(PrimeSet.of(*primes), limit) == want
+
+    def test_empty_support_is_one(self):
+        for primes in ((2,), (3, 5, 7), (2, 3, 5, 7, 11, 13)):
+            for limit in (1, 2, 10**6):
+                assert smooth_buckets(primes, limit)[0] == [1]
+
+    @pytest.mark.parametrize("enumerate_", [smooth_buckets, smooth_enumerate])
+    def test_rejects_limit_below_one(self, enumerate_):
+        with pytest.raises(ValueError, match="limit must be >= 1, got 0"):
+            enumerate_((2, 3), 0)
 
 
 class TestPrimeSet:

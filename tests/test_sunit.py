@@ -276,8 +276,8 @@ def naive_interchangeable(pattern, predicate=None):
 
 @st.composite
 def interchangeable_cases(draw):
-    """A random interchangeable pattern of 4 or 5 terms, bounds <= 2, declared in any order, and a predicate."""
-    k = draw(st.integers(4, 5))
+    """A random interchangeable pattern of 4 to 6 terms, bounds <= 2, declared in any order, and a predicate."""
+    k = draw(st.integers(4, 6))
     pattern = interchangeable(
         *draw(st.sampled_from(((2, 3), (3, 2), (2, 5), (3, 5)))), k, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
         draw(st.integers(0, 250)),
