@@ -14,7 +14,7 @@ from .apsearch import Progression, count_3term_stable, find_progressions, progre
 from .catalog import LemmaSolution, lemma21_classify, lemma21_solve, run_all, run_check
 from .classify import SweepConfig, family_nonextension, theorem1_match
 from .families import FAMILY_IDS, find_prog3_pairs, generate
-from .numutil import PrimeSet, power_exponent, smooth_enumerate
+from .numutil import PrimeSet, power_exponent
 from .sumset import Representation, SumsetElement, SumsetParams, enumerate_up_to, representations
 from .sunit import (
     Pattern,

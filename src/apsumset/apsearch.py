@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .numutil import is_prime
+from .numutil import is_prime, powers_below
 from .sumset import SumsetElement, SumsetParams, representations, value_set
 
 # the join's stored side holds about this many keys per residue class
@@ -108,15 +108,6 @@ def progression(params: SumsetParams, values: list[int]) -> Progression:
             raise ValueError(f"{v} is not in S_{{{params.a},{params.b}}}")
         terms.append(SumsetElement(v, tuple(reps)))
     return Progression(values[0], d, tuple(terms))
-
-
-def _ladder(base: int, limit: int) -> list[int]:
-    """Every power base^e < limit, ascending."""
-    out, power = [], 1
-    while power < limit:
-        out.append(power)
-        power *= base
-    return out
 
 
 def _pair_sums(ladder: list[int]) -> dict[int, tuple[int, int]]:
@@ -221,8 +212,8 @@ def find_progressions_over(a: int, bs: Sequence[int], k: int, limit: int) -> lis
     if not all_params:
         return []
     values = [value_set(params, limit) for params in all_params]
-    ladder_a = _ladder(a, limit)
-    ladders_b = [_ladder(b, limit) for b in bs]
+    ladder_a = powers_below(a, limit)
+    ladders_b = [powers_below(b, limit) for b in bs]
     if len(bs) == 1:
         short, long = sorted((ladder_a, ladders_b[0]), key=len)
         found = _join(short, long, [(short, long, values[0])], k, limit)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
-from .numutil import factor_over, iroot, power_exponent
+from .numutil import factor_over, minimal_power_base, power_exponent
 from .sunit import Pattern, PatternTerm, pillai_difference_table, solve_pattern
 
 # ---------------------------------------------------------------------------
@@ -168,15 +168,16 @@ def kruk_scan(b_min: int, b_max: int, exp_max: int) -> list[tuple[int, int, int,
 
 
 def rn_scan(e_max: int) -> list[tuple[int, int, int, int]]:
-    """All (b, m, e1, e2) with b^m = 2^e1 + 2^e2 + 1, m >= 2, e1 > e2 >= 1."""
+    """All (b, m, e1, e2) with b^m = 2^e1 + 2^e2 + 1, m >= 2, e1 > e2 >= 1.
+
+    With val = g^e and e maximal, b^m = val holds exactly when m divides e
+    and b = g^(e/m), so one `minimal_power_base` call gives every row of val.
+    """
     out = []
     for e1 in range(2, e_max + 1):
         for e2 in range(1, e1):
-            val = (1 << e1) + (1 << e2) + 1
-            for m in range(2, val.bit_length() + 1):
-                b = iroot(val, m)
-                if b >= 2 and b**m == val:
-                    out.append((b, m, e1, e2))
+            g, e = minimal_power_base((1 << e1) + (1 << e2) + 1)
+            out.extend((g ** (e // m), m, e1, e2) for m in range(2, e + 1) if e % m == 0)
     out.sort()
     return out
 

@@ -34,7 +34,7 @@ from math import gcd, isqrt
 from typing import Callable
 
 from .apsearch import Progression, progression
-from .numutil import iroot
+from .numutil import minimal_power_base
 from .sumset import SumsetParams
 
 Closed = tuple[SumsetParams, list[tuple[int, int]]]  # base pair, exponent pairs (x, y) of the terms
@@ -42,17 +42,6 @@ Closed = tuple[SumsetParams, list[tuple[int, int]]]  # base pair, exponent pairs
 
 class FamilyConstraintError(ValueError):
     """A family parameter is missing, unknown or violates its admissibility constraint."""
-
-
-def minimal_power_base(n: int) -> tuple[int, int]:
-    """Smallest g with g^e = n (e maximal); returns (g, e)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    for e in range(n.bit_length(), 1, -1):
-        g = iroot(n, e)
-        if g >= 2 and g**e == n:
-            return g, e
-    return n, 1
 
 
 def _check(cond: bool, msg: str) -> None:

@@ -1,7 +1,15 @@
 """Exact arbitrary-precision integer utilities shared by all solvers.
 
 Everything here works on Python ints only; no floating point enters any
-arithmetic path.
+arithmetic path.  This module is the one home of the three primitives the
+rest of the package is built on:
+
+- the power ladder (`powers_below`): every base^e below a limit, from
+  which S_{a,b} and the progression join are built;
+- perfect-power roots (`iroot`, `minimal_power_base`), which decide
+  multiplicative dependence a^c = b^d and the rows b^m of the registry;
+- smooth numbers (`smooth_buckets`), grouped by prime support for the
+  de Weger solver.
 """
 
 from __future__ import annotations
@@ -79,16 +87,31 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
+def minimal_power_base(n: int) -> tuple[int, int]:
+    """Smallest g with g^e = n (e maximal); returns (g, e)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    for e in range(n.bit_length(), 1, -1):
+        g = iroot(n, e)
+        if g >= 2 and g**e == n:
+            return g, e
+    return n, 1
+
+
+def powers_below(base: int, limit: int) -> list[int]:
+    """Every power base^e < limit, ascending."""
+    out, power = [], 1
+    while power < limit:
+        out.append(power)
+        power *= base
+    return out
+
+
 def ilog(n: int, base: int) -> int:
-    """Greatest e with base**e <= n, by exact repeated multiplication."""
+    """Greatest e with base**e <= n, read off the power ladder below n + 1."""
     if n < 1 or base < 2:
         raise ValueError("ilog requires n >= 1 and base >= 2")
-    e = 0
-    power = base
-    while power <= n:
-        power *= base
-        e += 1
-    return e
+    return len(powers_below(base, n + 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -142,16 +165,6 @@ def smooth_buckets(primes: PrimeSet | Iterable[int], limit: int) -> dict[int, li
                 grown.sort()
                 buckets[mask | 1 << i] = grown
     return buckets
-
-
-def smooth_enumerate(primes: PrimeSet | Iterable[int], limit: int) -> list[int]:
-    """All integers in [1, limit] whose prime factors all lie in `primes`, sorted.
-
-    The union of the `smooth_buckets` rather than a sieve: the count of
-    smooth numbers is polylogarithmic in the limit, so this stays cheap even
-    at limits around 10^13 where sieving is hopeless.
-    """
-    return sorted([v for bucket in smooth_buckets(primes, limit).values() for v in bucket])
 
 
 def factor_over(n: int, primes: PrimeSet | Iterable[int]) -> tuple[dict[int, int], int]:

@@ -49,14 +49,13 @@ def representations(params: SumsetParams, n: int) -> list[Representation]:
     """
     a, b = params.a, params.b
     out: list[Representation] = []
-    if n < 2:
-        return out
-    ax = 1
+    ax, x = 1, 0
     while ax < n:
         y = power_exponent(n - ax, b)
         if y is not None:
-            out.append(Representation(power_exponent(ax, a), y))
+            out.append(Representation(x, y))
         ax *= a
+        x += 1
     return out
 
 

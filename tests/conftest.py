@@ -10,6 +10,22 @@ from apsumset import catalog
 CHECKS = json.loads(resources.files("apsumset").joinpath("data/checks.json").read_text())
 
 
+def brute_reps(a, b, n):
+    """Every (x, y) with a^x + b^y = n, sorted by x, by a double loop over both exponents."""
+    out = []
+    ax, x = 1, 0
+    while ax < n:
+        by, y = 1, 0
+        while ax + by <= n:
+            if ax + by == n:
+                out.append((x, y))
+            by *= b
+            y += 1
+        ax *= a
+        x += 1
+    return out
+
+
 @pytest.fixture
 def edited_registry(monkeypatch):
     """Makes the real registry loader read checks.json with one value changed.

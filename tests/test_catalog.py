@@ -10,6 +10,7 @@ from apsumset.catalog import (
     KINDS,
     LEMMA_SPORADIC,
     LEMMA_SPORADIC_PRINTED,
+    SIDE_PREDICATES,
     LemmaSolution,
     build_pattern,
     kruk_scan,
@@ -20,6 +21,7 @@ from apsumset.catalog import (
     run_all,
     run_check,
 )
+from apsumset.numutil import iroot
 
 
 class TestLemmaSolve:
@@ -41,6 +43,20 @@ class TestLemmaSolve:
     def test_solution_invariant(self):
         with pytest.raises(ValueError):
             LemmaSolution(5, 1, 0, 3, 1)  # 4 != 24
+
+    def test_exponent_order_invariant(self):
+        # 2 - 2^-1 = 2^-1 * 3 holds in floats, so only the order guard refuses it
+        with pytest.raises(ValueError, match="need x > y >= 0"):
+            LemmaSolution(2, 1, -1, -1, 1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((1, 4, 4, 4), "b must be >= 2"), ((3, 0, 4, 4), "bounds must be >= 1"), ((3, 4, 4, 0), "bounds must be >= 1")],
+        ids=["b-1", "x-max-0", "beta-max-0"],
+    )
+    def test_refuses_bad_bounds(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            lemma21_solve(*args)
 
     def test_bounds_respected(self):
         for s in lemma21_solve(2, 8, 3, 20):
@@ -98,6 +114,20 @@ def scan_kruk(b_min, b_max, exp_max):
     return out
 
 
+def scan_rn(e_max):
+    """The rn rows by an integer m-th root of each value for every m up to its bit length."""
+    out = []
+    for e1 in range(2, e_max + 1):
+        for e2 in range(1, e1):
+            val = (1 << e1) + (1 << e2) + 1
+            for m in range(2, val.bit_length() + 1):
+                b = iroot(val, m)
+                if b >= 2 and b**m == val:
+                    out.append((b, m, e1, e2))
+    out.sort()
+    return out
+
+
 class TestScans:
     def test_kruk_only_b_2k_plus_1(self):
         from apsumset.numutil import power_exponent
@@ -127,6 +157,10 @@ class TestScans:
     def test_kruk_refuses_bad_bounds(self, args, message):
         with pytest.raises(ValueError, match=message):
             kruk_scan(*args)
+
+    @pytest.mark.parametrize("e_max", [2, 12, 20, 30])
+    def test_rn_matches_scan(self, e_max):
+        assert rn_scan(e_max) == scan_rn(e_max)
 
     def test_rn_scan_rows_verify(self):
         rows = rn_scan(12)
@@ -171,6 +205,14 @@ class TestRunCheck:
         rep = run_check("sec3-baj-eq15")
         assert rep.passed
         assert set(rep.found) == {(3, 0, 2, 1, 0), (1, 2, 3, 0, 0)}
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [{"x2": 1, "x3": 0, "y2": 0, "y3": 1, "y0": 0}, {"x2": 0, "x3": 2, "y2": 1, "y3": 0, "y0": 0}],
+        ids=["x3-and-y2-zero", "y3-and-x2-zero"],
+    )
+    def test_baj_eq15_context_refuses_a_zero_pair(self, assignment):
+        assert SIDE_PREDICATES["baj-eq15-context"](assignment) is False
 
     def test_dt_3y2(self):
         rep = run_check("sec3-dt-3y2")

@@ -40,6 +40,11 @@ class TestTheorem1Match:
             for miss in ((a, b, n, d - 1), (a, b, n, d + 1), (a, b, n + 1, d), (a, b + 1, n, d), (a + 1, b, n, d)):
                 assert theorem1_match(*miss) is None, miss
 
+    @pytest.mark.parametrize("maker", [family1_tuple, family2_tuple])
+    def test_family_refuses_k_0(self, maker):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            maker(0)
+
     @pytest.mark.parametrize(
         "t",
         [(2, 7, 7, 6), (2, 2, 2, 1), (3, 21, 6, 10), (3, 23, 7, 12), (3, 4, 7, 5), (2, 3, 5, 3), (4, 5, 5, 2)],

@@ -422,6 +422,57 @@ class TestMalformedRegistry:
         assert captured.err == f"error: {message}\n"
 
 
+class TestGuards:
+    """Each input guard refuses with exit 2, its own message and no manifest.
+
+    A case is the argument list, a pattern file whose path is appended to
+    it (or None) and a registry edit (or None).
+    """
+
+    @pytest.mark.parametrize(
+        "argv, pattern, edit, message",
+        [
+            (("count3", "2", "3", "--limits", "1,10"), None, None, "limit must be >= 2, got 1"),
+            (("enum", "2", "3", "--limit", "1"), None, None, "limit must be >= 2, got 1"),
+            (("sweep", "--a-max", "5", "--b-max", "4", "--len", "5", "--limit", "100"), None, None,
+             "need 2 <= a_max <= b_max"),
+            (("sunit", "deweger", "--z-limit", "1"), None, None, "z_limit must be >= 2, got 1"),
+            (("family", "gen", "prog1"), None, None, "prog1 needs parameters ['n']"),
+            (("family", "gen", "prog1", "--params", "n"), None, None, "malformed parameter 'n'; expected name=int"),
+            (("sunit", "pattern"), {**VALID_PATTERN, "terms": [[0, 0, "a"], [-1, "b", 0], [-1, 0, 0]]}, None,
+             "coefficient must be nonzero"),
+            (("sunit", "pattern"), {**VALID_PATTERN, "terms": [[1, 0, "a"], [-1, "b", 0], [-1, 0, -1]]}, None,
+             "fixed exponent must be >= 0, got -1"),
+            (("sunit", "pattern"), {**VALID_PATTERN, "p": 4}, None, "p, q must be distinct primes, got 4, 3"),
+            (("sunit", "pattern"), {**VALID_PATTERN, "bounds": [["a", 12], ["b", 19], ["c", 3]]}, None,
+             "variable mismatch: terms use ['a', 'b'], bounds declare ['a', 'b', 'c']"),
+            (("check", "--all"), None, ("lemma21-sweep", ("solver", "b_min"), 1), "b must be >= 2"),
+            (("check", "--all"), None, ("sec4-pillai-list", ("solver", "prime_pairs"), [[4, 3]]),
+             "bad prime pair (4, 3)"),
+            (("check", "--all"), None, ("sec4-szalay", ("expected",), 5),
+             "check 'sec4-szalay': expected must be a list of rows, got 5"),
+        ],
+        ids=[
+            "count3-limit", "enum-limit", "sweep-a-above-b", "deweger-z-limit", "family-no-params",
+            "family-malformed-param", "pattern-zero-coefficient", "pattern-negative-exponent",
+            "pattern-composite-p", "pattern-unused-bound", "lemma21-b-min", "pillai-composite-pair",
+            "expected-not-rows",
+        ],
+    )
+    def test_refused(self, capsys, tmp_path, edited_registry, argv, pattern, edit, message):
+        if pattern is not None:
+            path = tmp_path / "pattern.json"
+            path.write_text(json.dumps(pattern))
+            argv = (*argv, str(path))
+        if edit is not None:
+            edited_registry(*edit)
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestIntegerGrammar:
     @pytest.mark.parametrize(
         "argv",

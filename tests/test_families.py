@@ -6,21 +6,7 @@ from hypothesis import strategies as st
 
 from apsumset.families import FAMILIES, FAMILY_IDS, FamilyConstraintError, find_prog3_pairs, generate
 
-
-def brute_reps(a, b, n):
-    """Every (x, y) with a^x + b^y = n, by a double loop over both exponents."""
-    out = []
-    ax, x = 1, 0
-    while ax < n:
-        by, y = 1, 0
-        while ax + by <= n:
-            if ax + by == n:
-                out.append((x, y))
-            by *= b
-            y += 1
-        ax *= a
-        x += 1
-    return out
+from conftest import brute_reps
 
 
 @st.composite

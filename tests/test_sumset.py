@@ -10,21 +10,7 @@ from apsumset.sumset import (
     value_set,
 )
 
-
-def brute_reps(a, b, n):
-    """Independent double loop over both exponents."""
-    out = []
-    ax, x = 1, 0
-    while ax < n:
-        by, y = 1, 0
-        while ax + by <= n:
-            if ax + by == n:
-                out.append((x, y))
-            by *= b
-            y += 1
-        ax *= a
-        x += 1
-    return sorted(out)
+from conftest import brute_reps
 
 
 class TestParams:
@@ -68,6 +54,7 @@ class TestContains:
     def test_one_below_minimum(self):
         assert representations(SumsetParams(2, 3), 1) == []
         assert representations(SumsetParams(2, 3), 0) == []
+        assert representations(SumsetParams(2, 3), -5) == []
 
     def test_22_78(self):
         assert representations(SumsetParams(22, 78), 22 + 78**2) == [(1, 2)]

@@ -12,6 +12,7 @@ from apsumset.sunit import (
     Pattern,
     PatternTerm,
     SearchBudgetExceeded,
+    TripleSolution,
     bajpai_bennett_5term,
     deweger_3term,
     deze_tijdeman_4term,
@@ -427,6 +428,10 @@ class TestDeweger:
     def test_matches_brute_force_random_sets(self, primes, z_limit):
         got = [(t.x, t.y, t.z) for t in deweger_3term(primes, z_limit)]
         assert got == brute_deweger(tuple(primes), z_limit)
+
+    def test_triple_invariant(self):
+        with pytest.raises(ValueError, match=r"invalid triple \(2, 1, 3\)"):
+            TripleSolution(2, 1, 3)  # x > y
 
     def test_refuses_beyond_int64(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
