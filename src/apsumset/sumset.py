@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .numutil import power_exponent
-
 
 @dataclass(frozen=True)
 class SumsetParams:
@@ -42,20 +40,32 @@ class SumsetElement:
 def representations(params: SumsetParams, n: int) -> list[Representation]:
     """Complete, duplicate-free list of (x, y) with a^x + b^y = n, sorted by x.
 
-    Iterates x over 0..log_a(n-1) and power-tests the remainder against base
-    b; a^x determines y uniquely, so the list is complete by construction.
-    An empty list means n is not in the sumset; this is the package's one
-    membership test.
+    Walks y over the b-ladder and looks up the remainder in the a-ladder.
+    The remainder n - b^y falls as y rises, so the lookup walks down the
+    a-ladder from the first power >= n by exact division: the two ladders
+    are merged like sorted lists, in about log_a n + log_b n steps, and
+    neither is stored.  Each y gives at most one x, so the list is complete
+    by construction; x falls as y rises, so it is reversed at the end.
+    Every value is an exact Python int.  An empty list means n is not in
+    the sumset; this is the package's one membership test.
     """
     a, b = params.a, params.b
-    out: list[Representation] = []
     ax, x = 1, 0
     while ax < n:
-        y = power_exponent(n - ax, b)
-        if y is not None:
-            out.append(Representation(x, y))
         ax *= a
         x += 1
+    out: list[Representation] = []
+    by, y = 1, 0
+    while by < n:
+        rest = n - by
+        while ax > rest:
+            ax //= a
+            x -= 1
+        if ax == rest:
+            out.append(Representation(x, y))
+        by *= b
+        y += 1
+    out.reverse()
     return out
 
 

@@ -1,7 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apsumset.families import generate
+from apsumset.numutil import ilog, power_exponent
 from apsumset.sumset import (
     Representation,
     SumsetParams,
@@ -43,6 +48,90 @@ class TestRepresentations:
     def test_sorted_by_x(self):
         reps = representations(SumsetParams(2, 3), 17)
         assert reps == sorted(reps)
+
+
+def division_reps(a, b, n):
+    """The former membership loop: x over the a-ladder, the remainder divided down by b."""
+    out = []
+    ax, x = 1, 0
+    while ax < n:
+        y = power_exponent(n - ax, b)
+        if y is not None:
+            out.append((x, y))
+        ax *= a
+        x += 1
+    return out
+
+
+# dependent pairs, whose values can have several representations; the pairs
+# (2, 2^k + 1), where 2^k + 2 = 2^k + 1 + b^0 = 2^0 + b; and the bases of the
+# pinned prog3 family verify
+ORACLE_PAIRS = [(2, 4), (2, 8), (4, 8), (3, 9), *((2, 2**k + 1) for k in range(1, 9)), (97513, 137904)]
+SCALE = 10**60
+
+
+def assert_matches_division_loop(a, b, n):
+    reps = representations(SumsetParams(a, b), n)
+    assert reps == division_reps(a, b, n), (a, b, n)
+    xs = [x for x, _ in reps]
+    assert xs == sorted(set(xs)), (a, b, n)  # sorted by x, no duplicates
+    return reps
+
+
+class TestLadderLookupOracle:
+    """`representations` against the division loop it replaced, up to 10^60."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_division_loop(self, data):
+        a, b = data.draw(st.sampled_from(ORACLE_PAIRS), label="pair")
+        if data.draw(st.booleans(), label="constructed"):
+            x = data.draw(st.integers(0, ilog(SCALE, a)), label="x")
+            y = data.draw(st.integers(0, ilog(SCALE, b)), label="y")
+            n = a**x + b**y + data.draw(st.sampled_from([-1, 0, 0, 1]), label="offset")
+        else:
+            n = data.draw(st.integers(-5, SCALE), label="n")
+        assert_matches_division_loop(a, b, n)
+
+    @pytest.mark.parametrize("a, b", ORACLE_PAIRS)
+    def test_small_and_negative(self, a, b):
+        for n in (-5, 0, 1, 2):
+            assert_matches_division_loop(a, b, n)
+        assert representations(SumsetParams(a, b), 2) == [(0, 0)]
+
+    @pytest.mark.parametrize("a, b", ORACLE_PAIRS)
+    def test_every_member_and_neighbour(self, a, b):
+        """Every a^x + b^y up to 10^18 (10^60 for the prog3 bases) and both neighbours."""
+        limit = SCALE if a > 1000 else 10**18
+        several = 0
+        ax = 1
+        while ax < limit:
+            by = 1
+            while ax + by <= limit:
+                for n in (ax + by - 1, ax + by, ax + by + 1):
+                    several += len(assert_matches_division_loop(a, b, n)) > 1
+                by *= b
+            ax *= a
+        # dependent pairs and (2, 2^k + 1) have values with several representations
+        assert several > 0 or a > 1000
+
+    def test_peak_memory_on_a_huge_value(self):
+        # the 33,198 powers of 2 below this 10^10000-sized value would take
+        # about 70 MiB if the a-ladder were stored
+        n = 2**33197 + 3**20898
+        tracemalloc.start()
+        try:
+            reps = representations(SumsetParams(2, 3), n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reps == [(33197, 20898)]
+        assert peak < 2**20
+
+    def test_prog3_family_terms(self):
+        params, prog = generate("prog3", {"a": 97513, "b": 137904, "delta1": 1, "delta2": 1})
+        for t in prog.terms:
+            assert assert_matches_division_loop(params.a, params.b, t.value) == list(t.reps)
 
 
 class TestContains:
