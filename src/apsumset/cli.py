@@ -66,8 +66,8 @@ def _param(v):
     return str(v) if isinstance(v, int) and abs(v) >= 2**63 else v
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every row and manifest; json.dumps would build a new one per call
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _progression_obj(a: int, b: int, prog, maximal: bool | None = None):
