@@ -7,7 +7,8 @@ exceed 64 bits (term values, N, D, limits) are serialized as decimal
 strings; exponents and counts stay plain ints.  A manifest recording the
 command, the full parameter set including defaults, the artifact version,
 wall-clock duration and a digest of the result bytes goes to stderr, or to
-``--manifest FILE``.
+``--manifest FILE``; a FILE that cannot be written is refused before the
+command runs.
 
 Each leaf command binds its runner with ``set_defaults(run=...)``.  A
 runner takes the parsed arguments and returns (rows, exit code); ``main``
@@ -409,6 +410,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _manifest_problem(path: str) -> str | None:
+    """Why no manifest can be written to `path`, or None; checked before any search runs."""
+    if os.path.isdir(path):
+        return "is a directory"
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"no such directory {folder}"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "not writable"
+    return None
+
+
 _PARSER: argparse.ArgumentParser | None = None
 
 
@@ -420,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    problem = args.manifest and _manifest_problem(args.manifest)
+    if problem:
+        print(f"error: manifest {args.manifest}: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     start = time.perf_counter()
     try:
         rows, code = args.run(args)

@@ -1,11 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
 import time
 
 import pytest
 
-from apsumset import classify, families
+from apsumset import classify, cli, families
 from apsumset.catalog import registry
 from apsumset.cli import build_parser, main
 from apsumset.sumset import SumsetParams
@@ -471,6 +472,80 @@ class TestGuards:
         assert manifest is None
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+class TestManifestPath:
+    """A manifest path that cannot be written is refused with exit 2 before the search runs."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search ran before the manifest path was checked")
+
+        monkeypatch.setattr(cli, "representations", refuse)
+
+    def test_directory_refused(self, capsys, tmp_path, no_search):
+        code = main(["--manifest", str(tmp_path), "member", "2", "3", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: manifest {tmp_path}: is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_refused(self, capsys, tmp_path, no_search):
+        path = tmp_path / "nonexistent" / "dir" / "m.json"
+        code = main(["--manifest", str(path), "member", "2", "3", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: manifest {path}: no such directory {path.parent}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_refused(self, capsys, tmp_path, no_search, monkeypatch):
+        # permission bits do not stop every user, so the access check is faked
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        path = tmp_path / "m.json"
+        code = main(["--manifest", str(path), "member", "2", "3", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: manifest {path}: not writable\n"
+        assert not path.exists()
+
+
+class TestParserReuse:
+    """Calls of `main` in one process share the parser and nothing else."""
+
+    def test_sequence(self, capsys, tmp_path, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+
+        def call(i, *argv):
+            path = tmp_path / f"m{i}.json"
+            code = main(["--manifest", str(path), *argv])
+            out = capsys.readouterr().out
+            return code, out, json.loads(path.read_text()) if path.exists() else None
+
+        ap = ("ap", "2", "3", "--len", "3", "--limit", "1e6")
+        first = call(0, *ap)
+        usage = call(1, "ap", "2", "3", "--len", "three", "--limit", "1e6")
+        help_ = call(2, "--help")
+        second = call(3, *ap)
+        sweep = call(4, "sweep", "--a-max", "3", "--b-max", "5", "--len", "3", "--limit", "1e4")
+        assert len(builds) == 1
+        assert first[0] == second[0] == sweep[0] == 0
+        assert (usage[0], usage[2]) == (2, None)
+        assert (help_[0], help_[2]) == (0, None)
+        assert help_[1].startswith("usage: apsumset")
+        assert first[1] and first[1] == second[1]
+        assert first[2]["parameters"] == second[2]["parameters"]
+        assert first[2]["result_sha256"] == second[2]["result_sha256"]
+        for _, _, manifest in (first, second, sweep):
+            assert manifest["parameters"]["threads"] == (os.cpu_count() or 1)
 
 
 class TestIntegerGrammar:
