@@ -3,13 +3,13 @@
 The two-base sumset S_{a,b} consists of every integer of the form
 a^x + b^y with x, y >= 0, for fixed integer bases b > a > 1.  Its smallest
 element is a^0 + b^0 = 2, and it has at most (log_a n + 1)(log_b n + 1)
-elements up to n.
+elements up to n.  A witness that n is in the sumset is its exponent pair,
+a plain (x, y) tuple with a^x + b^y = n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -24,20 +24,15 @@ class SumsetParams:
             raise ValueError(f"need b > a > 1, got a={self.a}, b={self.b}")
 
 
-class Representation(NamedTuple):
-    x: int
-    y: int
-
-
 @dataclass(frozen=True)
 class SumsetElement:
     """A sumset value together with its complete list of representations."""
 
     value: int
-    reps: tuple[Representation, ...]
+    reps: tuple[tuple[int, int], ...]
 
 
-def representations(params: SumsetParams, n: int) -> list[Representation]:
+def representations(params: SumsetParams, n: int) -> list[tuple[int, int]]:
     """Complete, duplicate-free list of (x, y) with a^x + b^y = n, sorted by x.
 
     Walks y over the b-ladder and looks up the remainder in the a-ladder.
@@ -54,7 +49,7 @@ def representations(params: SumsetParams, n: int) -> list[Representation]:
     while ax < n:
         ax *= a
         x += 1
-    out: list[Representation] = []
+    out: list[tuple[int, int]] = []
     by, y = 1, 0
     while by < n:
         rest = n - by
@@ -62,7 +57,7 @@ def representations(params: SumsetParams, n: int) -> list[Representation]:
             ax //= a
             x -= 1
         if ax == rest:
-            out.append(Representation(x, y))
+            out.append((x, y))
         by *= b
         y += 1
     out.reverse()
@@ -93,12 +88,12 @@ def enumerate_up_to(params: SumsetParams, limit: int) -> list[SumsetElement]:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     a, b = params.a, params.b
-    found: dict[int, list[Representation]] = {}
+    found: dict[int, list[tuple[int, int]]] = {}
     ax, x = 1, 0
     while ax < limit:
         by, y = 1, 0
         while ax + by <= limit:
-            found.setdefault(ax + by, []).append(Representation(x, y))
+            found.setdefault(ax + by, []).append((x, y))
             by *= b
             y += 1
         ax *= a

@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -97,6 +99,16 @@ GOLDEN_SUMSET = {
         "43d57274505f85bead8089ed4b9601d144912de579002481cff512bab460e505",
 }
 
+# result_sha256 of `member` on members: two witnesses for 11 and 1040, one for 2^300 + 3^200
+GOLDEN_MEMBER = {
+    ("member", "2", "3", "11"):
+        "ccec365649544c38c6da0e7e0b49208766694454f921632aed17dc88a6a82661",
+    ("member", "2", "4", "1040"):
+        "b101300482993c98fbbb5582133d9a0b1289847506fb367ed090c19e7a1f57b5",
+    ("member", "2", "3", str(2**300 + 3**200)):
+        "04a6f014bffc9c88682b583d42139800a2f5be895024e41bba5e3a7ed78be995",
+}
+
 
 def run(capsys, tmp_path, *argv):
     """Exit code, result lines and manifest of one CLI invocation."""
@@ -118,6 +130,39 @@ class TestIntegerArguments:
         code, captured, manifest = run(capsys, tmp_path, "member", "2", "3", "1e400")
         assert code == 0
         assert json.loads(captured.out)["n"] == "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "text, n", [("1e5000", "1" + "0" * 5000), ("1e30000", "1" + "0" * 30000), ("7" * 4400, "7" * 4400)],
+        ids=["1e5000", "1e30000", "4400-digits"],
+    )
+    def test_past_the_str_digit_cap(self, capsys, tmp_path, text, n):
+        code, captured, manifest = run(capsys, tmp_path, "member", "2", "3", text)
+        assert code == 0
+        row = json.loads(captured.out)
+        assert row["n"] == manifest["parameters"]["n"] == n and row["member"] is False
+
+    def test_family_past_the_cap(self, capsys, tmp_path):
+        code, captured, manifest = run(
+            capsys, tmp_path, "family", "verify", "three-term-A", "--params", "k=15000,j=1"
+        )
+        assert code == 0
+        # the base b has 4516 digits and is written as a JSON number
+        row = json.loads(captured.out, parse_int=str)
+        assert row["verified"] is True and row["len"] == "3"
+        assert len(row["b"]) > 4300
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str digit cap before 3.10.7")
+    @pytest.mark.parametrize("cap", [4300, 5000, 0])
+    def test_caller_cap_restored(self, capsys, tmp_path, cap):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(cap)
+        try:
+            assert run(capsys, tmp_path, "member", "2", "3", "1e5000")[0] == 0
+            assert sys.get_int_max_str_digits() == cap
+            assert run(capsys, tmp_path, "member", "2", "3", "x")[0] == 2
+            assert sys.get_int_max_str_digits() == cap
+        finally:
+            sys.set_int_max_str_digits(before)
 
     @pytest.mark.parametrize("text", ["1.5e1", "1e-3", "-5", "0x10", "1e", "e5", "1_000", ""])
     def test_non_integer_refused(self, capsys, tmp_path, text):
@@ -176,6 +221,14 @@ class TestGoldenOutput:
         assert code == 0
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == {**GOLDEN_FAMILY, **GOLDEN_SUMSET}[argv]
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_MEMBER), ids=["2 3 11", "2 4 1040", "2 3 2^300+3^200"])
+    def test_member_digest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 0
+        assert json.loads(captured.out)["member"] is True
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == manifest["result_sha256"] == GOLDEN_MEMBER[argv]
 
     def test_prog3_pairs_1e30_digest(self, capsys, tmp_path):
         code, captured, manifest = run(capsys, tmp_path, "family", "prog3-pairs", "--limit", "1e30")
@@ -514,15 +567,8 @@ class TestManifestPath:
 class TestParserReuse:
     """Calls of `main` in one process share the parser and nothing else."""
 
-    def test_sequence(self, capsys, tmp_path, monkeypatch):
-        builds = []
-
-        def counting_build():
-            builds.append(None)
-            return build_parser()
-
-        monkeypatch.setattr(cli, "_PARSER", None)
-        monkeypatch.setattr(cli, "build_parser", counting_build)
+    def test_sequence(self, capsys, tmp_path):
+        build_parser.cache_clear()
 
         def call(i, *argv):
             path = tmp_path / f"m{i}.json"
@@ -536,7 +582,7 @@ class TestParserReuse:
         help_ = call(2, "--help")
         second = call(3, *ap)
         sweep = call(4, "sweep", "--a-max", "3", "--b-max", "5", "--len", "3", "--limit", "1e4")
-        assert len(builds) == 1
+        assert build_parser.cache_info().misses == 1
         assert first[0] == second[0] == sweep[0] == 0
         assert (usage[0], usage[2]) == (2, None)
         assert (help_[0], help_[2]) == (0, None)
@@ -546,6 +592,13 @@ class TestParserReuse:
         assert first[2]["result_sha256"] == second[2]["result_sha256"]
         for _, _, manifest in (first, second, sweep):
             assert manifest["parameters"]["threads"] == (os.cpu_count() or 1)
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import apsumset.cli as c; print(c.build_parser.cache_info().misses)"
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
 
 
 class TestIntegerGrammar:

@@ -26,3 +26,17 @@ def test_modules_found():
 def test_imports_only_stdlib_and_apsumset(path):
     outside = {m for m in imported_roots(path) if m != "apsumset" and m not in sys.stdlib_module_names}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def root_imports(path: Path):
+    """Names the file takes from the package root, by `from . import` or `from apsumset import`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "apsumset")):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_root_gives_only_version_and_submodules(path):
+    allowed = {"__version__"} | {p.stem for p in MODULES}
+    taken = set(root_imports(path)) - allowed
+    assert not taken, f"{path.name} takes {sorted(taken)} from the package root"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from apsumset.families import generate
 from apsumset.numutil import ilog, power_exponent
 from apsumset.sumset import (
-    Representation,
     SumsetParams,
     enumerate_up_to,
     representations,
@@ -171,7 +170,7 @@ class TestEnumerate:
     def test_limit_two(self):
         els = enumerate_up_to(SumsetParams(2, 3), 2)
         assert [e.value for e in els] == [2]
-        assert els[0].reps == (Representation(0, 0),)
+        assert els[0].reps == ((0, 0),)
 
     def test_s27_up_to_100(self):
         # double-loop count: x <= 6, y <= 2 gives 20 pairs, 2 duplicated values
@@ -197,4 +196,4 @@ class TestEnumerate:
 
     def test_multi_rep_element(self):
         els = {e.value: e for e in enumerate_up_to(SumsetParams(2, 3), 20)}
-        assert els[11].reps == (Representation(1, 2), Representation(3, 1))
+        assert els[11].reps == ((1, 2), (3, 1))
