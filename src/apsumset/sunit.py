@@ -42,8 +42,15 @@ intersection over a window of the values above finds i0.  With v the
 value at lo, every stored sum s has |s| <= values[lo-1] + values[lo-2]
 < 2v, and a match needs i0's value u = rest - s, where rest is minus the
 walked sum; so u lies in (rest - 2v, rest + 2v), a slice taken by
-bisection, for every k >= 4.  The budget counts the rows, 4 C(n-1, 2)
-pair sums plus 2^(k-3) C(n, k-3) walked signed tuples.
+bisection, for every k >= 4.  Two exact cuts come first.  A row (lo and
+its middle indices) is skipped before its 2^(k-3) sign patterns when the
+first value above it is at least t + 2v, with t the sum of the walked
+magnitudes: rest <= t under every sign pattern, so no window of the row
+holds a value.  Under ``require_primitive`` a stored pair is skipped when
+gcd(u, walked values, pair) != 1 before its signed tuple is built; that
+gcd is the primitivity test itself, so no primitive solution is lost, and
+the filters still decide every pair that is kept.  The budget counts the
+rows, 4 C(n-1, 2) pair sums plus 2^(k-3) C(n, k-3) walked signed tuples.
 
 Support buckets.  In a de Weger solution gcd(x, y) = 1 and z = x + y make
 x, y and z pairwise coprime, so their prime-support masks are pairwise
@@ -53,12 +60,16 @@ each straight into the sorted bucket of its exact mask
 share a bucket only if both masks are empty, which is 1 + 1 = 2, emitted
 directly; every other solution lies in exactly one triple of distinct,
 pairwise disjoint buckets: an unordered summand pair {A, B} and a nonempty
-sum bucket C.  Each triple walks its smallest bucket in Python and maps
-the middle one in C against the largest, a set: sums w + v probe C when C
-is largest, differences probe a summand bucket otherwise, and a bisection
-cut keeps only terms that can meet it.  The probe meets a triple (x, y, z)
-iff x + y = z exactly, so the join is complete and yields each solution
-once; all arithmetic is on Python ints.
+sum bucket C.  Each triple orders its buckets by size as S, M and U, and
+probes U, a set, with every sum or difference of the product S x M in one
+C-level intersection: sums w + v when U is C, differences w - v when S is
+C, and v - w when M is C.  M is cut once by the bucket extremes, to
+v <= max(C) - min(S), v < max(S) and v > min(S) in those three cases; a
+solution's term v of M is z - x with x in S, a summand below z in S, or
+x + y with x in S, so the cuts drop none.  The probe meets a value of U iff
+it completes a solution of the triple, and scanning S against M's set
+recovers every solution behind each hit, once; all arithmetic is on
+Python ints.
 """
 
 from __future__ import annotations
@@ -67,6 +78,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, gcd, prod
+from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
 from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_buckets
@@ -311,6 +323,7 @@ def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], 
     exponents = {p**e * q**f: (e, f) for f, top in enumerate(e_tops) for e in range(top + 1)}
     values = sorted(exponents)
 
+    names, primitive = pattern.variables, pattern.require_primitive
     pairs: dict[int, list[tuple[int, int]]] = {}
     for lo, v in enumerate(values):
         for low in values[:max(lo - 1, 0)]:  # admit the pairs (j, l) with l < j = lo - 1
@@ -318,17 +331,25 @@ def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], 
                 pairs.setdefault(sum(pair), []).append(pair)
         for mid in itertools.combinations(range(lo + 1, len(values)), k - 4):
             start = (mid[-1] if mid else lo) + 1  # i0 lies above the walked indices
-            for walked in itertools.product(*((u, -u) for u in (v, *map(values.__getitem__, mid)))):
+            tops = (v, *map(values.__getitem__, mid))
+            if start == len(values) or values[start] >= sum(tops) + 2 * v:
+                continue  # rest <= sum(tops), so no i0 lies below rest + 2v for any signs
+            for walked in itertools.product(*((u, -u) for u in tops)):
                 rest = -sum(walked)
                 # a stored pair sum is below 2v in magnitude, so i0's value lies within 2v of rest
                 window = values[max(start, bisect_right(values, rest - 2 * v)):bisect_left(values, rest + 2 * v)]
                 for target in pairs.keys() & map(rest.__sub__, window):
-                    for signed in ((rest - target, *walked[::-1], *pair) for pair in pairs[target]):
+                    u = rest - target
+                    common = gcd(u, *walked) if primitive else 1  # a pair sharing a factor with it is not primitive
+                    for pair in pairs[target]:
+                        if gcd(common, *pair) != 1:
+                            continue
+                        signed = (u, *walked[::-1], *pair)
                         if _keep(pattern, signed):
                             env = {}
                             for t, s in zip(pattern.terms, signed):
                                 env[t.p_exp], env[t.q_exp] = exponents[abs(s)]
-                            yield [env[x] for x in pattern.variables], signed
+                            yield [env[x] for x in names], signed
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +376,11 @@ def deweger_3term(
     """Complete list of x + y = z, x <= y, gcd(x,y) = 1, xyz smooth, z <= z_limit.
 
     The smooth numbers are built straight into sorted buckets by support
-    mask (`smooth_buckets`), and each triple of pairwise disjoint buckets
-    (summands A, B, sum C) walks its two smaller buckets and probes the
-    largest by set intersection; see the module docstring for why this is
+    mask (`smooth_buckets`).  Each triple of pairwise disjoint buckets
+    (summands A, B, sum C) probes its largest bucket with every sum or
+    difference of the other two in one set intersection, the middle bucket
+    cut once by the bucket extremes, and recovers each hit's summands by a
+    scan of the smallest; see the module docstring for why this is
     complete.  Sorted by (z, x).  z_limit above 2^63 - 1 is refused, which
     bounds the enumeration.
     """
@@ -378,17 +401,19 @@ def deweger_3term(
             if not c or c & (a | b):
                 continue
             s, t, u = sorted((a, b, c), key=lambda m: len(buckets[m]))
-            mid, probe = buckets[t], sets[u]
-            for w in buckets[s]:
-                if u == c:  # sums w + v probe the sum bucket
-                    hits = probe.intersection(map(w.__add__, mid[:bisect_right(mid, buckets[u][-1] - w)]))
-                    found += [(w, h - w, h) for h in hits]
-                elif s == c:  # w is a sum: differences w - v probe a summand bucket
-                    hits = probe.intersection(map(w.__sub__, mid[:bisect_left(mid, w)]))
-                    found += [(h, w - h, w) for h in hits]
-                else:  # mid holds the sums: differences v - w probe a summand bucket
-                    hits = probe.intersection(map(w.__rsub__, mid[bisect_right(mid, w):]))
-                    found += [(w, h, w + h) for h in hits]
+            small, mid, probe, members = buckets[s], buckets[t], sets[u], sets[t]
+            if u == c:  # sums w + v probe the sum bucket
+                mid = mid[:bisect_right(mid, buckets[u][-1] - small[0])]
+                hits = probe.intersection(itertools.starmap(add, itertools.product(small, mid)))
+                found += [(w, h - w, h) for h in hits for w in small if h - w in members]
+            elif s == c:  # small holds the sums: differences w - v probe a summand bucket
+                mid = mid[:bisect_left(mid, small[-1])]
+                hits = probe.intersection(itertools.starmap(sub, itertools.product(small, mid)))
+                found += [(h, w - h, w) for h in hits for w in small if w - h in members]
+            else:  # mid holds the sums: differences v - w probe a summand bucket
+                mid = mid[bisect_right(mid, small[0]):]
+                hits = probe.intersection(itertools.starmap(sub, itertools.product(mid, small)))
+                found += [(w, h, w + h) for h in hits for w in small if w + h in members]
     ordered = sorted((z, min(x, y), max(x, y)) for x, y, z in found)
     return [TripleSolution(x, y, z) for z, x, y in ordered]
 

@@ -1,12 +1,14 @@
 import itertools
+from bisect import bisect_left, bisect_right
 from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apsumset.numutil import PrimeSet, power_exponent
+from apsumset.numutil import PrimeSet, power_exponent, smooth_buckets
 from apsumset.sunit import (
+    DEWEGER_PRIMES,
     SHAPE_PAIRS,
     SHAPE_PRODUCT,
     Pattern,
@@ -290,6 +292,21 @@ def interchangeable_cases(draw):
     return pattern, draw(st.sampled_from((None, even_sum)))
 
 
+def skipped_rows(pattern):
+    """The walk's rows (lo, middle indices) with a value above them, whose first such value is >= sum(walked) + 2v."""
+    bound = dict(pattern.var_bounds)
+    e_max, f_max = bound[pattern.terms[0].p_exp], bound[pattern.terms[0].q_exp]
+    monomials = (pattern.p**e * pattern.q**f for e in range(e_max + 1) for f in range(f_max + 1))
+    values = sorted(m for m in monomials if m <= pattern.value_bound)
+    rows = []
+    for lo, v in enumerate(values):
+        for mid in itertools.combinations(range(lo + 1, len(values)), len(pattern.terms) - 4):
+            start = (mid[-1] if mid else lo) + 1
+            if start < len(values) and values[start] >= v + sum(values[i] for i in mid) + 2 * v:
+                rows.append((lo, mid))
+    return rows
+
+
 class TestInterchangeable:
     @settings(max_examples=200, deadline=None)
     @given(case=interchangeable_cases())
@@ -301,6 +318,35 @@ class TestInterchangeable:
         sols = solve_pattern(pattern, predicate)
         assert [s.values for s in sols] == sorted(s.values for s in sols)
         assert sorted((s.values, s.term_values) for s in sols) == naive_interchangeable(pattern, predicate)
+
+    @pytest.mark.parametrize(
+        "p, q, k, e_max, f_max, value_bound, filters",
+        [
+            (3, 5, 4, 5, 3, 700, {}),
+            (3, 5, 4, 5, 3, 700, {"require_primitive": True}),
+            (3, 2, 5, 5, 3, 200, {}),
+            (2, 5, 5, 5, 3, 200, {"require_primitive": True}),
+            (3, 5, 6, 5, 3, 200, {"forbid_vanishing_subsums": True}),
+            (2, 5, 6, 5, 3, 120, {"require_primitive": True}),
+        ],
+    )
+    def test_row_skip_matches_naive(self, p, q, k, e_max, f_max, value_bound, filters):
+        # boxes where the walk skips whole rows whose values above lie out of reach of every sign pattern
+        pattern = interchangeable(p, q, k, e_max, f_max, value_bound, **filters)
+        assert skipped_rows(pattern)
+        assert sorted((s.values, s.term_values) for s in solve_pattern(pattern)) == naive_interchangeable(pattern)
+
+    @pytest.mark.parametrize(
+        "k, e_max, f_max, value_bound, solutions, primitive",
+        [(5, 8, 6, 3**12, 11_028, 872), (4, 8, 6, 3**12, 1_100, 49), (6, 5, 3, 3**5, 3_897, 1_790)],
+    )
+    def test_primitive_is_gcd_one_subset(self, k, e_max, f_max, value_bound, solutions, primitive):
+        # the walk's gcd prefilter drops exactly the zero sums whose terms share a factor
+        plain = solve_pattern(interchangeable(2, 3, k, e_max, f_max, value_bound))
+        kept = solve_pattern(interchangeable(2, 3, k, e_max, f_max, value_bound, require_primitive=True))
+        coprime = [s for s in plain if gcd(*s.term_values) == 1]
+        assert [(s.values, s.term_values) for s in kept] == [(s.values, s.term_values) for s in coprime]
+        assert (len(plain), len(kept)) == (solutions, primitive)
 
     def test_no_value_bound_refused_at_once(self):
         # without a value bound these exponent bounds would admit 10^12 monomials
@@ -386,6 +432,32 @@ def brute_deweger(primes, z_limit):
     return sorted(out, key=lambda t: (t[2], t[0]))
 
 
+def walk_deweger(primes, z_limit):
+    """The former bucket join: each triple walks its smallest bucket w by w, one intersection per w."""
+    buckets = smooth_buckets(primes, z_limit)
+    sets = {m: set(b) for m, b in buckets.items()}
+    found = [(1, 1, 2)] if 2 in primes else []
+    for a, b in itertools.combinations(buckets, 2):
+        if a & b:
+            continue
+        for c in buckets:
+            if not c or c & (a | b):
+                continue
+            s, t, u = sorted((a, b, c), key=lambda m: len(buckets[m]))
+            mid, probe = buckets[t], sets[u]
+            for w in buckets[s]:
+                if u == c:  # sums w + v probe the sum bucket
+                    hits = probe.intersection(map(w.__add__, mid[:bisect_right(mid, buckets[u][-1] - w)]))
+                    found += [(w, h - w, h) for h in hits]
+                elif s == c:  # w is a sum: differences w - v probe a summand bucket
+                    hits = probe.intersection(map(w.__sub__, mid[:bisect_left(mid, w)]))
+                    found += [(h, w - h, w) for h in hits]
+                else:  # mid holds the sums: differences v - w probe a summand bucket
+                    hits = probe.intersection(map(w.__rsub__, mid[bisect_right(mid, w):]))
+                    found += [(w, h, w + h) for h in hits]
+    return sorted(((min(x, y), max(x, y), z) for x, y, z in found), key=lambda t: (t[2], t[0]))
+
+
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
@@ -428,6 +500,23 @@ class TestDeweger:
     def test_matches_brute_force_random_sets(self, primes, z_limit):
         got = [(t.x, t.y, t.z) for t in deweger_3term(primes, z_limit)]
         assert got == brute_deweger(tuple(primes), z_limit)
+
+    @pytest.mark.parametrize("z_limit, count", [(10**8, 545), (10**10, 545)])
+    def test_matches_former_walk(self, z_limit, count):
+        got = [(t.x, t.y, t.z) for t in deweger_3term(DEWEGER_PRIMES, z_limit)]
+        assert got == walk_deweger(tuple(DEWEGER_PRIMES), z_limit)
+        assert len(got) == count
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=7).map(lambda ps: PrimeSet.of(*ps)),
+        z_limit=st.integers(2, 10**6),
+    )
+    @example(primes=PrimeSet.of(*SMALL_PRIMES[:7]), z_limit=10**6)
+    @example(primes=PrimeSet.of(*SMALL_PRIMES[:8]), z_limit=10**5)  # 256 buckets, most of them tiny
+    def test_matches_former_walk_random_sets(self, primes, z_limit):
+        got = [(t.x, t.y, t.z) for t in deweger_3term(primes, z_limit)]
+        assert got == walk_deweger(tuple(primes), z_limit)
 
     def test_triple_invariant(self):
         with pytest.raises(ValueError, match=r"invalid triple \(2, 1, 3\)"):
