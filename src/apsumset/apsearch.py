@@ -68,33 +68,20 @@ int, so nothing is filtered or decided by a fixed-width or floating value.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .numutil import is_prime, powers_below
-from .sumset import SumsetElement, SumsetParams, representations, value_set
+from .sumset import SumsetParams, representations, value_set
 
 # the join's stored side holds about this many keys per residue class
 _STORED_KEYS = 4096
 
 
-@dataclass(frozen=True)
-class Progression:
-    """An arithmetic progression N, N+D, N+2D, ... with witnesses.
-
-    Every term carries its complete representation list; D >= 1 always.
-    Build one with `progression`, which checks both.
-    """
-
-    N: int
-    D: int
-    terms: tuple[SumsetElement, ...]
-
-
-def progression(params: SumsetParams, values: list[int]) -> Progression:
-    """The progression through `values`, each term with its complete witnesses.
+def progression(params: SumsetParams, values: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The (value, reps) pair of each term of the progression through `values`.
 
     Raises ValueError unless D = values[1] - values[0] >= 1, every step
-    equals D and every value lies in the sumset.
+    equals D and every value lies in the sumset, so each reps list is
+    non-empty and complete.
     """
     d = values[1] - values[0]
     if d < 1:
@@ -106,8 +93,8 @@ def progression(params: SumsetParams, values: list[int]) -> Progression:
         reps = representations(params, v)
         if not reps:
             raise ValueError(f"{v} is not in S_{{{params.a},{params.b}}}")
-        terms.append(SumsetElement(v, tuple(reps)))
-    return Progression(values[0], d, tuple(terms))
+        terms.append((v, reps))
+    return terms
 
 
 def _pair_sums(ladder: list[int]) -> dict[int, tuple[int, int]]:

@@ -4,11 +4,14 @@ Every subcommand writes one JSON object per result line to stdout, sorted
 keys, fixed separators, so identical invocations produce byte-identical
 result streams regardless of ``--threads``.  Integer fields that can
 exceed 64 bits (term values, N, D, limits) are serialized as decimal
-strings; exponents and counts stay plain ints.  A manifest recording the
-command, the full parameter set including defaults, the artifact version,
-wall-clock duration and a digest of the result bytes goes to stderr, or to
-``--manifest FILE``; a FILE that cannot be written is refused before the
-command runs.
+strings; exponents and counts stay plain ints.  One exception: every row
+that carries the bases ``a`` and ``b`` (progression rows among them) writes
+them as JSON numbers at any size, so ``family verify three-term-A --params
+k=15000,j=1`` prints a 4,516-digit ``b`` as a bare number.  A manifest
+recording the command, the full parameter set including defaults, the
+artifact version, wall-clock duration and a digest of the result bytes goes
+to stderr, or to ``--manifest FILE``; a FILE that cannot be written is
+refused before the command runs.
 
 Each leaf command binds its runner with ``set_defaults(run=...)``.  A
 runner takes the parsed arguments and returns (rows, exit code); ``main``
@@ -77,17 +80,16 @@ def _param(v):
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _progression_obj(a: int, b: int, prog, maximal: bool | None = None):
+def _progression_obj(a: int, b: int, terms, maximal: bool | None = None):
+    """The row of a progression given as its (value, reps) terms; N and D are read off the first two."""
+    n, d = terms[0][0], terms[1][0] - terms[0][0]
     obj = {
         "a": a,
         "b": b,
-        "N": str(prog.N),
-        "D": str(prog.D),
-        "len": len(prog.terms),
-        "terms": [
-            {"value": str(t.value), "reps": t.reps}
-            for t in prog.terms
-        ],
+        "N": str(n),
+        "D": str(d),
+        "len": len(terms),
+        "terms": [{"value": str(v), "reps": reps} for v, reps in terms],
     }
     if maximal is not None:
         obj["maximal"] = maximal
@@ -113,8 +115,8 @@ def _run_member(args):
 
 def _run_enum(args):
     rows = [
-        {"value": str(el.value), "reps": el.reps}
-        for el in enumerate_up_to(SumsetParams(args.a, args.b), args.limit)
+        {"value": str(v), "reps": reps}
+        for v, reps in enumerate_up_to(SumsetParams(args.a, args.b), args.limit)
     ]
     return rows, EXIT_OK
 
@@ -123,8 +125,8 @@ def _run_ap(args):
     params = SumsetParams(args.a, args.b)
     rows = []
     for n, d, maximal in find_progressions(params, args.len, args.limit):
-        prog = progression(params, [n + i * d for i in range(args.len)])
-        rows.append(_progression_obj(args.a, args.b, prog, maximal))
+        terms = progression(params, [n + i * d for i in range(args.len)])
+        rows.append(_progression_obj(args.a, args.b, terms, maximal))
     return rows, EXIT_OK
 
 
@@ -287,13 +289,13 @@ def _run_family_list(args):
 
 
 def _run_family(args):
-    """`family gen` and `family verify`.
+    """`family verify`.
 
     A bad parameter, or terms out of progression or outside the sumset,
     raises ValueError (exit 2), so a returned row is verified.
     """
-    params, prog = generate(args.family_id, _parse_params(args.params))
-    obj = _progression_obj(params.a, params.b, prog)
+    params, terms = generate(args.family_id, _parse_params(args.params))
+    obj = _progression_obj(params.a, params.b, terms)
     obj["family"] = args.family_id
     obj["verified"] = True
     return [obj], EXIT_OK
@@ -404,11 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="action", required=True)
     fp = fsub.add_parser("list", help="list family identifiers")
     fp.set_defaults(run=_run_family_list)
-    for action in ("gen", "verify"):
-        fp = fsub.add_parser(action)
-        fp.add_argument("family_id")
-        fp.add_argument("--params", default="", help="comma-separated name=value, e.g. k=3,j=0")
-        fp.set_defaults(run=_run_family)
+    fp = fsub.add_parser("verify", help="build a family's progression and check every term")
+    fp.add_argument("family_id")
+    fp.add_argument("--params", default="", help="comma-separated name=value, e.g. k=3,j=0")
+    fp.set_defaults(run=_run_family)
     fp = fsub.add_parser(
         "prog3-pairs", help="base pairs satisfying the prog3 constraint; any limit is cheap (Pell orbits)"
     )

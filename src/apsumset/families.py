@@ -33,7 +33,7 @@ import inspect
 from math import gcd, isqrt
 from typing import Callable
 
-from .apsearch import Progression, progression
+from .apsearch import progression
 from .numutil import minimal_power_base
 from .sumset import SumsetParams
 
@@ -162,8 +162,10 @@ FAMILIES: dict[str, Callable[..., Closed]] = {
 FAMILY_IDS = tuple(FAMILIES)
 
 
-def generate(family_id: str, params: dict[str, int]) -> tuple[SumsetParams, Progression]:
-    """The base pair and the concrete progression for an admissible parameter assignment.
+def generate(
+    family_id: str, params: dict[str, int]
+) -> tuple[SumsetParams, list[tuple[int, list[tuple[int, int]]]]]:
+    """The base pair and the progression's (value, reps) terms for an admissible parameter assignment.
 
     Raises FamilyConstraintError for an unknown family, a missing or unknown
     parameter or a violated constraint, and ValueError if a closed form does

@@ -4,7 +4,8 @@ The two-base sumset S_{a,b} consists of every integer of the form
 a^x + b^y with x, y >= 0, for fixed integer bases b > a > 1.  Its smallest
 element is a^0 + b^0 = 2, and it has at most (log_a n + 1)(log_b n + 1)
 elements up to n.  A witness that n is in the sumset is its exponent pair,
-a plain (x, y) tuple with a^x + b^y = n.
+a plain (x, y) tuple with a^x + b^y = n, and a value with its witnesses is
+a plain (value, reps) pair, reps as `representations` lists them.
 """
 
 from __future__ import annotations
@@ -22,14 +23,6 @@ class SumsetParams:
     def __post_init__(self) -> None:
         if not (self.b > self.a > 1):
             raise ValueError(f"need b > a > 1, got a={self.a}, b={self.b}")
-
-
-@dataclass(frozen=True)
-class SumsetElement:
-    """A sumset value together with its complete list of representations."""
-
-    value: int
-    reps: tuple[tuple[int, int], ...]
 
 
 def representations(params: SumsetParams, n: int) -> list[tuple[int, int]]:
@@ -78,12 +71,12 @@ def value_set(params: SumsetParams, limit: int) -> set[int]:
     return out
 
 
-def enumerate_up_to(params: SumsetParams, limit: int) -> list[SumsetElement]:
-    """All distinct sumset values <= limit, ascending, with complete reps.
+def enumerate_up_to(params: SumsetParams, limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Every (value, reps) pair with value <= limit in S, ascending by value.
 
-    Values with several representations appear once, carrying all of them;
-    downstream arguments need to distinguish representations of a single
-    term.
+    A value with several representations appears once, carrying all of
+    them, as `representations` lists them: x rises in the outer loop, so
+    each list is built in x order and needs no sort.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -98,7 +91,4 @@ def enumerate_up_to(params: SumsetParams, limit: int) -> list[SumsetElement]:
             y += 1
         ax *= a
         x += 1
-    return [
-        SumsetElement(v, tuple(sorted(found[v])))
-        for v in sorted(found)
-    ]
+    return [(v, found[v]) for v in sorted(found)]

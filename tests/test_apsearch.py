@@ -19,7 +19,7 @@ from apsumset.sumset import SumsetParams, enumerate_up_to, value_set
 
 def brute_3term(params, limit):
     """O(n^2) pairwise search over the enumerated set with hash lookup."""
-    values = [e.value for e in enumerate_up_to(params, limit)]
+    values = [v for v, _ in enumerate_up_to(params, limit)]
     vset = set(values)
     out = set()
     for i, s0 in enumerate(values):
@@ -74,12 +74,12 @@ class TestFindProgressions:
 
     def test_terms_reverify_by_membership(self):
         params = SumsetParams(2, 5)
-        witnesses = {e.value: e.reps for e in enumerate_up_to(params, 10**6)}
+        witnesses = dict(enumerate_up_to(params, 10**6))
         for n, d, _ in find_progressions(params, 4, 10**6):
-            prog = progression(params, [n + i * d for i in range(4)])
-            assert (prog.N, prog.D) == (n, d)
-            for term in prog.terms:
-                assert term.reps == witnesses[term.value]
+            terms = progression(params, [n + i * d for i in range(4)])
+            assert [v for v, _ in terms] == [n + i * d for i in range(4)]
+            for v, reps in terms:
+                assert reps == witnesses[v]
 
     def test_subwindow_closure(self):
         params = SumsetParams(2, 3)
@@ -248,10 +248,9 @@ class TestExtend:
 
 class TestProgression:
     def test_builds_terms_with_witnesses(self):
-        prog = progression(SumsetParams(2, 3), [5, 7, 9, 11])
-        assert (prog.N, prog.D) == (5, 2)
-        assert [t.value for t in prog.terms] == [5, 7, 9, 11]
-        assert prog.terms[3].reps == ((1, 2), (3, 1))  # 11 = 2 + 9 = 8 + 3
+        terms = progression(SumsetParams(2, 3), [5, 7, 9, 11])
+        assert [v for v, _ in terms] == [5, 7, 9, 11]
+        assert terms[3] == (11, [(1, 2), (3, 1)])  # 11 = 2 + 9 = 8 + 3
 
     @pytest.mark.parametrize(
         "values",

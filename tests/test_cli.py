@@ -491,8 +491,9 @@ class TestGuards:
             (("sweep", "--a-max", "5", "--b-max", "4", "--len", "5", "--limit", "100"), None, None,
              "need 2 <= a_max <= b_max"),
             (("sunit", "deweger", "--z-limit", "1"), None, None, "z_limit must be >= 2, got 1"),
-            (("family", "gen", "prog1"), None, None, "prog1 needs parameters ['n']"),
-            (("family", "gen", "prog1", "--params", "n"), None, None, "malformed parameter 'n'; expected name=int"),
+            (("family", "verify", "prog1"), None, None, "prog1 needs parameters ['n']"),
+            (("family", "verify", "prog1", "--params", "n"), None, None,
+             "malformed parameter 'n'; expected name=int"),
             (("sunit", "pattern"), {**VALID_PATTERN, "terms": [[0, 0, "a"], [-1, "b", 0], [-1, 0, 0]]}, None,
              "coefficient must be nonzero"),
             (("sunit", "pattern"), {**VALID_PATTERN, "terms": [[1, 0, "a"], [-1, "b", 0], [-1, 0, -1]]}, None,
@@ -601,6 +602,27 @@ class TestParserReuse:
         assert out == "0\n"
 
 
+class TestModuleEntry:
+    """`python -m apsumset.cli` in a fresh interpreter exits with `main`'s code."""
+
+    def module(self, *argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run([sys.executable, "-m", "apsumset.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+
+    def test_member(self):
+        argv = ("member", "2", "3", "11")
+        proc = self.module(*argv)
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == json.loads(proc.stderr)["result_sha256"] == GOLDEN_MEMBER[argv]
+
+    def test_usage_error(self):
+        proc = self.module("member", "2", "3", "x")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+
 class TestIntegerGrammar:
     @pytest.mark.parametrize(
         "argv",
@@ -638,18 +660,18 @@ class TestIntegerGrammar:
 
 
 class TestFamilyParams:
-    def gen(self, capsys, tmp_path, params):
-        return run(capsys, tmp_path, "family", "gen", "prog1", "--params", params)
+    def verify(self, capsys, tmp_path, params):
+        return run(capsys, tmp_path, "family", "verify", "prog1", "--params", params)
 
     def test_exponent_form_is_exact(self, capsys, tmp_path):
-        code, captured, _ = self.gen(capsys, tmp_path, "n=1e30")
+        code, captured, _ = self.verify(capsys, tmp_path, "n=1e30")
         assert code == 0
-        plain = self.gen(capsys, tmp_path, "n=" + "1" + "0" * 30)[1]
+        plain = self.verify(capsys, tmp_path, "n=" + "1" + "0" * 30)[1]
         assert captured.out == plain.out
 
     @pytest.mark.parametrize("params", ["n=1_000", "n= 5", "n=+5", "n=-5", "n=5.0", "n=", "n=5,n=6", "n=1"])
     def test_bad_params_refused(self, capsys, tmp_path, params):
-        code, captured, manifest = self.gen(capsys, tmp_path, params)
+        code, captured, manifest = self.verify(capsys, tmp_path, params)
         assert code == 2
         assert manifest is None
         assert captured.out == ""
@@ -661,13 +683,12 @@ class TestFamilyParams:
         ids=["unknown-k", "missing-j"],
     )
     def test_missing_or_unknown_parameter_refused(self, capsys, tmp_path, family_id, params, name):
-        for action in ("gen", "verify"):
-            code, captured, manifest = run(capsys, tmp_path, "family", action, family_id, "--params", params)
-            assert code == 2
-            assert manifest is None
-            assert captured.out == ""
-            assert captured.err.startswith("error: ") and name in captured.err
-            assert "Traceback" not in captured.err
+        code, captured, manifest = run(capsys, tmp_path, "family", "verify", family_id, "--params", params)
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert "Traceback" not in captured.err
 
     def test_closed_form_slip_refused(self, capsys, tmp_path, monkeypatch):
         # 2, 6, 10, 34 at n = 5: members of S_{5,9}, but not in progression
@@ -685,12 +706,21 @@ class TestFamilyParams:
         "argv", [argv for argv in GOLDEN_FAMILY if argv[1] == "verify"], ids=lambda argv: argv[2]
     )
     def test_gen_and_verify_agree(self, capsys, tmp_path, argv):
-        outs = []
-        for action in ("gen", "verify"):
-            code, captured, _ = run(capsys, tmp_path, "family", action, *argv[2:])
-            assert code == 0
-            outs.append(captured.out)
-        assert outs[0] == outs[1]
+        """The `family verify` row carries exactly the (value, reps) terms `families.generate` builds."""
+        code, captured, _ = run(capsys, tmp_path, *argv)
+        assert code == 0
+        params, terms = families.generate(argv[2], cli._parse_params(argv[4]))
+        row = json.loads(captured.out)
+        assert (row["a"], row["b"], row["len"]) == (params.a, params.b, len(terms))
+        n, d = int(row["N"]), int(row["D"])
+        assert [int(t["value"]) for t in row["terms"]] == [n + i * d for i in range(len(terms))]
+        assert [(int(t["value"]), [tuple(r) for r in t["reps"]]) for t in row["terms"]] == terms
+
+    def test_gen_verb_removed(self, capsys, tmp_path):
+        code, captured, manifest = run(capsys, tmp_path, "family", "gen", "prog1", "--params", "n=5")
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
 
 
 def leaf_parsers(parser, path=()):
@@ -718,7 +748,6 @@ LEAF_RUNS = {
     ("sunit", "pattern"): ("PATTERN", "budget command pattern_file solver threads"),
     ("check",): ("sec4-szalay", "all command id threads"),
     ("family", "list"): ("", "action command threads"),
-    ("family", "gen"): ("prog1 --params n=5", "action command family_id params threads"),
     ("family", "verify"): ("prog1 --params n=5", "action command family_id params threads"),
     ("family", "prog3-pairs"): ("--limit 100", "action command limit threads"),
 }

@@ -128,9 +128,9 @@ class TestLadderLookupOracle:
         assert peak < 2**20
 
     def test_prog3_family_terms(self):
-        params, prog = generate("prog3", {"a": 97513, "b": 137904, "delta1": 1, "delta2": 1})
-        for t in prog.terms:
-            assert assert_matches_division_loop(params.a, params.b, t.value) == list(t.reps)
+        params, terms = generate("prog3", {"a": 97513, "b": 137904, "delta1": 1, "delta2": 1})
+        for value, reps in terms:
+            assert assert_matches_division_loop(params.a, params.b, value) == reps
 
 
 class TestContains:
@@ -165,12 +165,11 @@ class TestContains:
 class TestEnumerate:
     def test_s23_up_to_10(self):
         els = enumerate_up_to(SumsetParams(2, 3), 10)
-        assert [e.value for e in els] == [2, 3, 4, 5, 7, 9, 10]
+        assert [v for v, _ in els] == [2, 3, 4, 5, 7, 9, 10]
 
     def test_limit_two(self):
         els = enumerate_up_to(SumsetParams(2, 3), 2)
-        assert [e.value for e in els] == [2]
-        assert els[0].reps == ((0, 0),)
+        assert els == [(2, [(0, 0)])]
 
     def test_s27_up_to_100(self):
         # double-loop count: x <= 6, y <= 2 gives 20 pairs, 2 duplicated values
@@ -178,8 +177,16 @@ class TestEnumerate:
         assert len(els) == 18
 
     def test_reps_complete_and_sorted(self):
-        for el in enumerate_up_to(SumsetParams(2, 3), 10**4):
-            assert list(el.reps) == brute_reps(2, 3, el.value)
+        # the dependent pairs give many values two or more reps, whose order
+        # comes from the enumeration's loop order alone
+        for a, b in [(2, 3), (2, 4), (4, 8), (3, 9)]:
+            params = SumsetParams(a, b)
+            els = enumerate_up_to(params, 10**4)
+            assert any(len(reps) >= 2 for _, reps in els), (a, b)
+            for el in els:
+                v, reps = el
+                assert reps == brute_reps(a, b, v), (a, b, v)
+                assert el == (v, representations(params, v)), (a, b, v)
 
     def test_size_bound(self):
         import math
@@ -192,8 +199,8 @@ class TestEnumerate:
 
     def test_value_set_agrees(self):
         els = enumerate_up_to(SumsetParams(3, 11), 10**5)
-        assert {e.value for e in els} == value_set(SumsetParams(3, 11), 10**5)
+        assert {v for v, _ in els} == value_set(SumsetParams(3, 11), 10**5)
 
     def test_multi_rep_element(self):
-        els = {e.value: e for e in enumerate_up_to(SumsetParams(2, 3), 20)}
-        assert els[11].reps == ((1, 2), (3, 1))
+        els = dict(enumerate_up_to(SumsetParams(2, 3), 20))
+        assert els[11] == [(1, 2), (3, 1)]
