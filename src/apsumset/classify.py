@@ -107,15 +107,58 @@ def _sweep_slice(args: tuple[int, list[int], int, int]) -> list[tuple[int, int, 
     ]
 
 
+def _take_jobs(jobs: list[tuple[int, list[int], int, int]], counter) -> list[tuple[int, int, int, int, bool]]:
+    """The rows of the jobs this process takes from `counter`, one index at a time, until none is left."""
+    rows = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(jobs):
+            return rows
+        rows += _sweep_slice(jobs[i])
+
+
+def _sweep_child(jobs: list[tuple[int, list[int], int, int]], counter, sender) -> None:
+    """A child's share of a sweep: sends its rows, or the exception that stopped it, once."""
+    try:
+        share = _take_jobs(jobs, counter)
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(jobs)  # the other processes start no further job
+        share = exc
+    with sender:
+        sender.send(share)
+
+
+def _collect(child, receiver) -> list[tuple[int, int, int, int, bool]] | BaseException:
+    """What `child` sent, its rows or its exception, once it has exited."""
+    try:
+        with receiver:
+            return receiver.recv()
+    except EOFError:
+        child.join()
+        return ChildProcessError(f"a sweep process exited with code {child.exitcode} before sending its rows")
+    finally:
+        child.join()
+
+
 def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, int, bool]]:
     """All k-term windows over the (a, b) grid, canonically sorted.
 
     One job is one a and a slice of at most _B_SLICE of its b, taken from
     `SweepConfig.pairs` in order, so the a-side keys of the join are built
-    once per job (`find_progressions_over`).  Results are re-sorted
-    after the merge, so the output does not depend on the worker count or
-    on the slice boundaries.  At most one worker per job and one per CPU is
-    started, and a single worker runs inline.
+    once per job (`find_progressions_over`).  At most one process per job
+    and one per CPU computes, and a single one runs every job inline.
+    Otherwise the caller starts the other processes, and each of them and
+    the caller take job indices one at a time, in grid order, from one
+    shared counter; a slow job so holds up only the process that runs it.
+    Each child sends its rows, or the exception that stopped it, back over
+    a pipe, and the caller re-raises such an exception after its own share.
+    Whether it returns or raises, the caller first sets the counter past
+    the last job and joins every child, so no process outlives the call.
+    Results are re-sorted after the merge, so the output does not depend on
+    the process count, on who ran which job or on the slice boundaries.
     """
     jobs = []
     for a, pairs in groupby(cfg.pairs(), key=itemgetter(0)):
@@ -125,8 +168,24 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_sweep_slice, jobs)
+        counter = multiprocessing.Value("i", 0)
+        children = []
+        try:
+            for _ in range(workers - 1):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_sweep_child, args=(jobs, counter, sender))
+                child.start()
+                sender.close()  # so the receiver sees EOF if the child dies
+                children.append((child, receiver))
+            chunks = [_take_jobs(jobs, counter)]
+        finally:
+            with counter.get_lock():
+                counter.value = len(jobs)
+            shares = [_collect(child, receiver) for child, receiver in children]
+        for share in shares:
+            if isinstance(share, BaseException):
+                raise share
+            chunks.append(share)
     else:
         chunks = [_sweep_slice(j) for j in jobs]
     rows = [row for chunk in chunks for row in chunk]

@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--manifest", metavar="FILE", help="write the run manifest to FILE instead of stderr")
     ap.add_argument("--threads", type=_threads_arg, default=os.cpu_count() or 1,
-                    help="worker processes for sweeps, at most the CPU count (results are independent of this)")
+                    help="processes that run a sweep, this one included, at most the CPU count "
+                    "(results are independent of this)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("member", help="membership and representations of n in S_{a,b}")

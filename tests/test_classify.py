@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import warnings
 
 import pytest
 
@@ -93,33 +94,26 @@ class TestFamilyNonextension:
 class TestSweepGrid:
     @staticmethod
     def recorded_pool_sizes(monkeypatch, cpus, b_max, threads):
-        """The worker counts sweep_grid asks of a fake pool that maps inline, on `cpus` CPUs.
+        """The processes that compute a sweep on `cpus` CPUs: the children it starts plus the caller.
 
         The grid is every pair b > a with b <= b_max, so it makes one job per
-        a, b_max - 2 jobs, as long as no a has more than _B_SLICE of b.
+        a, b_max - 2 jobs, as long as no a has more than _B_SLICE of b.  An
+        inline sweep starts no child and records nothing.
         """
-        sizes = []
+        children = []
+        real_process = multiprocessing.Process
 
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, jobs, *args, **kwargs):
-                return [func(job) for job in jobs]
+        def recording_process(*args, **kwargs):
+            children.append(real_process(*args, **kwargs))
+            return children[-1]
 
         assert b_max - 2 <= classify._B_SLICE
         cfg = SweepConfig(max(2, b_max - 1), b_max, 10**4, 3)
         inline = sweep_grid(cfg, threads=1)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Process", recording_process)
         assert sweep_grid(cfg, threads=threads) == inline
-        return sizes
+        return [len(children) + 1] if children else []
 
     @pytest.mark.parametrize(
         "b_max, threads, pool_sizes",
@@ -133,6 +127,73 @@ class TestSweepGrid:
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pool_sizes):
         """No more workers than CPUs, whatever --threads asks; an unknown count means one."""
         assert self.recorded_pool_sizes(monkeypatch, cpus, 9, 10**6) == pool_sizes
+
+    @pytest.mark.parametrize("size", [1, 3, 32])
+    def test_two_processes_match_inline(self, monkeypatch, size):
+        """The caller and one child, drawing jobs from the counter, find the inline rows."""
+        monkeypatch.setattr(classify, "_B_SLICE", size)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = SweepConfig(4, 40, 10**6, 3)
+        inline = sweep_grid(cfg, threads=1)
+        assert inline
+        assert sweep_grid(cfg, threads=2) == inline
+        assert multiprocessing.active_children() == []
+
+    def test_forks_with_no_thread_running(self, monkeypatch):
+        """Python 3.12+ warns when a process forks while threads run; the sweep's forks draw no warning.
+
+        The warning is recorded, not made an error: CPython drops it when a
+        filter turns it into an exception.
+        """
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep_grid(SweepConfig(4, 40, 10**6, 3), threads=2)
+        assert [str(w.message) for w in caught] == []
+
+    @staticmethod
+    def failing_in(monkeypatch, where, fail):
+        """Make every job run `fail` in the caller or in a child, the other's jobs running as usual.
+
+        A caller's job waits until a child has taken a job, so the child gets one
+        however fast the caller is.  The child learns of its failure by fork.
+        """
+        caller = os.getpid()
+        child_started = multiprocessing.Event()
+        real_slice = classify._sweep_slice
+
+        def job(args):
+            in_caller = os.getpid() == caller
+            if not in_caller:
+                child_started.set()
+            elif where == "child":
+                assert child_started.wait(30)
+            if in_caller == (where == "caller"):
+                fail()
+            return real_slice(args)
+
+        monkeypatch.setattr(classify, "_sweep_slice", job)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_failed_job_raises_in_caller(self, monkeypatch, where):
+        """A job's exception reaches the caller with its type and message, and no child outlives it."""
+
+        def fail():
+            raise LookupError(f"a job failed in the {where}")
+
+        self.failing_in(monkeypatch, where, fail)
+        with pytest.raises(LookupError, match=f"failed in the {where}") as raised:
+            sweep_grid(SweepConfig(4, 40, 10**6, 3), threads=2)
+        assert raised.type is LookupError
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_fails_the_sweep(self, monkeypatch):
+        """A child that exits without sending its rows fails the sweep; it does not hang it."""
+        self.failing_in(monkeypatch, "child", lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="code 3"):
+            sweep_grid(SweepConfig(4, 40, 10**6, 3), threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_builds_no_witnesses(self, monkeypatch):
         cfg = SweepConfig(2, 10, 10**6, 5)
