@@ -13,7 +13,8 @@ returns the row length (a scan kind takes exactly its typed keys, and
 bounds used) and an exact re-check of one expected row.  Every
 entry is validated when the registry loads; a malformed one raises a
 ValueError naming the check id and the key.  A check runs the solver at
-the recorded bounds and reports found versus expected, with two safeguards:
+the recorded bounds and returns a plain row, the dict that the ``check``
+command prints: found versus expected, with two safeguards:
 
 * every expected tuple is re-checked by exact arithmetic before the
   comparison, so a typo in a recorded list surfaces as a re-check failure
@@ -303,7 +304,8 @@ def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Cal
 
 def _run_pattern(spec: dict) -> tuple[list[tuple], dict]:
     pattern, predicate = build_pattern(spec)
-    return [s.values for s in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds)
+    found = [assignment for assignment, _ in solve_pattern(pattern, side_predicate=predicate)]
+    return found, dict(pattern.var_bounds)
 
 
 # scans are looked up by name when they run, so a wrapper later bound to
@@ -337,30 +339,6 @@ class NamedCheck:
     expected: tuple[tuple, ...]
     documented_extras: tuple[tuple, ...] = ()
     discrepancy_note: str | None = None
-
-
-@dataclass
-class VerificationReport:
-    check_id: str
-    found: list[tuple]
-    missing: list[tuple]
-    extra: list[tuple]
-    documented_extra: list[tuple]
-    expected_recheck_failures: list[tuple]
-    bounds_used: dict
-    discrepancy_note: str | None = None
-
-    @property
-    def undocumented_extra(self) -> list[tuple]:
-        return [t for t in self.extra if t not in self.documented_extra]
-
-    @property
-    def passed(self) -> bool:
-        return not self.missing and not self.undocumented_extra
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.documented_extra or self.discrepancy_note)
 
 
 def _named_check(entry, seen: dict) -> NamedCheck:
@@ -400,8 +378,17 @@ def registry() -> dict[str, NamedCheck]:
     return checks
 
 
-def run_check(check_id: str) -> VerificationReport:
-    """Execute one registered check and compare found against expected."""
+def run_check(check_id: str) -> dict:
+    """Execute one registered check; the row that ``check`` prints, found against expected.
+
+    The row holds ``id``, ``passed``, ``flagged``, ``found`` (which
+    ``check`` leaves out past 200 rows) and ``found_count``, the sorted
+    ``missing``, ``undocumented_extra`` and ``documented_extra`` rows,
+    ``expected_recheck_failures``, the ``bounds`` the solver used and,
+    when the entry records one, its ``note``.  A check passes when nothing
+    expected is missing and every extra is documented; it is flagged when
+    it has a documented extra or a note.
+    """
     checks = registry()
     if check_id not in checks:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(sorted(checks))}")
@@ -411,18 +398,26 @@ def run_check(check_id: str) -> VerificationReport:
     found, bounds = kind.run(check.solver)
     found_set, expected_set = set(found), set(check.expected)
     extra = found_set - expected_set
-    return VerificationReport(
-        check_id=check_id,
-        found=sorted(found_set),
-        missing=sorted(expected_set - found_set),
-        extra=sorted(extra),
-        documented_extra=sorted(set(check.documented_extras) & extra),
-        expected_recheck_failures=recheck_failures,
-        bounds_used=bounds,
-        discrepancy_note=check.discrepancy_note,
-    )
+    missing = sorted(expected_set - found_set)
+    documented = sorted(set(check.documented_extras) & extra)
+    undocumented = sorted(extra.difference(documented))
+    row = {
+        "id": check_id,
+        "passed": not missing and not undocumented,
+        "flagged": bool(documented or check.discrepancy_note),
+        "found_count": len(found_set),
+        "found": sorted(found_set),
+        "missing": missing,
+        "undocumented_extra": undocumented,
+        "documented_extra": documented,
+        "expected_recheck_failures": recheck_failures,
+        "bounds": bounds,
+    }
+    if check.discrepancy_note:
+        row["note"] = check.discrepancy_note
+    return row
 
 
-def run_all() -> list[VerificationReport]:
-    """Every registered check, ordered by id."""
+def run_all() -> list[dict]:
+    """The row of every registered check, ordered by id."""
     return [run_check(cid) for cid in sorted(registry())]

@@ -3,7 +3,8 @@
 * ``solve_pattern``     -- every boxed exponent assignment solving
                            sum c_i * p^{e_i} * q^{f_i} = 0, with optional
                            primitivity, vanishing-subsum, magnitude and
-                           side-predicate filters;
+                           side-predicate filters, each as a plain pair
+                           (assignment, signed term values);
 * ``deze_tijdeman_4term`` -- p^x q^y +- p^z +- q^w +- 1 = 0 and
                            p^x +- q^y +- p^z +- q^w = 0, all powers <= 2^15;
 * ``pillai_difference_table`` -- p^x - p^y = q^z - q^w > 0;
@@ -78,7 +79,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, gcd, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Iterator, Sequence
 
 from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_buckets
@@ -164,15 +165,6 @@ class Pattern:
                      for t in self.terms)
 
 
-@dataclass(frozen=True)
-class PatternSolution:
-    """One satisfying exponent assignment, in declared variable order."""
-
-    variables: tuple[str, ...]
-    values: tuple[int, ...]
-    term_values: tuple[int, ...]
-
-
 def has_vanishing_subsum(values: Sequence[int]) -> bool:
     """True iff a proper subset of two or more of the signed values sums to 0.
 
@@ -198,14 +190,16 @@ def solve_pattern(
     pattern: Pattern,
     side_predicate: Callable[[dict[str, int]], bool] | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> list[PatternSolution]:
-    """Every assignment within bounds satisfying the equation and all filters.
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (assignment, term values) within bounds satisfying the equation and all filters.
 
-    Output is in lexicographic order of the assignment vector (declared
-    variable order) and complete over the box; see the module docstring for
-    the block join and the canonical orientation, whose term values carry
-    the signs.  A search larger than `budget` raises SearchBudgetExceeded
-    before anything is enumerated: the block join counts the whole box and
+    The assignment holds the exponents in declared variable order
+    (``pattern.variables``) and the term values are the signed terms in
+    term order.  Output is in lexicographic order of the assignment and
+    complete over the box; see the module docstring for the block join and
+    the canonical orientation, whose term values carry the signs.  A
+    search larger than `budget` raises SearchBudgetExceeded before
+    anything is enumerated: the block join counts the whole box and
     its row words, the walk over n admissible monomials counts
     4 C(n-1, 2) + 2^(k-3) C(n, k-3) rows (67,600 for Bajpai-Bennett,
     n = 131, whose box is about 1.2e12).
@@ -213,9 +207,9 @@ def solve_pattern(
     names = pattern.variables
     join = _canonical_walk if pattern.interchangeable else _block_join
     return sorted(
-        (PatternSolution(names, tuple(assignment), tuple(values)) for assignment, values in join(pattern, budget)
+        ((tuple(assignment), tuple(values)) for assignment, values in join(pattern, budget)
          if side_predicate is None or side_predicate(dict(zip(names, assignment)))),
-        key=lambda s: s.values,
+        key=itemgetter(0),
     )
 
 
@@ -479,8 +473,8 @@ def deze_tijdeman_4term(p: int, q: int, power_bound: int = DT_POWER_BOUND) -> li
             (SHAPE_PAIRS, pairs_shape, canonical),
         ):
             out += [
-                FourTermSolution(shape, (1, s2, s3, s4), s.values, s.term_values)
-                for s in solve_pattern(Pattern(p, q, terms, bounds), predicate)
+                FourTermSolution(shape, (1, s2, s3, s4), assignment, values)
+                for assignment, values in solve_pattern(Pattern(p, q, terms, bounds), predicate)
             ]
     out.sort(key=lambda s: (s.shape, s.signs, s.exponents))
     return out
@@ -507,7 +501,7 @@ def pillai_difference_table(
             (("x", pe), ("y", pe), ("z", qe), ("w", qe)),
         )
         ordered = solve_pattern(pattern, lambda a: a["x"] > a["y"] and a["z"] > a["w"])
-        out += [(p, q, *s.values) for s in ordered]
+        out += [(p, q, *assignment) for assignment, _ in ordered]
     out.sort()
     return out
 
@@ -521,20 +515,24 @@ BB5_BETA_MAX = 12
 BB5_VALUE_BOUND = 3**12
 
 
-def bajpai_bennett_5term(alpha_max: int = BB5_ALPHA_MAX, beta_max: int = BB5_BETA_MAX) -> list[PatternSolution]:
+def bajpai_bennett_5term(
+    alpha_max: int = BB5_ALPHA_MAX, beta_max: int = BB5_BETA_MAX
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Complete primitive solutions of the five-term signed {2,3} equation.
 
     The interchangeable pattern of five distinct monomials 2^a 3^b <= 3^12,
     a <= alpha_max, b <= beta_max, with gcd 1 (module docstring).  Distinct
     magnitudes exclude more than vanishing subsums: the primitive
     8 - 4 - 2 - 1 - 1 = 0 has none, yet repeats 1 and is not listed.
-    Each solution's ``term_values`` are its signed terms in decreasing
-    magnitude, the first positive, and term i = +-2^a 3^b with (a, b) =
-    ``values[2i:2i+2]``.  Sorted by term values, descending.  Negative
+    Each solution is a pair (assignment, term values) as in
+    ``solve_pattern``, over the variables a0, b0, ..., a4, b4: the term
+    values are its signed terms in decreasing magnitude, the first
+    positive, and term i = +-2^a 3^b with (a, b) =
+    ``assignment[2i:2i+2]``.  Sorted by term values, descending.  Negative
     bounds raise ValueError.
     """
     names = [(f"a{i}", f"b{i}") for i in range(5)]
     pattern = Pattern(2, 3, tuple(PatternTerm(1, a, b) for a, b in names),
                       tuple(item for a, b in names for item in ((a, alpha_max), (b, beta_max))),
                       require_primitive=True, value_bound=BB5_VALUE_BOUND, interchangeable=True)
-    return sorted(solve_pattern(pattern), key=lambda s: s.term_values, reverse=True)
+    return sorted(solve_pattern(pattern), key=itemgetter(1), reverse=True)

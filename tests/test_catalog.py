@@ -196,15 +196,15 @@ class TestRegistry:
 class TestRunCheck:
     def test_pillai_all_thirteen(self):
         rep = run_check("sec4-pillai-list")
-        assert rep.passed and not rep.flagged
-        assert len(rep.found) == 13
-        assert rep.missing == [] and rep.extra == []
-        assert rep.expected_recheck_failures == []
+        assert rep["passed"] and not rep["flagged"]
+        assert len(rep["found"]) == 13
+        assert rep["missing"] == [] and rep["undocumented_extra"] == rep["documented_extra"] == []
+        assert rep["expected_recheck_failures"] == []
 
     def test_baj_eq15_exact_pair(self):
         rep = run_check("sec3-baj-eq15")
-        assert rep.passed
-        assert set(rep.found) == {(3, 0, 2, 1, 0), (1, 2, 3, 0, 0)}
+        assert rep["passed"]
+        assert set(rep["found"]) == {(3, 0, 2, 1, 0), (1, 2, 3, 0, 0)}
 
     @pytest.mark.parametrize(
         "assignment",
@@ -216,35 +216,35 @@ class TestRunCheck:
 
     def test_dt_3y2(self):
         rep = run_check("sec3-dt-3y2")
-        assert rep.passed and rep.found == [(2, 1, 1)]
+        assert rep["passed"] and rep["found"] == [(2, 1, 1)]
 
     def test_szalay(self):
         rep = run_check("sec4-szalay")
-        assert rep.passed and rep.found == [(2, 5, 3)]
+        assert rep["passed"] and rep["found"] == [(2, 5, 3)]
 
     def test_deweger_11_5m(self):
         rep = run_check("sec5-deweger-11-5m")
-        assert rep.passed and rep.found == [(0, 0, 3)]
+        assert rep["passed"] and rep["found"] == [(0, 0, 3)]
 
     def test_rn_family_flags_square_family(self):
         rep = run_check("sec5-rn-family")
-        assert rep.passed and rep.flagged
-        assert rep.missing == []
+        assert rep["passed"] and rep["flagged"]
+        assert rep["missing"] == []
         # every extra is a member of the square family (2^t+1)^2
-        for b, m, e1, e2 in rep.documented_extra:
+        for b, m, e1, e2 in rep["documented_extra"]:
             t = e2 - 1
             assert m == 2 and b == 2**t + 1 and e1 == 2 * t
-        assert rep.undocumented_extra == []
+        assert rep["undocumented_extra"] == []
 
     def test_kruk_scan_check(self):
         rep = run_check("kruk-b-scan")
-        assert rep.passed
-        assert len(rep.found) == 22
+        assert rep["passed"]
+        assert len(rep["found"]) == 22
 
     def test_lemma_sweep_discrepancy_details(self):
         rep = run_check("lemma21-sweep")
-        assert rep.passed and rep.flagged
-        assert rep.found == []  # no unlisted solutions
+        assert rep["passed"] and rep["flagged"]
+        assert rep["found"] == []  # no unlisted solutions
         # the printed (17, 1, 5, 2) fails the exact re-check; (17, 2, 5, 2) replaces it
         assert [t for t in LEMMA_SPORADIC_PRINTED if t not in LEMMA_SPORADIC] == [(17, 1, 5, 2)]
         assert [t for t in LEMMA_SPORADIC if t not in LEMMA_SPORADIC_PRINTED] == [(17, 2, 5, 2)]
@@ -254,9 +254,9 @@ class TestRunCheck:
 
     def test_run_all_passes(self):
         reports = run_all()
-        assert [r.check_id for r in reports] == sorted(r.check_id for r in reports)
-        assert all(r.passed for r in reports)
-        flagged = {r.check_id for r in reports if r.flagged}
+        assert [r["id"] for r in reports] == sorted(r["id"] for r in reports)
+        assert all(r["passed"] for r in reports)
+        flagged = {r["id"] for r in reports if r["flagged"]}
         assert flagged == {"sec5-rn-family", "lemma21-sweep"}
 
 
@@ -385,8 +385,8 @@ class TestRegistryValidation:
         check_id, row = case
         edited_registry(check_id, ("expected",), [row])
         rep = run_check(check_id)
-        assert rep.expected_recheck_failures == rep.missing == [tuple(row)]
-        assert not rep.passed
+        assert rep["expected_recheck_failures"] == rep["missing"] == [tuple(row)]
+        assert not rep["passed"]
 
     def test_build_pattern_returns_side_predicate(self):
         checks = registry()

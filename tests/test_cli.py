@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -376,7 +377,12 @@ class TestRefusals:
         assert manifest["result_sha256"] == "a5da10b9adaa61e56926b9370413ed3583be43f4c7f146610806cc1993d7df8d"
 
     def test_unreadable_pattern_file_refused(self, capsys, tmp_path):
-        for path in (tmp_path / "missing.json", tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        loop = tmp_path / "loop.json"
+        loop.symlink_to(loop)
+        too_long = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        for path in (tmp_path / "missing.json", tmp_path, plain / "under-a-file.json", too_long, loop):
             code, captured, _ = run(capsys, tmp_path, "sunit", "pattern", str(path))
             assert code == 2
             assert "Traceback" not in captured.err
@@ -450,6 +456,16 @@ class TestCheckRefusals:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_long_found_list_left_out(self, capsys, tmp_path, edited_registry):
+        # every assignment solves this edit, so 320 rows are found and only their count is printed
+        terms = [[1, "y2", "y0"], [-1, "y2", "y0"], [1, "s", 0], [-1, "s", 0]]
+        edited_registry("sec3-dt-3y2", ("solver", "terms"), terms)
+        code, captured, manifest = run(capsys, tmp_path, "check", "sec3-dt-3y2")
+        assert code == 1
+        (row,) = map(json.loads, captured.out.splitlines())
+        assert row["found_count"] == 320 and "found" not in row
+        assert not row["passed"] and manifest["result_lines"] == 1
 
 
 class TestMalformedRegistry:
@@ -529,7 +545,12 @@ class TestGuards:
 
 
 class TestManifestPath:
-    """A manifest path that cannot be written is refused with exit 2 before the search runs."""
+    """A manifest path that cannot be written is refused with exit 2.
+
+    A path the check can tell is refused before the search runs; one that
+    passes the check and still fails to open is refused at the write,
+    after the rows are printed.
+    """
 
     @pytest.fixture
     def no_search(self, monkeypatch):
@@ -563,6 +584,18 @@ class TestManifestPath:
         assert code == 2
         assert capsys.readouterr().err == f"error: manifest {path}: not writable\n"
         assert not path.exists()
+
+    def test_unopenable_refused_after_rows(self, capsys, tmp_path):
+        # these paths pass the check before the search, so the rows print before the write is refused
+        loop = tmp_path / "loop.json"
+        loop.symlink_to(loop)
+        too_long = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        for path, errno_code in ((too_long, errno.ENAMETOOLONG), (loop, errno.ELOOP)):
+            code = main(["--manifest", str(path), "member", "2", "3", "5"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert json.loads(captured.out)["member"] is True
+            assert captured.err == f"error: manifest {path}: {os.strerror(errno_code)}\n"
 
 
 class TestParserReuse:

@@ -40,3 +40,22 @@ def test_root_gives_only_version_and_submodules(path):
     allowed = {"__version__"} | {p.stem for p in MODULES}
     taken = set(root_imports(path)) - allowed
     assert not taken, f"{path.name} takes {sorted(taken)} from the package root"
+
+
+def unused_imports(path: Path):
+    """Names the file imports and never reads; `from __future__` imports are directives, not names."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(path)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

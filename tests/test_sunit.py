@@ -112,7 +112,7 @@ class TestSolvePattern:
             (PatternTerm(1, 0, "a"), PatternTerm(-1, "b", 0), PatternTerm(-1, 0, 0)),
             (("a", 12), ("b", 19)),
         )
-        assert [s.values for s in solve_pattern(pat)] == [(1, 1), (2, 3)]
+        assert [assignment for assignment, _ in solve_pattern(pat)] == [(1, 1), (2, 3)]
 
     def test_vanishing_subsum_filter_kills_trivial(self):
         # 2^a - 2^a = 0: every solution is a vanishing subsum
@@ -131,7 +131,7 @@ class TestSolvePattern:
             (PatternTerm(1, "a", 0), PatternTerm(-1, "b", 0), PatternTerm(-1, "c", 0)),
             (("a", 5), ("b", 5), ("c", 5)),
         )
-        sols = [s.values for s in solve_pattern(pat)]
+        sols = [assignment for assignment, _ in solve_pattern(pat)]
         assert sols == [(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3), (5, 4, 4)]
 
     def test_budget_refusal(self):
@@ -156,7 +156,7 @@ class TestSolvePattern:
             (("a", 5), ("b", 5)),
             require_primitive=True,
         )
-        assert [s.values for s in solve_pattern(pat)] == [(0, 0)]
+        assert [assignment for assignment, _ in solve_pattern(pat)] == [(0, 0)]
 
     def test_value_bound(self):
         pat = Pattern(
@@ -165,7 +165,7 @@ class TestSolvePattern:
             (("a", 10), ("b", 10)),
             value_bound=16,
         )
-        sols = [s.values for s in solve_pattern(pat)]
+        sols = [assignment for assignment, _ in solve_pattern(pat)]
         assert sols == [(a, a) for a in range(5)]
 
     def test_completeness_against_naive(self):
@@ -182,7 +182,7 @@ class TestSolvePattern:
                     for d in range(7):
                         if 2**a * 3**b - 2 * 3**c - 2**d == 0:
                             naive.append((a, b, c, d))
-        assert [s.values for s in solve_pattern(pat)] == naive
+        assert [assignment for assignment, _ in solve_pattern(pat)] == naive
 
     def test_term_values_sum_to_zero(self):
         pat = Pattern(
@@ -193,8 +193,8 @@ class TestSolvePattern:
         )
         sols = solve_pattern(pat)
         assert sols
-        for s in sols:
-            assert sum(s.term_values) == 0
+        for _, values in sols:
+            assert sum(values) == 0
 
     def test_pattern_term_values_match_solutions(self):
         pat = Pattern(
@@ -203,8 +203,8 @@ class TestSolvePattern:
              PatternTerm(-1, 0, "y2"), PatternTerm(-2, 0, "y0")),
             (("x3", 10), ("y3", 6), ("x2", 10), ("y2", 6), ("y0", 6)),
         )
-        for s in solve_pattern(pat):
-            assert pat.term_values(s.values) == s.term_values
+        for assignment, values in solve_pattern(pat):
+            assert pat.term_values(assignment) == values
         assert pat.term_values((1, 2, 3, 0, 0)) == (2, 9, -8, -1, -2)
 
     @pytest.mark.parametrize("assignment", [(1,), (1, 2, 3), (-1, 2)], ids=["short", "long", "negative"])
@@ -230,7 +230,7 @@ class TestSolvePattern:
     @example(case=(FOUR_BLOCKS, even_sum))
     def test_matches_naive_walk(self, case):
         pattern, predicate = case
-        got = [(s.values, s.term_values) for s in solve_pattern(pattern, predicate)]
+        got = solve_pattern(pattern, predicate)
         assert got == naive_solve(pattern, predicate)
 
 
@@ -316,8 +316,8 @@ class TestInterchangeable:
     def test_matches_naive_walk(self, case):
         pattern, predicate = case
         sols = solve_pattern(pattern, predicate)
-        assert [s.values for s in sols] == sorted(s.values for s in sols)
-        assert sorted((s.values, s.term_values) for s in sols) == naive_interchangeable(pattern, predicate)
+        assert [assignment for assignment, _ in sols] == sorted(assignment for assignment, _ in sols)
+        assert sorted(sols) == naive_interchangeable(pattern, predicate)
 
     @pytest.mark.parametrize(
         "p, q, k, e_max, f_max, value_bound, filters",
@@ -334,7 +334,7 @@ class TestInterchangeable:
         # boxes where the walk skips whole rows whose values above lie out of reach of every sign pattern
         pattern = interchangeable(p, q, k, e_max, f_max, value_bound, **filters)
         assert skipped_rows(pattern)
-        assert sorted((s.values, s.term_values) for s in solve_pattern(pattern)) == naive_interchangeable(pattern)
+        assert sorted(solve_pattern(pattern)) == naive_interchangeable(pattern)
 
     @pytest.mark.parametrize(
         "k, e_max, f_max, value_bound, solutions, primitive",
@@ -344,8 +344,8 @@ class TestInterchangeable:
         # the walk's gcd prefilter drops exactly the zero sums whose terms share a factor
         plain = solve_pattern(interchangeable(2, 3, k, e_max, f_max, value_bound))
         kept = solve_pattern(interchangeable(2, 3, k, e_max, f_max, value_bound, require_primitive=True))
-        coprime = [s for s in plain if gcd(*s.term_values) == 1]
-        assert [(s.values, s.term_values) for s in kept] == [(s.values, s.term_values) for s in coprime]
+        coprime = [(assignment, values) for assignment, values in plain if gcd(*values) == 1]
+        assert kept == coprime
         assert (len(plain), len(kept)) == (solutions, primitive)
 
     def test_no_value_bound_refused_at_once(self):
@@ -686,49 +686,48 @@ def naive_bb5(alpha_max, beta_max):
 class TestBajpaiBennett:
     def test_known_solution_present(self):
         sols = bajpai_bennett_5term()
-        assert any(s.term_values == (16, -9, -4, -2, -1) for s in sols)
+        assert any(values == (16, -9, -4, -2, -1) for _, values in sols)
 
     def test_stated_maxima(self):
         sols = bajpai_bennett_5term()
-        assert max(abs(v) for s in sols for v in s.term_values) <= 3**12
-        assert max(a for s in sols for a in s.values[::2]) <= 19
-        assert max(b for s in sols for b in s.values[1::2]) <= 12
+        assert max(abs(v) for _, values in sols for v in values) <= 3**12
+        assert max(a for assignment, _ in sols for a in assignment[::2]) <= 19
+        assert max(b for assignment, _ in sols for b in assignment[1::2]) <= 12
 
     def test_exponents_pair_with_values(self):
-        # the CLI reads term i's (alpha, beta) from values[2i:2i+2] and its sign and value from term_values[i]
-        for s in bajpai_bennett_5term():
-            assert s.variables == ("a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3", "a4", "b4")
-            magnitudes = [abs(v) for v in s.term_values]
-            assert magnitudes == [2 ** s.values[2 * i] * 3 ** s.values[2 * i + 1] for i in range(5)]
+        # the CLI reads term i's (alpha, beta) from assignment[2i:2i+2] and its sign and value from values[i]
+        for assignment, values in bajpai_bennett_5term():
+            magnitudes = [abs(v) for v in values]
+            assert magnitudes == [2 ** assignment[2 * i] * 3 ** assignment[2 * i + 1] for i in range(5)]
             assert all(x > y for x, y in zip(magnitudes, magnitudes[1:]))
-            assert s.term_values[0] > 0
+            assert values[0] > 0
 
     def test_no_equal_magnitudes(self):
-        for s in bajpai_bennett_5term():
-            assert len({abs(v) for v in s.term_values}) == 5
+        for _, values in bajpai_bennett_5term():
+            assert len({abs(v) for v in values}) == 5
 
     def test_primitive_and_zero_sum(self):
-        for s in bajpai_bennett_5term():
-            assert sum(s.term_values) == 0
-            assert gcd(*s.term_values) == 1
-            assert not has_vanishing_subsum(s.term_values)
+        for _, values in bajpai_bennett_5term():
+            assert sum(values) == 0
+            assert gcd(*values) == 1
+            assert not has_vanishing_subsum(values)
 
     def test_matches_naive_small(self):
-        got = {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in bajpai_bennett_5term(4, 3)}
+        got = {tuple((abs(v), 1 if v > 0 else -1) for v in values) for _, values in bajpai_bennett_5term(4, 3)}
         assert got == naive_bb5(4, 3)
         sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 10**9, require_primitive=True))
-        assert {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in sols} == got
+        assert {tuple((abs(v), 1 if v > 0 else -1) for v in values) for _, values in sols} == got
 
     def test_matches_naive_below_largest_monomial(self):
         # 2^4 * 3^3 = 432 is the largest monomial; the bound drops every term above 100
         sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 100, require_primitive=True))
-        got = {tuple((abs(v), 1 if v > 0 else -1) for v in s.term_values) for s in sols}
+        got = {tuple((abs(v), 1 if v > 0 else -1) for v in values) for _, values in sols}
         assert got == {sol for sol in naive_bb5(4, 3) if sol[0][0] <= 100}
         assert got
 
     def test_deterministic_order(self):
-        a = [s.term_values for s in bajpai_bennett_5term(6, 4)]
-        b = [s.term_values for s in bajpai_bennett_5term(6, 4)]
+        a = [values for _, values in bajpai_bennett_5term(6, 4)]
+        b = [values for _, values in bajpai_bennett_5term(6, 4)]
         assert a == b
         assert a == sorted(a, reverse=True)
 
@@ -736,7 +735,7 @@ class TestBajpaiBennett:
         # a primitive zero sum with no vanishing subsum that repeats 1, so it is no solution
         values = (8, -4, -2, -1, -1)
         assert sum(values) == 0 and gcd(*values) == 1 and not has_vanishing_subsum(values)
-        assert values not in {s.term_values for s in bajpai_bennett_5term()}
+        assert values not in {signed for _, signed in bajpai_bennett_5term()}
 
     @pytest.mark.parametrize("bounds", [(-1, 6), (8, -1)])
     def test_negative_bound_rejected(self, bounds):
