@@ -9,8 +9,8 @@ with the pair sums P = a^x0 + a^x2 and Q = b^y0 + b^y2
 The search is a join on this identity over the two power ladders
 A = {a^x < L} and B = {b^y < L}: the stored side forms P - 2w, the
 streamed side 2w' - Q, and one ``set.intersection`` per streamed power w'
-finds the equal keys.  Every window has such a match, so the join is
-complete for every k >= 3.  Which power goes to which side is a choice:
+finds the equal keys.  Every 3-term window has such a match, so the join
+is complete.  Which power goes to which side is a choice:
 
 - One pair (`find_progressions`): the stored side is the pair sums of the
   shorter ladder less each doubled power of the longer one, the streamed
@@ -45,10 +45,18 @@ of two powers of one base has one such pair (its digits in that base are
 two 1s, or one 2, or for base 2 one 1), so a dict per ladder gives back
 the two powers of P and of Q.  Both pairings, s0, s2 = a^x0 + b^y0,
 a^x2 + b^y2 and a^x0 + b^y2, a^x2 + b^y0, have s0 + s2 = P + Q = 2*s1, so
-each is a 3-term progression in S.  One is kept when D = |s2 - s0| / 2 >= 1,
-its final term s0 + (k-1)*D is at most L, and its other k-3 terms lie in
-the value set.  (N, D) is deduplicated, because a window is met once per
-representation of its first three terms.
+each is a 3-term progression in S.  One is kept when D = |s2 - s0| / 2 >= 1
+and s2 <= L, so the join collects, per b, the set W3 of every 3-term
+window (N, D) below the limit; (N, D) is deduplicated, because a window is
+met once per representation of its terms.
+
+Everything else is read off W3.  A k-term window (N, D) is k-2 overlapping
+3-term windows of one D, so it is kept when (N + i*D, D) is in W3 for
+i = 0..k-3; the last of them bounds its final term N + (k-1)*D by L.  Its
+maximal flag asks whether N - D or N + k*D is in S.  As N, N + D <= L lie
+in S, N - D is in S iff (N - D, D) is in W3; as N + (k-2)*D and
+N + (k-1)*D lie in S, N + k*D <= L is in S iff (N + (k-2)*D, D) is in W3.
+Only a next term above L is tested by `representations`.
 
 Keys are partitioned by their residue mod m: a stored key = r (mod m)
 comes from P = r + 2w and a streamed key from Q = 2w' - r, so with the
@@ -70,7 +78,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .numutil import is_prime, powers_below
-from .sumset import SumsetParams, representations, value_set
+from .sumset import SumsetParams, representations
 
 # the join's stored side holds about this many keys per residue class
 _STORED_KEYS = 4096
@@ -119,69 +127,66 @@ def _modulus(keys: int) -> int:
     return m
 
 
-def _add_windows(
-    p: tuple[int, int], q: tuple[int, int], k: int, limit: int, values: set[int], found: set[tuple[int, int]]
-) -> None:
-    """Add (N, D) for each pairing of the powers in p and q that starts a k-term window."""
+def _add_windows(p: tuple[int, int], q: tuple[int, int], limit: int, found: set[tuple[int, int]]) -> None:
+    """Add (N, D) for each pairing of the powers in p and q with D >= 1 and final term <= limit."""
     (p0, p2), (q0, q2) = p, q
     for s0, s2 in ((p0 + q0, p2 + q2), (p0 + q2, p2 + q0)):
         if s2 < s0:
             s0, s2 = s2, s0
-        d = (s2 - s0) >> 1
-        if d < 1 or s0 + (k - 1) * d > limit:
-            continue
-        term = s2
-        for _ in range(k - 3):
-            term += d
-            if term not in values:
-                break
-        else:
-            found.add((s0, d))
+        if s0 + 2 <= s2 <= limit:
+            found.add((s0, (s2 - s0) >> 1))
 
 
 def _join(
-    x: list[int], u: list[int], streams: list[tuple[list[int], list[int], set[int]]], k: int, limit: int
+    x: list[int], u: list[int], streams: list[tuple[list[int], list[int]]], limit: int
 ) -> list[set[tuple[int, int]]]:
-    """The (N, D) of every k-term window met by the join, one set per stream.
+    """The 3-term windows (N, D) with D >= 1 and final term <= limit, one set per stream.
 
     The stored keys are P - 2w for the pair sums P of ladder x and the
-    powers w of ladder u; a stream (v, y, values) is joined as 2w - Q for
-    the powers w of ladder v and the pair sums Q of ladder y.
+    powers w of ladder u; a stream (v, y) is joined as 2w - Q for the
+    powers w of ladder v and the pair sums Q of ladder y.
     """
     sums_x = _pair_sums(x)
     subtract = [2 * p for p in u]
     m = _modulus(len(sums_x) * len(subtract))
     strict_x, doubled_x = _classes(sums_x, m)
     prepared = []
-    for v, y, values in streams:
+    for v, y in streams:
         sums_y = _pair_sums(y)
-        prepared.append(([2 * p for p in v], sums_y, _classes(sums_y, m), values, set()))
+        prepared.append(([2 * p for p in v], sums_y, _classes(sums_y, m), set()))
     for r in range(m):
         stored: set[int] = set()
         # strict x sums meet doubled y sums, then all x sums meet strict y sums
         for classes_x, side in ((strict_x, 1), (doubled_x, 0)):
             for t in subtract:
                 stored.update(map(t.__rsub__, classes_x[(r + t) % m]))
-            for twice_v, sums_y, classes_y, values, found in prepared:
+            for twice_v, sums_y, classes_y, found in prepared:
                 for t in twice_v:
                     for key in stored.intersection(map(t.__sub__, classes_y[side][(t - r) % m])):
                         q = sums_y[t - key]
                         for w in subtract:
                             p = sums_x.get(key + w)
                             if p is not None:
-                                _add_windows(p, q, k, limit, values, found)
+                                _add_windows(p, q, limit, found)
     return [found for *_, found in prepared]
 
 
-def _rows(params: SumsetParams, values: set[int], found: set[tuple[int, int]], k: int, limit: int):
+def _rows(params: SumsetParams, w3: set[tuple[int, int]], k: int, limit: int) -> list[tuple[int, int, bool]]:
+    """The sorted (N, D, maximal) rows of the k-term windows whose k - 2 3-term windows all lie in w3."""
     rows = []
-    for n, d in sorted(found):
-        before = n - d
-        after = n + k * d
-        extendable = (before >= 2 and before in values) or (
-            after in values if after <= limit else bool(representations(params, after))
-        )
-        rows.append((n, d, not extendable))
+    for n, d in w3:
+        term = n
+        for _ in range(k - 3):
+            term += d
+            if (term, d) not in w3:
+                break
+        else:
+            after = n + k * d
+            extendable = (n - d, d) in w3 or (
+                (n + (k - 2) * d, d) in w3 if after <= limit else bool(representations(params, after))
+            )
+            rows.append((n, d, not extendable))
+    rows.sort()
     return rows
 
 
@@ -190,6 +195,7 @@ def find_progressions_over(a: int, bs: Sequence[int], k: int, limit: int) -> lis
 
     Several b share one stored side built from a alone.  A single b stores
     the shorter ladder's pair sums less the longer ladder's doubled powers.
+    Each b keeps its 3-term windows until its rows are read off them.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
@@ -198,15 +204,14 @@ def find_progressions_over(a: int, bs: Sequence[int], k: int, limit: int) -> lis
     all_params = [SumsetParams(a, b) for b in bs]
     if not all_params:
         return []
-    values = [value_set(params, limit) for params in all_params]
     ladder_a = powers_below(a, limit)
     ladders_b = [powers_below(b, limit) for b in bs]
     if len(bs) == 1:
         short, long = sorted((ladder_a, ladders_b[0]), key=len)
-        found = _join(short, long, [(short, long, values[0])], k, limit)
+        w3 = _join(short, long, [(short, long)], limit)
     else:
-        found = _join(ladder_a, ladder_a, [(lb, lb, vs) for lb, vs in zip(ladders_b, values)], k, limit)
-    return [_rows(*args, k, limit) for args in zip(all_params, values, found)]
+        w3 = _join(ladder_a, ladder_a, [(lb, lb) for lb in ladders_b], limit)
+    return [_rows(params, found, k, limit) for params, found in zip(all_params, w3)]
 
 
 def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[int, int, bool]]:

@@ -94,7 +94,7 @@ class SweepConfig:
 
 
 # The b of one sweep job: each job shares one a's stored keys across this
-# many b, and holds their value sets and pair sums at once.
+# many b, and holds their pair sums and 3-term windows at once.
 _B_SLICE = 32
 
 

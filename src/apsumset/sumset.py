@@ -57,20 +57,6 @@ def representations(params: SumsetParams, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def value_set(params: SumsetParams, limit: int) -> set[int]:
-    """The set of sumset values <= limit (no representation bookkeeping)."""
-    a, b = params.a, params.b
-    out: set[int] = set()
-    ax = 1
-    while ax < limit:
-        by = 1
-        while ax + by <= limit:
-            out.add(ax + by)
-            by *= b
-        ax *= a
-    return out
-
-
 def enumerate_up_to(params: SumsetParams, limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """Every (value, reps) pair with value <= limit in S, ascending by value.
 

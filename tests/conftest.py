@@ -26,6 +26,19 @@ def brute_reps(a, b, n):
     return out
 
 
+def brute_values(a, b, limit):
+    """The set of a^x + b^y <= limit, by a double loop over both exponents."""
+    out = set()
+    ax = 1
+    while ax < limit:
+        by = 1
+        while ax + by <= limit:
+            out.add(ax + by)
+            by *= b
+        ax *= a
+    return out
+
+
 @pytest.fixture
 def edited_registry(monkeypatch):
     """Makes the real registry loader read checks.json with one value changed.

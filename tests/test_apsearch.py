@@ -14,7 +14,9 @@ from apsumset.apsearch import (
     progression,
 )
 from apsumset.cli import main
-from apsumset.sumset import SumsetParams, enumerate_up_to, value_set
+from apsumset.sumset import SumsetParams, enumerate_up_to
+
+from conftest import brute_values
 
 
 def brute_3term(params, limit):
@@ -36,13 +38,20 @@ def brute_windows(params, k, limit):
     A window is fixed by its first two terms, so walking all value pairs and
     testing the other k-2 terms visits every k-tuple in progression.
     """
-    vset = value_set(params, limit)
+    vset = brute_values(params.a, params.b, limit)
     out = []
     for s0, s1 in combinations(sorted(vset), 2):
         d = s1 - s0
         if all(s0 + i * d in vset for i in range(2, k)):
             out.append((s0, d))
     return sorted(out)
+
+
+def brute_rows(params, k, limit):
+    """`brute_windows` with each window's maximal flag, by membership of both neighbours."""
+    # both neighbours of a window lie below twice the limit
+    around = brute_values(params.a, params.b, 2 * limit)
+    return [(n, d, not (n - d in around or n + k * d in around)) for n, d in brute_windows(params, k, limit)]
 
 
 def windows(rows):
@@ -141,7 +150,7 @@ class TestFindProgressions:
             rows = find_progressions(params, k, lim)
             assert windows(rows) == want
             # both neighbours of a window lie below twice the limit
-            around = value_set(params, 2 * lim)
+            around = brute_values(params.a, params.b, 2 * lim)
             assert [maximal for _, _, maximal in rows] == [
                 not (n - d in around or n + k * d in around) for n, d in want
             ]
@@ -165,6 +174,16 @@ class TestFindProgressions:
             tracemalloc.stop()
         assert len(rows) == 505
         assert peak < 4 * 2**20
+
+    def test_peak_memory_of_a_sweep_slice(self):
+        # the 3-term windows of each b, and no set of each b's values
+        tracemalloc.start()
+        try:
+            find_progressions_over(2, list(range(3, 35)), 5, 10**30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -203,7 +222,7 @@ class TestJoinOracle:
             params = SumsetParams(a, b)
             want = brute_windows(params, k, limit)
             assert windows(rows) == want
-            around = value_set(params, 2 * limit)
+            around = brute_values(params.a, params.b, 2 * limit)
             assert [maximal for _, _, maximal in rows] == [
                 not (n - d in around or n + k * d in around) for n, d in want
             ]
@@ -216,6 +235,54 @@ class TestJoinOracle:
 
     def test_no_b(self):
         assert find_progressions_over(2, [], 3, 100) == []
+
+
+# the dependent pairs, whose terms can have several representations, and
+# pairs of the families; S_{2,3} has the 6-term windows (3, 2) and (17, 24)
+CHAIN_PAIRS = [(2, 4), (2, 8), (4, 8), (3, 9), (2, 5), (2, 9), (2, 17), (3, 13), (2, 3)]
+
+
+class TestChainRule:
+    """A k-term window is k - 2 overlapping 3-term windows of one D, and its
+    maximal flag reads the 3-term windows on either side of it below the
+    limit, and `representations` above it."""
+
+    def test_final_term_at_limit(self):
+        params = SumsetParams(2, 3)
+        assert find_progressions(params, 6, 13) == [(3, 2, True)]  # 3, 5, ..., 13
+        assert find_progressions(params, 6, 12) == []
+
+    def test_after_at_limit_and_above(self):
+        params = SumsetParams(2, 3)
+        # 2, 3, 4 extends to 5 = 4 + 1, read off the window 3, 4, 5 at limit 5
+        assert find_progressions(params, 3, 5) == [(2, 1, False), (3, 1, False)]
+        # and by membership of 5 when the limit is one below it
+        assert find_progressions(params, 3, 4) == [(2, 1, False)]
+        # 3, 5, ..., 13 does not extend to 15, tested either way
+        for limit in (15, 14):
+            assert flags_by_window(find_progressions(params, 6, limit)) == {(3, 2): True}
+
+    def test_before_is_one(self):
+        # 3, 5, 7, 9 in S_{2,5}: 1 = 3 - 2 is below the sumset and 11 is not in it
+        params = SumsetParams(2, 5)
+        assert flags_by_window(find_progressions(params, 4, 9)) == {(3, 2): True}
+        assert (3, 2, True) in find_progressions(params, 4, 10**6)
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    @pytest.mark.parametrize("a, b", CHAIN_PAIRS)
+    def test_matches_brute_force_at_each_edge(self, a, b, k):
+        params = SumsetParams(a, b)
+        every = brute_rows(params, k, 10**6)
+        limits = {10**6}
+        for n, d, _ in every:
+            final = n + (k - 1) * d
+            # the window ends at the limit; its next term is one above it, or at it
+            limits |= {final, final + d - 1, final + d}
+        bs = sorted({a + 1, b, b + 1})
+        for limit in sorted(lim for lim in limits if lim <= 10**6):
+            want = [row for row in every if row[0] + (k - 1) * row[1] <= limit]
+            assert find_progressions(params, k, limit) == want, limit
+            assert find_progressions_over(a, bs, k, limit)[bs.index(b)] == want, limit
 
 
 class TestExtend:

@@ -11,10 +11,9 @@ from apsumset.sumset import (
     SumsetParams,
     enumerate_up_to,
     representations,
-    value_set,
 )
 
-from conftest import brute_reps
+from conftest import brute_reps, brute_values
 
 
 class TestParams:
@@ -199,7 +198,7 @@ class TestEnumerate:
 
     def test_value_set_agrees(self):
         els = enumerate_up_to(SumsetParams(3, 11), 10**5)
-        assert {v for v, _ in els} == value_set(SumsetParams(3, 11), 10**5)
+        assert {v for v, _ in els} == brute_values(3, 11, 10**5)
 
     def test_multi_rep_element(self):
         els = dict(enumerate_up_to(SumsetParams(2, 3), 20))
