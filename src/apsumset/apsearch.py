@@ -24,9 +24,9 @@ is complete.  Which power goes to which side is a choice:
   |B|^3 / 2 per b.  For a single pair that is about (|A| + |B|)(|A| - |B|)^2 / 2
   keys more than the split above, so the gain rests on the ladder ratio
   |A| / |B| and on how many b share the a-side: a job of n b pays
-  |A|^3 / (2n) per b for it.  The sweep over a <= 8, b <= 120 at 10^9, in
-  jobs of up to 32 b, forms 214,352 keys this way and would form
-  1,046,510 with the one-pair split.
+  |A|^3 / (2n) per b for it.  The sweep over a <= 8, b <= 120, in jobs of
+  up to 64 b, forms 168,842 keys this way at 10^9 and 5,236,198 at 10^30,
+  and would form 1,046,510 and 34,130,093 with the one-pair split.
 
 Neither split forms the matches of a term with itself.  A pair sum is
 strict (two distinct powers) or doubled (2*a^x).  A match of two doubled
@@ -42,9 +42,17 @@ drops it.
 A match is turned into windows exactly.  The streamed side gives w' and Q,
 and P = key + 2w for each stored power w that makes it a pair sum.  A sum
 of two powers of one base has one such pair (its digits in that base are
-two 1s, or one 2, or for base 2 one 1), so a dict per ladder gives back
-the two powers of P and of Q.  Both pairings, s0, s2 = a^x0 + b^y0,
-a^x2 + b^y2 and a^x0 + b^y2, a^x2 + b^y0, have s0 + s2 = P + Q = 2*s1, so
+two 1s, or one 2, or for base 2 one 1).  The stored side looks P up in a
+dict of its pair sums.  A streamed b keeps no dict: Q is decoded from its
+ladder y.  For powers p <= q of base b, q <= p + q <= 2q <= b*q, and
+2q = b*q only when b = 2 and p = q.  So top = y[bisect_right(y, Q) - 1],
+the largest power at or below Q, is q and Q - top is p, except for a
+doubled power of 2 whose double 2q is itself in the ladder: there top = Q,
+and Q - top = 0 is the sign that p = q = top / 2.  The decode compares and
+subtracts exact ints only, so it gives back the one pair of every Q.
+
+Both pairings, s0, s2 = a^x0 + b^y0, a^x2 + b^y2 and
+a^x0 + b^y2, a^x2 + b^y0, have s0 + s2 = P + Q = 2*s1, so
 each is a 3-term progression in S.  One is kept when D = |s2 - s0| / 2 >= 1
 and s2 <= L, so the join collects, per b, the set W3 of every 3-term
 window (N, D) below the limit; (N, D) is deduplicated, because a window is
@@ -61,7 +69,8 @@ Only a next term above L is tested by `representations`.
 Keys are partitioned by their residue mod m: a stored key = r (mod m)
 comes from P = r + 2w and a streamed key from Q = 2w' - r, so with the
 pair sums pre-bucketed by residue each key is formed exactly once, by
-``map`` over one bucket.  m is the least prime at or above the stored key
+``map`` over one bucket.  With m = 1 the buckets are the two lists of pair
+sums themselves.  m is the least prime at or above the stored key
 count // _STORED_KEYS (1 when that is below 2), so one class stores about
 _STORED_KEYS keys.  S_{2,3} at 10^30 stores 201,600 keys (2,016 pair sums
 of 3 against 100 powers of 2) and streams 318,150; m = 53 keeps the
@@ -75,6 +84,7 @@ int, so nothing is filtered or decided by a fixed-width or floating value.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 
 from .numutil import is_prime, powers_below
@@ -110,13 +120,29 @@ def _pair_sums(ladder: list[int]) -> dict[int, tuple[int, int]]:
     return {p + q: (p, q) for i, p in enumerate(ladder) for q in ladder[i:]}
 
 
-def _classes(sums: dict[int, tuple[int, int]], m: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The pair sums by residue mod m: those of two distinct powers, then the doubled powers."""
-    strict: list[list[int]] = [[] for _ in range(m)]
-    doubled: list[list[int]] = [[] for _ in range(m)]
-    for s, (p, q) in sums.items():
-        (strict if p < q else doubled)[s % m].append(s)
-    return strict, doubled
+def _split(sums: list[int], m: int) -> list[tuple[int, ...]]:
+    """`sums` by residue mod m; tuples, so the many empty classes of a short ladder share one object."""
+    classes: list[list[int]] = [[] for _ in range(m)]
+    for s in sums:
+        classes[s % m].append(s)
+    return [tuple(c) for c in classes]
+
+
+def _classes(ladder: list[int], m: int) -> tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]:
+    """The pair sums of `ladder` by residue mod m: those of two distinct powers, then the doubled powers."""
+    strict = [p + q for i, p in enumerate(ladder) for q in ladder[i + 1 :]]
+    doubled = [2 * p for p in ladder]
+    if m == 1:
+        return [strict], [doubled]
+    return _split(strict, m), _split(doubled, m)
+
+
+def _decode(ladder: list[int], s: int) -> tuple[int, int]:
+    """The powers p <= q of `ladder` with p + q == s, for a pair sum s of the ladder."""
+    top = ladder[bisect_right(ladder, s) - 1]
+    rest = s - top
+    # only base 2 has a doubled power 2q that is itself a power of the ladder
+    return (top >> 1, top >> 1) if rest == 0 else (rest, top)
 
 
 def _modulus(keys: int) -> int:
@@ -149,21 +175,18 @@ def _join(
     sums_x = _pair_sums(x)
     subtract = [2 * p for p in u]
     m = _modulus(len(sums_x) * len(subtract))
-    strict_x, doubled_x = _classes(sums_x, m)
-    prepared = []
-    for v, y in streams:
-        sums_y = _pair_sums(y)
-        prepared.append(([2 * p for p in v], sums_y, _classes(sums_y, m), set()))
+    strict_x, doubled_x = _classes(x, m)
+    prepared = [([2 * p for p in v], y, _classes(y, m), set()) for v, y in streams]
     for r in range(m):
         stored: set[int] = set()
         # strict x sums meet doubled y sums, then all x sums meet strict y sums
         for classes_x, side in ((strict_x, 1), (doubled_x, 0)):
             for t in subtract:
                 stored.update(map(t.__rsub__, classes_x[(r + t) % m]))
-            for twice_v, sums_y, classes_y, found in prepared:
+            for twice_v, y, classes_y, found in prepared:
                 for t in twice_v:
                     for key in stored.intersection(map(t.__sub__, classes_y[side][(t - r) % m])):
-                        q = sums_y[t - key]
+                        q = _decode(y, t - key)
                         for w in subtract:
                             p = sums_x.get(key + w)
                             if p is not None:
@@ -195,7 +218,11 @@ def find_progressions_over(a: int, bs: Sequence[int], k: int, limit: int) -> lis
 
     Several b share one stored side built from a alone.  A single b stores
     the shorter ladder's pair sums less the longer ladder's doubled powers.
-    Each b keeps its 3-term windows until its rows are read off them.
+    Each b holds its pair sums, by residue class, and its 3-term windows
+    until its rows are read off them.  Past a's keys, a b from 3,000 costs
+    about 4.5 us at 10^9 and 38 us at 10^30 with a = 30 (m = 1), and a b
+    from 195 about 1.1 ms at 10^30 with a = 2 (m = 127), most of it the
+    2 * m * |B| intersections.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")

@@ -165,7 +165,7 @@ def _run_sweep(args):
     matched = [((a, b, n, d), match) for a, b, n, d, _, match in found if match is not None]
     unclassified = len(found) - len(matched)
     summary = {
-        "pairs_swept": len(cfg.pairs()),
+        "pairs_swept": cfg.pair_count(),
         "findings": len(found),
         "unclassified": unclassified,
     }

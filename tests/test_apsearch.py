@@ -6,14 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apsumset import classify
 from apsumset.apsearch import (
     _STORED_KEYS,
+    _decode,
     count_3term_stable,
     find_progressions,
     find_progressions_over,
     progression,
 )
 from apsumset.cli import main
+from apsumset.numutil import powers_below
 from apsumset.sumset import SumsetParams, enumerate_up_to
 
 from conftest import brute_values
@@ -176,10 +179,10 @@ class TestFindProgressions:
         assert peak < 4 * 2**20
 
     def test_peak_memory_of_a_sweep_slice(self):
-        # the 3-term windows of each b, and no set of each b's values
+        # a full sweep job: the 3-term windows of each b, and no set of each b's values
         tracemalloc.start()
         try:
-            find_progressions_over(2, list(range(3, 35)), 5, 10**30)
+            find_progressions_over(2, list(range(3, 3 + classify._B_SLICE)), 5, 10**30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -235,6 +238,39 @@ class TestJoinOracle:
 
     def test_no_b(self):
         assert find_progressions_over(2, [], 3, 100) == []
+
+
+class TestDecode:
+    """A pair sum of one base's ladder gives back its own pair, read off the ladder."""
+
+    # below 2 every ladder is [1]; below 3 base 2's is [1, 2], so 2 = 1 + 1 is itself a power
+    @pytest.mark.parametrize("limit", [2, 3, 10**30])
+    def test_every_pair_sum(self, limit):
+        for base in range(2, 65):
+            ladder = powers_below(base, limit)
+            for i, p in enumerate(ladder):
+                for q in ladder[i:]:
+                    assert _decode(ladder, p + q) == (p, q), (base, p, q)
+
+    def test_base_2_doubled_inside_and_past_the_top(self):
+        ladder = powers_below(2, 10**30)
+        assert ladder[-1] == 2**99
+        # 2 * 2^98 is the ladder's top, 2 * 2^99 lies above it
+        assert _decode(ladder, 2**99) == (2**98, 2**98)
+        assert _decode(ladder, 2**100) == (2**99, 2**99)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.integers(2, 10**6),
+        exponents=st.lists(st.integers(0, 200), min_size=3, max_size=3).map(sorted),
+    )
+    @example(base=2, exponents=[7, 7, 7])
+    @example(base=2, exponents=[6, 6, 7])
+    @example(base=3, exponents=[0, 0, 0])
+    def test_pair_of_any_ladder(self, base, exponents):
+        i, j, top = exponents
+        ladder = powers_below(base, base**top + 1)
+        assert _decode(ladder, base**i + base**j) == (base**i, base**j)
 
 
 # the dependent pairs, whose terms can have several representations, and

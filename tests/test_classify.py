@@ -67,6 +67,12 @@ class TestVerifyTheorem1:
         with pytest.raises(ValueError, match=message):
             SweepConfig(*fields)
 
+    def test_pair_count_is_the_grid_size(self):
+        for a_max in range(2, 12):
+            for b_max in range(a_max, 15):
+                cfg = SweepConfig(a_max, b_max, 100, 3)
+                assert cfg.pair_count() == len(cfg.pairs()), (a_max, b_max)
+
 
 class TestFamilyNonextension:
     def test_only_family1_k1_extends(self):
@@ -205,6 +211,31 @@ class TestSweepGrid:
 
         monkeypatch.setattr(apsearch, "progression", refuse)
         assert sweep_grid(cfg) == expected
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rows_independent_of_slice_with_residue_classes(self, monkeypatch, k):
+        # a = 2 stores the 820 pair sums of its 40 powers less each of the 40
+        # doubled powers: 32,800 keys in 11 residue classes, split on both sides
+        cfg = SweepConfig(2, 14, 10**12, k)
+        expected = [
+            (a, b, *row)
+            for a, b in cfg.pairs()
+            for row in find_progressions(SumsetParams(a, b), cfg.k, cfg.term_limit)
+        ]
+        moduli = []
+        real_split = apsearch._split
+
+        def split(sums, m):
+            moduli.append(m)
+            return real_split(sums, m)
+
+        monkeypatch.setattr(apsearch, "_split", split)
+        for size in (1, 5, 64):
+            monkeypatch.setattr(classify, "_B_SLICE", size)
+            moduli.clear()
+            assert sweep_grid(cfg) == expected, size
+            if size > 1:
+                assert set(moduli) == {11}, size
 
     def test_rows_independent_of_slice(self, monkeypatch):
         cfg = SweepConfig(4, 14, 10**6, 3)
