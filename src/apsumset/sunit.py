@@ -4,12 +4,13 @@
                            sum c_i * p^{e_i} * q^{f_i} = 0, with optional
                            primitivity, vanishing-subsum, magnitude and
                            side-predicate filters, each as a plain pair
-                           (assignment, signed term values);
+                           (assignment, signed term values), by a block join;
 * ``deze_tijdeman_4term`` -- p^x q^y +- p^z +- q^w +- 1 = 0 and
                            p^x +- q^y +- p^z +- q^w = 0, all powers <= 2^15;
 * ``pillai_difference_table`` -- p^x - p^y = q^z - q^w > 0;
 * ``bajpai_bennett_5term`` -- +-2^a1 3^b1 +- ... +- 2^a5 3^b5 = 0 under the
-                           bounds max term <= 3^12, a_i <= 19, b_i <= 12;
+                           bounds max term <= 3^12, a_i <= 19, b_i <= 12,
+                           by a walk in canonical orientation;
 * ``deweger_3term``     -- x + y = z in coprime 13-smooth positive integers,
                            by a join over prime-support buckets.
 
@@ -27,31 +28,33 @@ join is complete and yields each assignment once.  A pattern whose terms
 all share variables is one block, streamed against the one-row empty side.
 Sums are exact Python ints; the other filters run on matches only.  The
 budget counts the whole box, which keeps the stored side near its square
-root, and then the row words, each block's box times the 64-bit words of
-its widest term, which keeps rows of huge powers out; both are checked
-before any enumeration.  Deze-Tijdeman is one pattern per shape and sign
-vector, with the pairs shape's swap rule as a side predicate; Pillai is
+root, and then the row words: each block's box times the 64-bit words of
+its widest term, plus the words of each fixed term, which keeps rows and
+constants of huge powers out.  Both are checked before any power is
+computed.  Deze-Tijdeman is one pattern per shape and sign vector, with
+the pairs shape's swap rule as a side predicate; Pillai is
 p^x - p^y - q^z + q^w = 0 with x > y, z > w.
 
-Canonical orientation.  An ``interchangeable`` pattern's k >= 4 terms are
-p^e_i q^f_i under shared bounds and a ``value_bound``, so a solution is a
-set of distinct monomials with signs, met once: in decreasing magnitude at
+Canonical orientation.  Bajpai-Bennett's k = 5 terms are distinct
+monomials p^e q^f (p = 2, q = 3) under shared exponent bounds and a value
+bound, so a solution is a set of distinct monomials with signs, and the
+walk ``_canonical_walk`` meets each once: in decreasing magnitude at
 indices i0 > m_1 > ... > lo > j > l of the n sorted monomials within the
-bound, i0's sign +.  Walking lo upward, the signed pair sums of j < lo are
-stored, and for each choice of middle indices and walked signs a set
-intersection over a window of the values above finds i0.  With v the
-value at lo, every stored sum s has |s| <= values[lo-1] + values[lo-2]
-< 2v, and a match needs i0's value u = rest - s, where rest is minus the
-walked sum; so u lies in (rest - 2v, rest + 2v), a slice taken by
-bisection, for every k >= 4.  Two exact cuts come first.  A row (lo and
-its middle indices) is skipped before its 2^(k-3) sign patterns when the
-first value above it is at least t + 2v, with t the sum of the walked
-magnitudes: rest <= t under every sign pattern, so no window of the row
-holds a value.  Under ``require_primitive`` a stored pair is skipped when
+bound, i0's sign +.  The walk takes any k >= 4.  Walking lo upward, the
+signed pair sums of j < lo are stored, and for each choice of middle
+indices and walked signs a set intersection over a window of the values
+above finds i0.  With v the value at lo, every stored sum s has
+|s| <= values[lo-1] + values[lo-2] < 2v, and a match needs i0's value
+u = rest - s, where rest is minus the walked sum; so u lies in
+(rest - 2v, rest + 2v), a slice taken by bisection.  Two exact cuts come
+first.  A row (lo and its middle indices) is skipped before its 2^(k-3)
+sign patterns when the first value above it is at least t + 2v, with t
+the sum of the walked magnitudes: rest <= t under every sign pattern, so
+no window of the row holds a value.  A stored pair is skipped when
 gcd(u, walked values, pair) != 1 before its signed tuple is built; that
-gcd is the primitivity test itself, so no primitive solution is lost, and
-the filters still decide every pair that is kept.  The budget counts the
-rows, 4 C(n-1, 2) pair sums plus 2^(k-3) C(n, k-3) walked signed tuples.
+gcd is the primitivity test itself, so the walk yields exactly the
+primitive solutions.  The budget counts the rows, 4 C(n-1, 2) pair sums
+plus 2^(k-3) C(n, k-3) walked signed tuples.
 
 Support buckets.  In a de Weger solution gcd(x, y) = 1 and z = x + y make
 x, y and z pairwise coprime, so their prime-support masks are pairwise
@@ -116,7 +119,7 @@ class PatternTerm:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A signed two-prime equation with boxed exponent variables; ``interchangeable``: module docstring."""
+    """A signed two-prime equation with boxed exponent variables."""
 
     p: int
     q: int
@@ -125,7 +128,6 @@ class Pattern:
     require_primitive: bool = False
     forbid_vanishing_subsums: bool = False
     value_bound: int | None = None
-    interchangeable: bool = False
 
     def __post_init__(self) -> None:
         if not (is_prime(self.p) and is_prime(self.q) and self.p != self.q):
@@ -138,19 +140,11 @@ class Pattern:
         for name, b in self.var_bounds:
             if b < 0:
                 raise ValueError(f"bound of {name!r} must be >= 0, got {b}")
-        exps = [e for t in self.terms for e in (t.p_exp, t.q_exp)]
-        used = {e for e in exps if isinstance(e, str)}
+        used = {e for t in self.terms for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
         if used != bound.keys():
             raise ValueError(f"variable mismatch: terms use {sorted(used)}, bounds declare {sorted(bound)}")
         if self.value_bound is not None and self.value_bound < 0:
             raise ValueError(f"value_bound must be >= 0, got {self.value_bound}")
-        if self.interchangeable and not (  # then every exponent is a variable of its own
-            len(self.terms) >= 4 and self.value_bound is not None and all(t.coefficient == 1 for t in self.terms)
-            and len(set(exps)) == len(exps) == len(bound)
-            and len(set(map(bound.get, exps[::2]))) == len(set(map(bound.get, exps[1::2]))) == 1
-        ):
-            raise ValueError("interchangeable terms must be 4 or more PatternTerm(1, e_i, f_i) with variables of "
-                             "their own, all e_i under one bound, all f_i under one bound, and a value_bound")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -196,41 +190,30 @@ def solve_pattern(
     The assignment holds the exponents in declared variable order
     (``pattern.variables``) and the term values are the signed terms in
     term order.  Output is in lexicographic order of the assignment and
-    complete over the box; see the module docstring for the block join and
-    the canonical orientation, whose term values carry the signs.  A
-    search larger than `budget` raises SearchBudgetExceeded before
+    complete over the box; see the module docstring for the block join.
+    A search larger than `budget` raises SearchBudgetExceeded before
     anything is enumerated: the block join counts the whole box and
-    its row words, the walk over n admissible monomials counts
-    4 C(n-1, 2) + 2^(k-3) C(n, k-3) rows (67,600 for Bajpai-Bennett,
-    n = 131, whose box is about 1.2e12).
+    its row words.
     """
     names = pattern.variables
-    join = _canonical_walk if pattern.interchangeable else _block_join
     return sorted(
-        ((tuple(assignment), tuple(values)) for assignment, values in join(pattern, budget)
+        ((tuple(assignment), tuple(values)) for assignment, values in _block_join(pattern, budget)
          if side_predicate is None or side_predicate(dict(zip(names, assignment)))),
         key=itemgetter(0),
     )
 
 
-def _keep(pattern: Pattern, values: Sequence[int]) -> bool:
-    """The filters on term values alone; a join tests them before it forms the assignment."""
-    return not (pattern.require_primitive and gcd(*values) != 1
-                or pattern.forbid_vanishing_subsums and has_vanishing_subsum(values))
-
-
 def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(assignment, term values) of every zero sum in the box that passes `_keep`."""
+    """(assignment, term values) of every zero sum in the box that passes the filters on term values."""
     names = pattern.variables
     terms = pattern.terms
     limit = pattern.value_bound
-    # term values in term order: fixed terms now, variable terms per match
-    template: list[int | None] = [None] * len(terms)
+    fixed: list[int] = []  # the terms with no variable
     groups: list[tuple[set[str], list[int]]] = []
     for i, t in enumerate(terms):
         own = {e for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
         if not own:
-            template[i] = t.coefficient * pattern.p**t.p_exp * pattern.q**t.q_exp
+            fixed.append(i)
             continue
         touching = [g for g in groups if g[0] & own]
         groups = [g for g in groups if not g[0] & own]
@@ -246,13 +229,19 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
         sizes[k] *= boxes[b]
     if sizes[0] * sizes[1] > budget:
         raise SearchBudgetExceeded(sizes[0] * sizes[1], budget)
-    # each block's rows times the 64-bit words of its widest term, whose bits p <= 2^bit_length(p - 1) bounds
+    # each block's rows times the 64-bit words of its widest term, and each fixed term's words once,
+    # whose bits p <= 2^bit_length(p - 1) bounds
     bits = [abs(t.coefficient).bit_length() + bound.get(t.p_exp, t.p_exp) * (pattern.p - 1).bit_length()
             + bound.get(t.q_exp, t.q_exp) * (pattern.q - 1).bit_length() for t in terms]
-    words = sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
+    words = (sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
+             + sum(-(-bits[i] // 64) for i in fixed))
     if words > budget:
         raise SearchBudgetExceeded(words, budget, "row words")
     stored, streamed = sides if sizes[0] <= sizes[1] else sides[::-1]
+    # term values in term order: fixed terms now, variable terms per match
+    template: list[int | None] = [None] * len(terms)
+    for i in fixed:
+        template[i] = terms[i].coefficient * pattern.p**terms[i].p_exp * pattern.q**terms[i].q_exp
     if limit is not None and any(abs(v) > limit for v in template if v is not None):
         return
     offset = sum(v for v in template if v is not None)
@@ -280,7 +269,8 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
                     assignment[position[v]] = a
                 for i, v in zip(term_ids, vals):
                     values[i] = v
-            if _keep(pattern, values):
+            if not (pattern.require_primitive and gcd(*values) != 1
+                    or pattern.forbid_vanishing_subsums and has_vanishing_subsum(values)):
                 yield assignment, values
 
 
@@ -303,13 +293,17 @@ def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[i
             yield sum(vals), assign, vals
 
 
-def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """(assignment, signed term values) of each solution that passes `_keep`, once, in canonical orientation."""
-    p, q, k, limit = pattern.p, pattern.q, len(pattern.terms), pattern.value_bound
-    bound = dict(pattern.var_bounds)
-    e_max, f_max = bound[pattern.terms[0].p_exp], bound[pattern.terms[0].q_exp]
+def _canonical_walk(
+    p: int, q: int, k: int, e_max: int, f_max: int, value_bound: int, budget: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(exponents, signed term values) of each primitive zero sum of k >= 4 distinct monomials, once.
+
+    The monomials are p^e q^f <= value_bound (>= 1) with e <= e_max and
+    f <= f_max.  The term values are in canonical orientation (module
+    docstring) and the exponents are each term's (e, f) in term order.
+    """
     # the largest admissible p-exponent beside each admissible q^f
-    e_tops = [min(e_max, ilog(limit // q**f, p)) for f in range(min(f_max, ilog(limit, q)) + 1)] if limit else []
+    e_tops = [min(e_max, ilog(value_bound // q**f, p)) for f in range(min(f_max, ilog(value_bound, q)) + 1)]
     n = sum(e_tops) + len(e_tops)
     rows = 4 * comb(max(n - 1, 0), 2) + 2 ** (k - 3) * comb(n, k - 3)
     if rows > budget:
@@ -317,7 +311,6 @@ def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], 
     exponents = {p**e * q**f: (e, f) for f, top in enumerate(e_tops) for e in range(top + 1)}
     values = sorted(exponents)
 
-    names, primitive = pattern.variables, pattern.require_primitive
     pairs: dict[int, list[tuple[int, int]]] = {}
     for lo, v in enumerate(values):
         for low in values[:max(lo - 1, 0)]:  # admit the pairs (j, l) with l < j = lo - 1
@@ -334,16 +327,11 @@ def _canonical_walk(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], 
                 window = values[max(start, bisect_right(values, rest - 2 * v)):bisect_left(values, rest + 2 * v)]
                 for target in pairs.keys() & map(rest.__sub__, window):
                     u = rest - target
-                    common = gcd(u, *walked) if primitive else 1  # a pair sharing a factor with it is not primitive
+                    common = gcd(u, *walked)  # a pair sharing a factor with it is not primitive
                     for pair in pairs[target]:
-                        if gcd(common, *pair) != 1:
-                            continue
-                        signed = (u, *walked[::-1], *pair)
-                        if _keep(pattern, signed):
-                            env = {}
-                            for t, s in zip(pattern.terms, signed):
-                                env[t.p_exp], env[t.q_exp] = exponents[abs(s)]
-                            yield [env[x] for x in names], signed
+                        if gcd(common, *pair) == 1:
+                            signed = (u, *walked[::-1], *pair)
+                            yield tuple(x for s in signed for x in exponents[abs(s)]), signed
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +508,19 @@ def bajpai_bennett_5term(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Complete primitive solutions of the five-term signed {2,3} equation.
 
-    The interchangeable pattern of five distinct monomials 2^a 3^b <= 3^12,
-    a <= alpha_max, b <= beta_max, with gcd 1 (module docstring).  Distinct
-    magnitudes exclude more than vanishing subsums: the primitive
-    8 - 4 - 2 - 1 - 1 = 0 has none, yet repeats 1 and is not listed.
-    Each solution is a pair (assignment, term values) as in
-    ``solve_pattern``, over the variables a0, b0, ..., a4, b4: the term
+    Five distinct monomials 2^a 3^b <= 3^12, a <= alpha_max, b <= beta_max,
+    with gcd 1, met once by the walk in canonical orientation (module
+    docstring).  Distinct magnitudes exclude more than vanishing subsums:
+    the primitive 8 - 4 - 2 - 1 - 1 = 0 has none, yet repeats 1 and is not
+    listed.  Each solution is a pair (exponents, term values): the term
     values are its signed terms in decreasing magnitude, the first
-    positive, and term i = +-2^a 3^b with (a, b) =
-    ``assignment[2i:2i+2]``.  Sorted by term values, descending.  Negative
-    bounds raise ValueError.
+    positive, and term i = +-2^a 3^b with (a, b) = ``exponents[2i:2i+2]``.
+    Sorted by term values, descending.  The walk over the n admissible
+    monomials counts 4 C(n-1, 2) + 4 C(n, 2) rows against the budget
+    (67,600 at the default bounds, n = 131, whose box of exponents is about
+    1.2e12).  Negative bounds raise ValueError.
     """
-    names = [(f"a{i}", f"b{i}") for i in range(5)]
-    pattern = Pattern(2, 3, tuple(PatternTerm(1, a, b) for a, b in names),
-                      tuple(item for a, b in names for item in ((a, alpha_max), (b, beta_max))),
-                      require_primitive=True, value_bound=BB5_VALUE_BOUND, interchangeable=True)
-    return sorted(solve_pattern(pattern), key=itemgetter(1), reverse=True)
+    if min(alpha_max, beta_max) < 0:
+        raise ValueError(f"alpha_max and beta_max must be >= 0, got {alpha_max}, {beta_max}")
+    walk = _canonical_walk(2, 3, 5, alpha_max, beta_max, BB5_VALUE_BOUND, DEFAULT_BUDGET)
+    return sorted(walk, key=itemgetter(1), reverse=True)

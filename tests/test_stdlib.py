@@ -59,3 +59,24 @@ def unused_imports(path: Path):
 def test_no_unused_imports(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def unread_private_names(path: Path):
+    """Module-level private names (`_x`, not dunders) the file binds and never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    unread = unread_private_names(path)
+    assert not unread, f"{path.name} defines private names it never reads: {unread}"

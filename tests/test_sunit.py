@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from apsumset.numutil import PrimeSet, power_exponent, smooth_buckets
 from apsumset.sunit import (
+    DEFAULT_BUDGET,
     DEWEGER_PRIMES,
     SHAPE_PAIRS,
     SHAPE_PRODUCT,
@@ -15,6 +16,7 @@ from apsumset.sunit import (
     PatternTerm,
     SearchBudgetExceeded,
     TripleSolution,
+    _canonical_walk,
     bajpai_bennett_5term,
     deweger_3term,
     deze_tijdeman_4term,
@@ -144,6 +146,13 @@ class TestSolvePattern:
             solve_pattern(pat, budget=10**6)
         assert info.value.estimate == 1000**4
 
+    def test_fixed_term_counts_toward_row_words(self):
+        # 2^x = 3^6400000: the fixed term alone is 200,001 words by the bits bound, so it is refused uncomputed
+        pat = Pattern(2, 3, (PatternTerm(1, "x", 0), PatternTerm(-1, 0, 6_400_000)), (("x", 3),))
+        with pytest.raises(SearchBudgetExceeded, match="row words") as info:
+            solve_pattern(pat, budget=10**4)
+        assert info.value.estimate == 4 + 200_001
+
     def test_negative_value_bound_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             Pattern(2, 3, (PatternTerm(1, "a", 0), PatternTerm(-1, 0, 1)), (("a", 3),), value_bound=-1)
@@ -234,73 +243,43 @@ class TestSolvePattern:
         assert got == naive_solve(pattern, predicate)
 
 
-def interchangeable(p, q, k, e_max, f_max, value_bound, **filters):
-    """The interchangeable pattern of k monomials p^e_i q^f_i <= value_bound, e_i <= e_max, f_i <= f_max."""
-    names = [(f"e{i}", f"f{i}") for i in range(k)]
-    return Pattern(
-        p, q, tuple(PatternTerm(1, e, f) for e, f in names),
-        tuple(item for e, f in names for item in ((e, e_max), (f, f_max))),
-        value_bound=value_bound, interchangeable=True, **filters,
-    )
+def walk(p, q, k, e_max, f_max, value_bound):
+    """The walk's solutions over monomials p^e q^f <= value_bound, e <= e_max, f <= f_max, as a list."""
+    return list(_canonical_walk(p, q, k, e_max, f_max, value_bound, DEFAULT_BUDGET))
 
 
-def naive_interchangeable(pattern, predicate=None):
-    """(assignment, signed values) of every set of k distinct monomials with signs summing to 0.
+def naive_interchangeable(p, q, k, e_max, f_max, value_bound):
+    """(exponents, signed values) of every primitive set of k distinct monomials with signs summing to 0.
 
-    Each is normalised to decreasing magnitude with the largest term positive.
+    Each is normalised to decreasing magnitude with the largest term
+    positive.  The k - 1 largest terms and their signs fix the smallest,
+    which must be a smaller monomial.
     """
-    bound = dict(pattern.var_bounds)
-    e_max, f_max = bound[pattern.terms[0].p_exp], bound[pattern.terms[0].q_exp]
-    limit = pattern.value_bound
-    monomials = {
-        pattern.p**e * pattern.q**f: (e, f)
-        for e in range(e_max + 1)
-        for f in range(f_max + 1)
-        if pattern.p**e * pattern.q**f <= limit
-    }
-    found = set()
-    for combo in itertools.combinations(sorted(monomials, reverse=True), len(pattern.terms)):
-        for signs in itertools.product((1, -1), repeat=len(combo)):
-            signed = tuple(s * v * signs[0] for s, v in zip(signs, combo))
-            if sum(signed) != 0:
-                continue
-            if pattern.require_primitive and gcd(*signed) != 1:
-                continue
-            if pattern.forbid_vanishing_subsums and has_vanishing_subsum(signed):
-                continue
-            env = {}
-            for t, v in zip(pattern.terms, signed):
-                env[t.p_exp], env[t.q_exp] = monomials[abs(v)]
-            if predicate is not None and not predicate(env):
-                continue
-            found.add((tuple(env[name] for name in pattern.variables), signed))
+    monomials = {p**e * q**f: (e, f) for e in range(e_max + 1) for f in range(f_max + 1) if p**e * q**f <= value_bound}
+    found = []
+    for combo in itertools.combinations(sorted(monomials, reverse=True), k - 1):
+        for signs in itertools.product((1, -1), repeat=k - 2):
+            signed = (combo[0], *(s * v for s, v in zip(signs, combo[1:])))
+            last = -sum(signed)
+            if abs(last) < combo[-1] and abs(last) in monomials and gcd(last, *signed) == 1:
+                signed += (last,)
+                found.append((tuple(x for v in signed for x in monomials[abs(v)]), signed))
     return sorted(found)
 
 
 @st.composite
 def interchangeable_cases(draw):
-    """A random interchangeable pattern of 4 to 6 terms, bounds <= 2, declared in any order, and a predicate."""
-    k = draw(st.integers(4, 6))
-    pattern = interchangeable(
-        *draw(st.sampled_from(((2, 3), (3, 2), (2, 5), (3, 5)))), k, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
-        draw(st.integers(0, 250)),
-        require_primitive=draw(st.booleans()),
-        forbid_vanishing_subsums=draw(st.booleans()),
-    )
-    pattern = Pattern(pattern.p, pattern.q, pattern.terms, tuple(draw(st.permutations(pattern.var_bounds))),
-                      pattern.require_primitive, pattern.forbid_vanishing_subsums, pattern.value_bound, True)
-    return pattern, draw(st.sampled_from((None, even_sum)))
+    """The walk's arguments but its budget: 4 to 6 terms, exponent bounds <= 2 and a value bound >= 1."""
+    p, q = draw(st.sampled_from(((2, 3), (3, 2), (2, 5), (3, 5))))
+    return p, q, draw(st.integers(4, 6)), draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 250))
 
 
-def skipped_rows(pattern):
+def skipped_rows(p, q, k, e_max, f_max, value_bound):
     """The walk's rows (lo, middle indices) with a value above them, whose first such value is >= sum(walked) + 2v."""
-    bound = dict(pattern.var_bounds)
-    e_max, f_max = bound[pattern.terms[0].p_exp], bound[pattern.terms[0].q_exp]
-    monomials = (pattern.p**e * pattern.q**f for e in range(e_max + 1) for f in range(f_max + 1))
-    values = sorted(m for m in monomials if m <= pattern.value_bound)
+    values = sorted(m for m in (p**e * q**f for e in range(e_max + 1) for f in range(f_max + 1)) if m <= value_bound)
     rows = []
     for lo, v in enumerate(values):
-        for mid in itertools.combinations(range(lo + 1, len(values)), len(pattern.terms) - 4):
+        for mid in itertools.combinations(range(lo + 1, len(values)), k - 4):
             start = (mid[-1] if mid else lo) + 1
             if start < len(values) and values[start] >= v + sum(values[i] for i in mid) + 2 * v:
                 rows.append((lo, mid))
@@ -310,74 +289,43 @@ def skipped_rows(pattern):
 class TestInterchangeable:
     @settings(max_examples=200, deadline=None)
     @given(case=interchangeable_cases())
-    @example(case=(interchangeable(2, 3, 4, 2, 2, 36), None))
-    @example(case=(interchangeable(2, 3, 4, 2, 2, 36, require_primitive=True), None))
-    @example(case=(interchangeable(2, 3, 5, 2, 2, 36, forbid_vanishing_subsums=True), even_sum))
+    @example(case=(2, 3, 4, 2, 2, 36))
+    @example(case=(2, 3, 5, 2, 2, 36))
     def test_matches_naive_walk(self, case):
-        pattern, predicate = case
-        sols = solve_pattern(pattern, predicate)
-        assert [assignment for assignment, _ in sols] == sorted(assignment for assignment, _ in sols)
-        assert sorted(sols) == naive_interchangeable(pattern, predicate)
+        assert sorted(walk(*case)) == naive_interchangeable(*case)
 
     @pytest.mark.parametrize(
-        "p, q, k, e_max, f_max, value_bound, filters",
-        [
-            (3, 5, 4, 5, 3, 700, {}),
-            (3, 5, 4, 5, 3, 700, {"require_primitive": True}),
-            (3, 2, 5, 5, 3, 200, {}),
-            (2, 5, 5, 5, 3, 200, {"require_primitive": True}),
-            (3, 5, 6, 5, 3, 200, {"forbid_vanishing_subsums": True}),
-            (2, 5, 6, 5, 3, 120, {"require_primitive": True}),
-        ],
+        "p, q, k, e_max, f_max, value_bound",
+        [(3, 5, 4, 5, 3, 700), (3, 2, 5, 5, 3, 200), (2, 5, 5, 5, 3, 200), (3, 5, 6, 5, 3, 200), (2, 5, 6, 5, 3, 120)],
     )
-    def test_row_skip_matches_naive(self, p, q, k, e_max, f_max, value_bound, filters):
+    def test_row_skip_matches_naive(self, p, q, k, e_max, f_max, value_bound):
         # boxes where the walk skips whole rows whose values above lie out of reach of every sign pattern
-        pattern = interchangeable(p, q, k, e_max, f_max, value_bound, **filters)
-        assert skipped_rows(pattern)
-        assert sorted(solve_pattern(pattern)) == naive_interchangeable(pattern)
+        case = (p, q, k, e_max, f_max, value_bound)
+        assert skipped_rows(*case)
+        assert sorted(walk(*case)) == naive_interchangeable(*case)
 
     @pytest.mark.parametrize(
         "k, e_max, f_max, value_bound, solutions, primitive",
         [(5, 8, 6, 3**12, 11_028, 872), (4, 8, 6, 3**12, 1_100, 49), (6, 5, 3, 3**5, 3_897, 1_790)],
     )
     def test_primitive_is_gcd_one_subset(self, k, e_max, f_max, value_bound, solutions, primitive):
-        # the walk's gcd prefilter drops exactly the zero sums whose terms share a factor
-        plain = solve_pattern(interchangeable(2, 3, k, e_max, f_max, value_bound))
-        kept = solve_pattern(interchangeable(2, 3, k, e_max, f_max, value_bound, require_primitive=True))
-        coprime = [(assignment, values) for assignment, values in plain if gcd(*values) == 1]
-        assert kept == coprime
-        assert (len(plain), len(kept)) == (solutions, primitive)
-
-    def test_no_value_bound_refused_at_once(self):
-        # without a value bound these exponent bounds would admit 10^12 monomials
-        with pytest.raises(ValueError, match="value_bound"):
-            interchangeable(2, 3, 5, 10**6, 10**6, None)
+        # the walk's gcd prefilter keeps exactly the primitive zero sums.  Every zero sum of distinct monomials is
+        # 2^a 3^b, the gcd of its terms, times one primitive zero sum, so scaling the walk's solutions within the
+        # bounds counts every zero sum, primitive or not
+        sols = sorted(walk(2, 3, k, e_max, f_max, value_bound))
+        assert sols == naive_interchangeable(2, 3, k, e_max, f_max, value_bound)
+        scaled = 0
+        for exponents, values in sols:
+            for a in range(e_max - max(exponents[::2]) + 1):
+                scaled += sum(values[0] * 2**a * 3**b <= value_bound for b in range(f_max - max(exponents[1::2]) + 1))
+        assert (scaled, len(sols)) == (solutions, primitive)
 
     def test_bb5_join_rows(self):
         # 131 monomials 2^a 3^b <= 3^12: 4 C(130, 2) pair sums plus 4 C(131, 2) walked rows
-        pattern = interchangeable(2, 3, 5, 19, 12, 3**12, require_primitive=True)
         with pytest.raises(SearchBudgetExceeded) as info:
-            solve_pattern(pattern, budget=67_599)
+            list(_canonical_walk(2, 3, 5, 19, 12, 3**12, 67_599))
         assert info.value.estimate == 67_600 == 4 * comb(130, 2) + 4 * comb(131, 2)
-        assert len(solve_pattern(pattern, budget=67_600)) == 1213
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda terms, bounds: (terms[:3], bounds[:6]),
-            lambda terms, bounds: ((*terms[:3], PatternTerm(-1, "e3", "f3")), bounds),
-            lambda terms, bounds: ((*terms[:3], PatternTerm(1, "e3", 0)), bounds[:7]),
-            lambda terms, bounds: ((*terms[:3], PatternTerm(1, "e0", "f3")), (*bounds[:6], bounds[7])),
-            lambda terms, bounds: (terms, (*bounds[:6], ("e3", 3), bounds[7])),
-            lambda terms, bounds: (terms, (*bounds[:7], ("f3", 1))),
-        ],
-        ids=["three-terms", "coefficient", "fixed-exponent", "shared-variable", "unequal-p-bound", "unequal-q-bound"],
-    )
-    def test_malformed_mode_rejected(self, edit):
-        valid = interchangeable(2, 3, 4, 2, 2, 100)
-        terms, bounds = edit(valid.terms, valid.var_bounds)
-        with pytest.raises(ValueError, match="interchangeable"):
-            Pattern(2, 3, terms, bounds, value_bound=100, interchangeable=True)
+        assert len(list(_canonical_walk(2, 3, 5, 19, 12, 3**12, 67_600))) == 1213
 
 
 def vanishing_oracle(values):
@@ -715,12 +663,12 @@ class TestBajpaiBennett:
     def test_matches_naive_small(self):
         got = {tuple((abs(v), 1 if v > 0 else -1) for v in values) for _, values in bajpai_bennett_5term(4, 3)}
         assert got == naive_bb5(4, 3)
-        sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 10**9, require_primitive=True))
+        sols = walk(2, 3, 5, 4, 3, 10**9)
         assert {tuple((abs(v), 1 if v > 0 else -1) for v in values) for _, values in sols} == got
 
     def test_matches_naive_below_largest_monomial(self):
         # 2^4 * 3^3 = 432 is the largest monomial; the bound drops every term above 100
-        sols = solve_pattern(interchangeable(2, 3, 5, 4, 3, 100, require_primitive=True))
+        sols = walk(2, 3, 5, 4, 3, 100)
         got = {tuple((abs(v), 1 if v > 0 else -1) for v in values) for _, values in sols}
         assert got == {sol for sol in naive_bb5(4, 3) if sol[0][0] <= 100}
         assert got
