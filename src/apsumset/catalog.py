@@ -224,16 +224,13 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     A spec is a checks.json solver or a pattern file.  The documented
     shape is an object with integers ``p`` and ``q``, ``terms`` as
     [coefficient, p_exp, q_exp] triples whose exponents are integers or
-    variable names, ``bounds`` as [name, integer] pairs, and optionally the
-    booleans ``require_primitive`` and ``forbid_vanishing_subsums``, an
-    integer ``value_bound`` and a ``side_predicate`` naming an entry of
-    SIDE_PREDICATES; a registry's ``kind`` key is allowed.  Any other shape
-    or key raises ValueError.
+    variable names, ``bounds`` as [name, integer] pairs, and optionally a
+    ``side_predicate`` naming an entry of SIDE_PREDICATES; a registry's
+    ``kind`` key is allowed.  Any other shape or key raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
-    known = ("p", "q", "terms", "bounds", "require_primitive", "forbid_vanishing_subsums", "value_bound",
-             "side_predicate")
+    known = ("p", "q", "terms", "bounds", "side_predicate")
     for key in sorted(spec.keys() - {"kind", *known}):
         raise ValueError(f"unknown pattern key {key!r}; known: {', '.join(known)}")
     missing = [k for k in known[:4] if k not in spec]
@@ -251,18 +248,10 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
         isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_int(b[1]) for b in bounds
     ):
         raise ValueError("bounds must be [name, integer] pairs")
-    for key in ("require_primitive", "forbid_vanishing_subsums"):
-        if not isinstance(spec.get(key, False), bool):
-            raise ValueError(f"{key} must be true or false")
-    if spec.get("value_bound") is not None and not _is_int(spec["value_bound"]):
-        raise ValueError("value_bound must be an integer")
     pred = spec.get("side_predicate")
     if "side_predicate" in spec and not (isinstance(pred, str) and pred in SIDE_PREDICATES):
         raise ValueError(f"unknown side_predicate {pred!r}; known: {', '.join(sorted(SIDE_PREDICATES))}")
-    pattern = Pattern(
-        spec["p"], spec["q"], tuple(PatternTerm(*t) for t in terms), tuple(map(tuple, bounds)),
-        spec.get("require_primitive", False), spec.get("forbid_vanishing_subsums", False), spec.get("value_bound"),
-    )
+    pattern = Pattern(spec["p"], spec["q"], tuple(PatternTerm(*t) for t in terms), tuple(map(tuple, bounds)))
     return pattern, SIDE_PREDICATES.get(pred)
 
 

@@ -1,9 +1,8 @@
 """Complete bounded solvers for signed two-prime exponential equations.
 
 * ``solve_pattern``     -- every boxed exponent assignment solving
-                           sum c_i * p^{e_i} * q^{f_i} = 0, with optional
-                           primitivity, vanishing-subsum, magnitude and
-                           side-predicate filters, each as a plain pair
+                           sum c_i * p^{e_i} * q^{f_i} = 0 that passes an
+                           optional side predicate, each as a plain pair
                            (assignment, signed term values), by a block join;
 * ``deze_tijdeman_4term`` -- p^x q^y +- p^z +- q^w +- 1 = 0 and
                            p^x +- q^y +- p^z +- q^w = 0, all powers <= 2^15;
@@ -17,23 +16,22 @@
 Block join.  ``solve_pattern`` puts terms that share a variable into one
 block, so blocks have disjoint variables and the box is the product of the
 blocks' boxes; terms with no variable fold into a constant offset.  Each
-block is enumerated over its own variables, keeping rows whose terms lie
-within ``value_bound``.  The blocks are split into two sides by greedy
-balance of their boxes; the smaller side is stored in a dict keyed by its
-sum (at most the square root of the box), and the larger side is streamed,
-its largest block row by row, and probed for the complementary sum.  Every
-point of the box is exactly one (streamed, stored) pair of row
-combinations, and the probe meets it iff the terms sum to zero, so the
-join is complete and yields each assignment once.  A pattern whose terms
-all share variables is one block, streamed against the one-row empty side.
-Sums are exact Python ints; the other filters run on matches only.  The
-budget counts the whole box, which keeps the stored side near its square
-root, and then the row words: each block's box times the 64-bit words of
-its widest term, plus the words of each fixed term, which keeps rows and
-constants of huge powers out.  Both are checked before any power is
-computed.  Deze-Tijdeman is one pattern per shape and sign vector, with
-the pairs shape's swap rule as a side predicate; Pillai is
-p^x - p^y - q^z + q^w = 0 with x > y, z > w.
+block is enumerated over its own variables.  The blocks are split into two
+sides by greedy balance of their boxes; the smaller side is stored in a
+dict keyed by its sum (at most the square root of the box), and the larger
+side is streamed, its largest block row by row, and probed for the
+complementary sum.  Every point of the box is exactly one (streamed,
+stored) pair of row combinations, and the probe meets it iff the terms sum
+to zero, so the join is complete and yields each assignment once.  A
+pattern whose terms all share variables is one block, streamed against the
+one-row empty side.  Sums are exact Python ints; the side predicate runs
+on matches only.  The budget counts the whole box, which keeps the stored
+side near its square root, and then the row words: each block's box times
+the 64-bit words of its widest term, plus the words of each fixed term,
+which keeps rows and constants of huge powers out.  Both are checked
+before any power is computed.  Deze-Tijdeman is one pattern per shape and
+sign vector, with the pairs shape's swap rule as a side predicate; Pillai
+is p^x - p^y - q^z + q^w = 0 with x > y, z > w.
 
 Canonical orientation.  Bajpai-Bennett's k = 5 terms are distinct
 monomials p^e q^f (p = 2, q = 3) under shared exponent bounds and a value
@@ -125,9 +123,6 @@ class Pattern:
     q: int
     terms: tuple[PatternTerm, ...]
     var_bounds: tuple[tuple[str, int], ...]
-    require_primitive: bool = False
-    forbid_vanishing_subsums: bool = False
-    value_bound: int | None = None
 
     def __post_init__(self) -> None:
         if not (is_prime(self.p) and is_prime(self.q) and self.p != self.q):
@@ -143,8 +138,6 @@ class Pattern:
         used = {e for t in self.terms for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
         if used != bound.keys():
             raise ValueError(f"variable mismatch: terms use {sorted(used)}, bounds declare {sorted(bound)}")
-        if self.value_bound is not None and self.value_bound < 0:
-            raise ValueError(f"value_bound must be >= 0, got {self.value_bound}")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -159,33 +152,12 @@ class Pattern:
                      for t in self.terms)
 
 
-def has_vanishing_subsum(values: Sequence[int]) -> bool:
-    """True iff a proper subset of two or more of the signed values sums to 0.
-
-    Subsets are tested by exhaustive subset sums (at most 2^n of them;
-    patterns are short).  A cancelling pair counts even when it is the
-    whole equation, so a two-term identity like 2^a - 2^a = 0 is itself
-    vanishing.
-    """
-    n = len(values)
-    for mask in range(1, (1 << n) - 1 + (n == 2)):
-        if mask & (mask - 1) == 0:
-            continue  # singletons are nonzero
-        s = 0
-        for i in range(n):
-            if mask >> i & 1:
-                s += values[i]
-        if s == 0:
-            return True
-    return False
-
-
 def solve_pattern(
     pattern: Pattern,
     side_predicate: Callable[[dict[str, int]], bool] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (assignment, term values) within bounds satisfying the equation and all filters.
+    """Every (assignment, term values) within bounds satisfying the equation and the side predicate.
 
     The assignment holds the exponents in declared variable order
     (``pattern.variables``) and the term values are the signed terms in
@@ -204,10 +176,9 @@ def solve_pattern(
 
 
 def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(assignment, term values) of every zero sum in the box that passes the filters on term values."""
+    """(assignment, term values) of every zero sum in the box."""
     names = pattern.variables
     terms = pattern.terms
-    limit = pattern.value_bound
     fixed: list[int] = []  # the terms with no variable
     groups: list[tuple[set[str], list[int]]] = []
     for i, t in enumerate(terms):
@@ -242,8 +213,6 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
     template: list[int | None] = [None] * len(terms)
     for i in fixed:
         template[i] = terms[i].coefficient * pattern.p**terms[i].p_exp * pattern.q**terms[i].q_exp
-    if limit is not None and any(abs(v) > limit for v in template if v is not None):
-        return
     offset = sum(v for v in template if v is not None)
 
     def combos(side):
@@ -269,13 +238,11 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
                     assignment[position[v]] = a
                 for i, v in zip(term_ids, vals):
                     values[i] = v
-            if not (pattern.require_primitive and gcd(*values) != 1
-                    or pattern.forbid_vanishing_subsums and has_vanishing_subsum(values)):
-                yield assignment, values
+            yield assignment, values
 
 
 def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[int, ...]) -> Iterator[tuple]:
-    """(sum, assignment, term values) of each row of one block within value_bound.
+    """(sum, assignment, term values) of each row of one block.
 
     Exponents index an extended assignment: the block's variables, then
     the fixed exponents its terms use.
@@ -285,12 +252,10 @@ def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[i
     slot = {e: k for k, e in enumerate(block_vars + fixed)}
     spec = [(t.coefficient, slot[t.p_exp], slot[t.q_exp]) for t in terms]
     bound = dict(pattern.var_bounds)
-    limit = pattern.value_bound
     for assign in itertools.product(*(range(bound[v] + 1) for v in block_vars)):
         e = assign + fixed
         vals = tuple(c * pattern.p ** e[i] * pattern.q ** e[j] for c, i, j in spec)
-        if limit is None or all(-limit <= v <= limit for v in vals):
-            yield sum(vals), assign, vals
+        yield sum(vals), assign, vals
 
 
 def _canonical_walk(
@@ -430,7 +395,7 @@ class FourTermSolution:
     terms: tuple[int, ...]
 
 
-def deze_tijdeman_4term(p: int, q: int, power_bound: int = DT_POWER_BOUND) -> list[FourTermSolution]:
+def deze_tijdeman_4term(p: int, q: int) -> list[FourTermSolution]:
     """Complete solutions of both four-term shapes with every power <= 2^15.
 
     Shape 'pxqy+-pz+-qw+-1': p^x q^y + s2 p^z + s3 q^w + s4 = 0.
@@ -444,7 +409,7 @@ def deze_tijdeman_4term(p: int, q: int, power_bound: int = DT_POWER_BOUND) -> li
     if max(p, q) >= 200:
         raise ValueError(f"max(p, q) must be < 200, got {max(p, q)}")
 
-    xmax, ymax = ilog(power_bound, p), ilog(power_bound, q)
+    xmax, ymax = ilog(DT_POWER_BOUND, p), ilog(DT_POWER_BOUND, q)
     bounds = (("x", xmax), ("y", ymax), ("z", xmax), ("w", ymax))
     out: list[FourTermSolution] = []
     for s2, s3, s4 in itertools.product((1, -1), repeat=3):

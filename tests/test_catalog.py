@@ -330,8 +330,11 @@ MALFORMED = {
     ),
     "pattern-extra-key": (
         "sec3-baj-eq15", ("solver", "side_predicte"), "baj-eq15-context",
-        "check 'sec3-baj-eq15': unknown pattern key 'side_predicte'; known: p, q, terms, bounds, "
-        "require_primitive, forbid_vanishing_subsums, value_bound, side_predicate",
+        "check 'sec3-baj-eq15': unknown pattern key 'side_predicte'; known: p, q, terms, bounds, side_predicate",
+    ),
+    "pattern-require-primitive": (
+        "sec3-dt-3y2", ("solver", "require_primitive"), True,
+        "check 'sec3-dt-3y2': unknown pattern key 'require_primitive'; known: p, q, terms, bounds, side_predicate",
     ),
     "pillai-extra-key": (
         "sec4-pillai-list", ("solver", "power_bnd"), 32768,

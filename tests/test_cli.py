@@ -335,39 +335,39 @@ class TestRefusals:
         assert json.loads(captured.out.splitlines()[-1]) == {"count": 2}  # 3 - 2 - 1, 9 - 8 - 1
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, error",
         [
-            {k: v for k, v in VALID_PATTERN.items() if k != "terms"},
-            {**VALID_PATTERN, "side_predicate": "no-such-predicate"},
-            {**VALID_PATTERN, "side_predicate": ["baj-eq15-context"]},
-            [VALID_PATTERN],
-            {**VALID_PATTERN, "bounds": [["a", 12], ["b", -3]]},
-            {**VALID_PATTERN, "bounds": [["a", 12], ["b", 19], ["a", 3]]},
-            {**VALID_PATTERN, "bounds": [["a", 12.0], ["b", 19]]},
-            {**VALID_PATTERN, "terms": [[1, 0, "a"], [-1, "b"], [-1, 0, 0]]},
-            {**VALID_PATTERN, "terms": [[True, 0, "a"], [-1, "b", 0], [-1, 0, 0]]},
-            {**VALID_PATTERN, "p": "2"},
-            {**VALID_PATTERN, "require_primitive": 1},
-            {**VALID_PATTERN, "value_bound": "100"},
-            {**VALID_PATTERN, "value_bound": -1},
-            {**VALID_PATTERN, "side_predicte": "baj-eq15-context"},
-            {**VALID_PATTERN, "valu_bound": 100},
-            {**VALID_PATTERN, "interchangeable": True},
-            {**VALID_PATTERN, "p": 2**89 - 1},  # prime, but above is_prime's proven bound
+            ({k: v for k, v in VALID_PATTERN.items() if k != "terms"}, "pattern lacks terms"),
+            ({**VALID_PATTERN, "side_predicate": "no-such-predicate"}, "unknown side_predicate"),
+            ({**VALID_PATTERN, "side_predicate": ["baj-eq15-context"]}, "unknown side_predicate"),
+            ([VALID_PATTERN], "pattern must be a JSON object"),
+            ({**VALID_PATTERN, "bounds": [["a", 12], ["b", -3]]}, "bound of 'b' must be >= 0"),
+            ({**VALID_PATTERN, "bounds": [["a", 12], ["b", 19], ["a", 3]]}, "variable declared twice"),
+            ({**VALID_PATTERN, "bounds": [["a", 12.0], ["b", 19]]}, "bounds must be [name, integer] pairs"),
+            ({**VALID_PATTERN, "terms": [[1, 0, "a"], [-1, "b"], [-1, 0, 0]]}, "terms must be"),
+            ({**VALID_PATTERN, "terms": [[True, 0, "a"], [-1, "b", 0], [-1, 0, 0]]}, "terms must be"),
+            ({**VALID_PATTERN, "p": "2"}, "p and q must be integers"),
+            ({**VALID_PATTERN, "require_primitive": True}, "unknown pattern key 'require_primitive'"),
+            ({**VALID_PATTERN, "forbid_vanishing_subsums": True}, "unknown pattern key 'forbid_vanishing_subsums'"),
+            ({**VALID_PATTERN, "value_bound": 100}, "unknown pattern key 'value_bound'"),
+            ({**VALID_PATTERN, "side_predicte": "baj-eq15-context"}, "unknown pattern key 'side_predicte'"),
+            ({**VALID_PATTERN, "valu_bound": 100}, "unknown pattern key 'valu_bound'"),
+            ({**VALID_PATTERN, "interchangeable": True}, "unknown pattern key 'interchangeable'"),
+            ({**VALID_PATTERN, "p": 2**89 - 1}, "primality of"),  # prime, but above is_prime's proven bound
         ],
         ids=[
             "no-terms", "unknown-predicate", "list-predicate", "top-level-list", "negative-bound",
             "repeated-bound", "float-bound", "short-term", "bool-coefficient", "string-prime",
-            "int-flag", "string-value-bound", "negative-value-bound", "misspelled-side-predicate",
-            "misspelled-value-bound", "interchangeable", "prime-beyond-bound",
+            "unknown-key-require-primitive", "unknown-key-forbid-vanishing-subsums", "unknown-key-value-bound",
+            "misspelled-side-predicate", "unknown-key-valu-bound", "interchangeable", "prime-beyond-bound",
         ],
     )
-    def test_malformed_pattern_refused(self, capsys, tmp_path, spec):
+    def test_malformed_pattern_refused(self, capsys, tmp_path, spec, error):
         code, captured, manifest = self.solve(capsys, tmp_path, spec)
         assert code == 2
         assert manifest is None
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {error}")
         assert "Traceback" not in captured.err
 
     def test_side_predicate_pattern_digest(self, capsys, tmp_path):
