@@ -252,28 +252,3 @@ def find_progressions(params: SumsetParams, k: int, limit: int) -> list[tuple[in
     (rows,) = find_progressions_over(params.a, [params.b], k, limit)
     return rows
 
-
-def count_3term_stable(params: SumsetParams, limits: list[int]) -> list[tuple[int, int, int]]:
-    """One (limit, windows, maximal) row per limit of an ascending ladder.
-
-    ``windows`` counts the distinct (N, D) 3-term progressions with final
-    term N + 2D <= limit; ``maximal`` counts those whose one-step
-    extensions in either direction leave the sumset.
-
-    One scan at the largest limit serves the whole ladder: a window counts
-    at limit L iff its final term N + 2D is <= L, and its maximal flag
-    does not depend on L, since both neighbours are tested for plain
-    sumset membership.
-    """
-    if any(l2 < l1 for l1, l2 in zip(limits, limits[1:])):
-        raise ValueError("limits must be ascending")
-    if not limits:
-        return []
-    if limits[0] < 2:
-        raise ValueError(f"limit must be >= 2, got {limits[0]}")
-    rows = find_progressions(params, 3, limits[-1])
-    finals = [(n + 2 * d, flag) for n, d, flag in rows]
-    return [
-        (lim, sum(f <= lim for f, _ in finals), sum(flag and f <= lim for f, flag in finals))
-        for lim in limits
-    ]

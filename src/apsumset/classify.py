@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 from .apsearch import find_progressions_over
 from .numutil import power_exponent
@@ -85,15 +83,8 @@ class SweepConfig:
         if self.term_limit < 2:
             raise ValueError(f"limit must be >= 2, got {self.term_limit}")
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(2, self.a_max + 1)
-            for b in range(a + 1, self.b_max + 1)
-        ]
-
     def pair_count(self) -> int:
-        """len(self.pairs()), without building the list: b_max - a pairs for each a."""
+        """The pairs a < b of the grid, 2 <= a <= a_max and b <= b_max: b_max - a of them for each a."""
         return (self.a_max - 1) * (2 * self.b_max - self.a_max - 2) // 2
 
 
@@ -149,18 +140,32 @@ def _collect(child, receiver) -> list[tuple[int, int, int, int, bool]] | BaseExc
         child.join()
 
 
+def _fork_context():
+    """The fork start method's context, or None where the platform has none.
+
+    A sweep's children are forked whatever the default start method
+    (forkserver on Linux from Python 3.14, spawn on macOS): a forked child
+    starts no interpreter and takes the jobs as the caller holds them.
+    multiprocessing is imported here, so an inline sweep never loads it.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
 def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, int, bool]]:
     """All k-term windows over the (a, b) grid, canonically sorted.
 
-    One job is one a and a slice of at most _B_SLICE of its b, taken from
-    `SweepConfig.pairs` in order, so the a-side keys of the join are built
-    once per job (`find_progressions_over`).  The grid a <= 8, b <= 120 is
-    14 jobs; inline they take about 22 ms at 10^9 and 0.82 s at 10^30, on
-    one core of a 2-vCPU machine.  At most one process per job
-    and one per CPU computes, and a single one runs every job inline.
-    Otherwise the caller starts the other processes, and each of them and
-    the caller take job indices one at a time, in grid order, from one
-    shared counter; a slow job so holds up only the process that runs it.
+    One job is one a and a run of at most _B_SLICE of its b, in grid order,
+    so the a-side keys of the join are built once per job
+    (`find_progressions_over`).  The grid a <= 8, b <= 120 is 14 jobs;
+    inline they take about 22 ms at 10^9 and 0.82 s at 10^30, on one core
+    of a 2-vCPU machine.  At most one process per job and one per CPU
+    computes, and a single one runs every job inline, as the caller does
+    where the platform cannot fork.  Otherwise the caller forks the other
+    processes, and each of them and the caller take job indices one at a
+    time, in grid order, from one shared counter; a slow job so holds up
+    only the process that runs it.
     Each child sends its rows, or the exception that stopped it, back over
     a pipe, and the caller re-raises such an exception after its own share.
     Whether it returns or raises, the caller first sets the counter past
@@ -168,20 +173,20 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     Results are re-sorted after the merge, so the output does not depend on
     the process count, on who ran which job or on the slice boundaries.
     """
-    jobs = []
-    for a, pairs in groupby(cfg.pairs(), key=itemgetter(0)):
-        bs = [b for _, b in pairs]
-        jobs += [(a, bs[i : i + _B_SLICE], cfg.k, cfg.term_limit) for i in range(0, len(bs), _B_SLICE)]
+    jobs = [
+        (a, list(range(b, min(b + _B_SLICE, cfg.b_max + 1))), cfg.k, cfg.term_limit)
+        for a in range(2, cfg.a_max + 1)
+        for b in range(a + 1, cfg.b_max + 1, _B_SLICE)
+    ]
     workers = min(threads, os.cpu_count() or 1, len(jobs))
-    if workers > 1:
-        import multiprocessing
-
-        counter = multiprocessing.Value("i", 0)
+    fork = _fork_context() if workers > 1 else None
+    if fork is not None:
+        counter = fork.Value("i", 0)
         children = []
         try:
             for _ in range(workers - 1):
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_sweep_child, args=(jobs, counter, sender))
+                receiver, sender = fork.Pipe(duplex=False)
+                child = fork.Process(target=_sweep_child, args=(jobs, counter, sender))
                 child.start()
                 sender.close()  # so the receiver sees EOF if the child dies
                 children.append((child, receiver))

@@ -47,7 +47,7 @@ import sys
 import time
 
 from . import __version__, classify
-from .apsearch import count_3term_stable, find_progressions, progression
+from .apsearch import find_progressions, progression
 from .catalog import build_pattern, run_all, run_check
 from .families import FAMILY_IDS, find_prog3_pairs, generate
 from .sumset import SumsetParams, enumerate_up_to, representations
@@ -133,10 +133,25 @@ def _run_ap(args):
 
 
 def _run_count3(args):
-    counts = count_3term_stable(SumsetParams(args.a, args.b), args.limits)
-    rows = [{"limit": str(lim), "windows": wins, "maximal": maxi} for lim, wins, maxi in counts]
+    limits = args.limits
+    if any(l2 < l1 for l1, l2 in zip(limits, limits[1:])):
+        raise ValueError("limits must be ascending")
+    if limits[0] < 2:
+        raise ValueError(f"limit must be >= 2, got {limits[0]}")
+    # one search at the largest limit counts at every L, as the maximal flag
+    # asks plain membership of N - D and N + 3D and so does not depend on L
+    params = SumsetParams(args.a, args.b)
+    finals = [(n + 2 * d, maximal) for n, d, maximal in find_progressions(params, 3, limits[-1])]
+    rows = [
+        {
+            "limit": str(lim),
+            "windows": sum(f <= lim for f, _ in finals),
+            "maximal": sum(m and f <= lim for f, m in finals),
+        }
+        for lim in limits
+    ]
     # a count has stabilized when the last two limits give the same value
-    windows, maximal = (len(counts) >= 2 and counts[-1][i] == counts[-2][i] for i in (1, 2))
+    windows, maximal = (len(rows) >= 2 and rows[-1][key] == rows[-2][key] for key in ("windows", "maximal"))
     rows.append({"stabilized_windows": windows, "stabilized_maximal": maximal})
     return rows, EXIT_OK
 

@@ -10,7 +10,6 @@ from apsumset import classify
 from apsumset.apsearch import (
     _STORED_KEYS,
     _decode,
-    count_3term_stable,
     find_progressions,
     find_progressions_over,
     progression,
@@ -370,31 +369,30 @@ class TestProgression:
             progression(SumsetParams(2, 3), [2, 4, 6])
 
 
-def count3_summary(capsys, a, b, limits):
-    """The stabilized flags of the `count3` command's last line."""
+def count3_rows(capsys, a, b, limits):
+    """The rows of the `count3` command: one per limit, then the stabilized flags."""
     assert main(["count3", str(a), str(b), "--limits", ",".join(map(str, limits))]) == 0
-    return json.loads(capsys.readouterr().out.splitlines()[-1])
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
 
 class TestCount3:
     def test_s27_stabilizes_at_22(self, capsys):
-        rows = count_3term_stable(SumsetParams(2, 7), [10**6, 10**8])
-        assert [wins for _, wins, _ in rows] == [22, 22]
-        assert count3_summary(capsys, 2, 7, [10**6, 10**8])["stabilized_windows"] is True
+        *rows, summary = count3_rows(capsys, 2, 7, [10**6, 10**8])
+        assert [row["windows"] for row in rows] == [22, 22]
+        assert summary["stabilized_windows"] is True
 
     def test_s29_strictly_increasing(self, capsys):
-        (_, low, _), (_, high, _) = count_3term_stable(SumsetParams(2, 9), [10**6, 10**9])
-        assert low < high
-        assert count3_summary(capsys, 2, 9, [10**6, 10**9])["stabilized_windows"] is False
+        low, high, summary = count3_rows(capsys, 2, 9, [10**6, 10**9])
+        assert low["windows"] < high["windows"]
+        assert summary["stabilized_windows"] is False
 
     def test_equal_limits_stabilized(self, capsys):
-        first, second = count_3term_stable(SumsetParams(4, 5), [10, 10])
+        first, second, summary = count3_rows(capsys, 4, 5, [10, 10])
         assert first == second
-        summary = count3_summary(capsys, 4, 5, [10, 10])
         assert summary == {"stabilized_windows": True, "stabilized_maximal": True}
 
     def test_single_limit_not_stabilized(self, capsys):
-        summary = count3_summary(capsys, 2, 7, [10**8])
+        _, summary = count3_rows(capsys, 2, 7, [10**8])
         assert summary == {"stabilized_windows": False, "stabilized_maximal": False}
 
     @pytest.mark.parametrize(
@@ -405,18 +403,11 @@ class TestCount3:
             (3, 5, [2, 10**3, 10**3, 10**9, 2**64 + 3]),
         ],
     )
-    def test_matches_per_limit_search(self, a, b, limits):
+    def test_matches_per_limit_search(self, capsys, a, b, limits):
         params = SumsetParams(a, b)
-        rows = count_3term_stable(params, limits)
-        assert [lim for lim, _, _ in rows] == limits
-        for lim, wins, maximal in rows:
+        *rows, _ = count3_rows(capsys, a, b, limits)
+        assert [row["limit"] for row in rows] == [str(lim) for lim in limits]
+        for lim, row in zip(limits, rows):
             single = find_progressions(params, 3, lim)
-            assert wins == len(single)
-            assert maximal == sum(flag for _, _, flag in single)
-
-    def test_empty_ladder(self):
-        assert count_3term_stable(SumsetParams(2, 3), []) == []
-
-    def test_rejects_descending(self):
-        with pytest.raises(ValueError):
-            count_3term_stable(SumsetParams(2, 3), [100, 10])
+            assert row["windows"] == len(single)
+            assert row["maximal"] == sum(flag for _, _, flag in single)

@@ -18,6 +18,11 @@ from apsumset.classify import (
 from apsumset.sumset import SumsetParams
 
 
+def grid(cfg):
+    """The (a, b) pairs of a sweep, b > a, by a double loop in grid order."""
+    return [(a, b) for a in range(2, cfg.a_max + 1) for b in range(2, cfg.b_max + 1) if b > a]
+
+
 class TestTheorem1Match:
     @pytest.mark.parametrize("t", SPORADIC_5TERM, ids=str)
     def test_sporadic(self, t):
@@ -71,7 +76,7 @@ class TestVerifyTheorem1:
         for a_max in range(2, 12):
             for b_max in range(a_max, 15):
                 cfg = SweepConfig(a_max, b_max, 100, 3)
-                assert cfg.pair_count() == len(cfg.pairs()), (a_max, b_max)
+                assert cfg.pair_count() == len(grid(cfg)), (a_max, b_max)
 
 
 class TestFamilyNonextension:
@@ -107,7 +112,8 @@ class TestSweepGrid:
         inline sweep starts no child and records nothing.
         """
         children = []
-        real_process = multiprocessing.Process
+        fork = multiprocessing.get_context("fork")
+        real_process = fork.Process
 
         def recording_process(*args, **kwargs):
             children.append(real_process(*args, **kwargs))
@@ -117,7 +123,7 @@ class TestSweepGrid:
         cfg = SweepConfig(max(2, b_max - 1), b_max, 10**4, 3)
         inline = sweep_grid(cfg, threads=1)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(multiprocessing, "Process", recording_process)
+        monkeypatch.setattr(fork, "Process", recording_process)
         assert sweep_grid(cfg, threads=threads) == inline
         return [len(children) + 1] if children else []
 
@@ -133,6 +139,21 @@ class TestSweepGrid:
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pool_sizes):
         """No more workers than CPUs, whatever --threads asks; an unknown count means one."""
         assert self.recorded_pool_sizes(monkeypatch, cpus, 9, 10**6) == pool_sizes
+
+    def test_inline_where_the_platform_cannot_fork(self, monkeypatch):
+        """With no fork start method the caller runs every job itself, whatever --threads asks."""
+        cfg = SweepConfig(4, 40, 10**6, 3)
+        inline = sweep_grid(cfg, threads=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started a child")
+
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
+        for method in multiprocessing.get_all_start_methods():
+            monkeypatch.setattr(multiprocessing.get_context(method), "Process", refuse)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sweep_grid(cfg, threads=2) == inline
 
     @pytest.mark.parametrize("size", [1, 3, 32])
     def test_two_processes_match_inline(self, monkeypatch, size):
@@ -219,7 +240,7 @@ class TestSweepGrid:
         cfg = SweepConfig(2, 14, 10**12, k)
         expected = [
             (a, b, *row)
-            for a, b in cfg.pairs()
+            for a, b in grid(cfg)
             for row in find_progressions(SumsetParams(a, b), cfg.k, cfg.term_limit)
         ]
         moduli = []
@@ -241,7 +262,7 @@ class TestSweepGrid:
         cfg = SweepConfig(4, 14, 10**6, 3)
         expected = [
             (a, b, *row)
-            for a, b in cfg.pairs()
+            for a, b in grid(cfg)
             for row in find_progressions(SumsetParams(a, b), cfg.k, cfg.term_limit)
         ]
         # a = 2 has the most b, 12: every size up to that puts a boundary elsewhere

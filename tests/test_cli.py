@@ -503,6 +503,7 @@ class TestGuards:
         "argv, pattern, edit, message",
         [
             (("count3", "2", "3", "--limits", "1,10"), None, None, "limit must be >= 2, got 1"),
+            (("count3", "2", "3", "--limits", "100,10"), None, None, "limits must be ascending"),
             (("enum", "2", "3", "--limit", "1"), None, None, "limit must be >= 2, got 1"),
             (("sweep", "--a-max", "5", "--b-max", "4", "--len", "5", "--limit", "100"), None, None,
              "need 2 <= a_max <= b_max"),
@@ -524,8 +525,8 @@ class TestGuards:
              "check 'sec4-szalay': expected must be a list of rows, got 5"),
         ],
         ids=[
-            "count3-limit", "enum-limit", "sweep-a-above-b", "deweger-z-limit", "family-no-params",
-            "family-malformed-param", "pattern-zero-coefficient", "pattern-negative-exponent",
+            "count3-limit", "count3-descending", "enum-limit", "sweep-a-above-b", "deweger-z-limit",
+            "family-no-params", "family-malformed-param", "pattern-zero-coefficient", "pattern-negative-exponent",
             "pattern-composite-p", "pattern-unused-bound", "lemma21-b-min", "pillai-composite-pair",
             "expected-not-rows",
         ],
@@ -665,6 +666,7 @@ class TestIntegerGrammar:
             ("ap", " 2", "3", "--len", "3", "--limit", "100"),
             ("ap", "2", "3", "--len", "1_0", "--limit", "100"),
             ("count3", "2", "0x7", "--limits", "100"),
+            ("count3", "2", "3", "--limits", ""),
             ("sweep", "--a-max", "2.0", "--b-max", "3", "--len", "5", "--limit", "100"),
             ("sweep", "--a-max", "2", "--b-max", "1_0", "--len", "5", "--limit", "100"),
             ("sweep", "--a-max", "2", "--b-max", "3", "--len", "+5", "--limit", "100"),
@@ -674,8 +676,8 @@ class TestIntegerGrammar:
             ("sunit", "bb5", "--beta-max", "0x6"),
         ],
         ids=[
-            "member-a", "enum-b", "ap-a", "ap-len", "count3-b", "sweep-a-max", "sweep-b-max",
-            "sweep-len", "dt-p", "dt-q", "bb5-alpha", "bb5-beta",
+            "member-a", "enum-b", "ap-a", "ap-len", "count3-b", "count3-empty-limits", "sweep-a-max",
+            "sweep-b-max", "sweep-len", "dt-p", "dt-q", "bb5-alpha", "bb5-beta",
         ],
     )
     def test_refused(self, capsys, tmp_path, argv):
