@@ -77,8 +77,6 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("iroot requires n >= 0 and k >= 1")
     if n == 0:
         return 0
-    if k == 1:
-        return n
     x = 1 << -(-n.bit_length() // k)  # >= n^(1/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -130,10 +128,6 @@ class PrimeSet:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
-
-    @classmethod
-    def of(cls, *primes: int) -> "PrimeSet":
-        return cls(tuple(sorted(primes)))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.primes)

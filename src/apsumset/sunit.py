@@ -15,7 +15,7 @@
 
 Block join.  ``solve_pattern`` puts terms that share a variable into one
 block, so blocks have disjoint variables and the box is the product of the
-blocks' boxes; terms with no variable fold into a constant offset.  Each
+blocks' boxes; a term with no variable is a block of one row.  Each
 block is enumerated over its own variables.  The blocks are split into two
 sides by greedy balance of their boxes; the smaller side is stored in a
 dict keyed by its sum (at most the square root of the box), and the larger
@@ -27,11 +27,11 @@ pattern whose terms all share variables is one block, streamed against the
 one-row empty side.  Sums are exact Python ints; the side predicate runs
 on matches only.  The budget counts the whole box, which keeps the stored
 side near its square root, and then the row words: each block's box times
-the 64-bit words of its widest term, plus the words of each fixed term,
-which keeps rows and constants of huge powers out.  Both are checked
-before any power is computed.  Deze-Tijdeman is one pattern per shape and
-sign vector, with the pairs shape's swap rule as a side predicate; Pillai
-is p^x - p^y - q^z + q^w = 0 with x > y, z > w.
+the 64-bit words of its widest term, which keeps rows of huge powers out,
+a fixed term's one row among them.  Both are checked before any power is
+computed.  Deze-Tijdeman is one pattern per shape and sign vector, with
+the pairs shape's swap rule as a side predicate; Pillai is
+p^x - p^y - q^z + q^w = 0 with x > y, z > w.
 
 Canonical orientation.  Bajpai-Bennett's k = 5 terms are distinct
 monomials p^e q^f (p = 2, q = 3) under shared exponent bounds and a value
@@ -59,19 +59,20 @@ x, y and z pairwise coprime, so their prime-support masks are pairwise
 disjoint.  The smooth numbers up to z_limit are generated per support,
 each straight into the sorted bucket of its exact mask
 (``numutil.smooth_buckets``), never grouped after the fact.  Two summands
-share a bucket only if both masks are empty, which is 1 + 1 = 2, emitted
-directly; every other solution lies in exactly one triple of distinct,
-pairwise disjoint buckets: an unordered summand pair {A, B} and a nonempty
-sum bucket C.  Each triple orders its buckets by size as S, M and U, and
-probes U, a set, with every sum or difference of the product S x M in one
-C-level intersection: sums w + v when U is C, differences w - v when S is
-C, and v - w when M is C.  M is cut once by the bucket extremes, to
-v <= max(C) - min(S), v < max(S) and v > min(S) in those three cases; a
-solution's term v of M is z - x with x in S, a summand below z in S, or
-x + y with x in S, so the cuts drop none.  The probe meets a value of U iff
-it completes a solution of the triple, and scanning S against M's set
-recovers every solution behind each hit, once; all arithmetic is on
-Python ints.
+share a bucket only if both masks are empty, which is 1 + 1 = 2, so every
+solution lies in exactly one triple of pairwise disjoint buckets: an
+unordered summand pair {A, B}, with A = B only for the empty bucket paired
+with itself, and a nonempty sum bucket C.  Each triple orders its buckets
+by size as S, M and U, ties kept in the order A, B, C (so the empty pair
+probes C with 1 + 1), and probes U, a set, with every sum or difference
+of the product S x M in one C-level intersection: sums w + v when U is C,
+differences w - v when S is C, and v - w when M is C.  M is cut once by
+the bucket extremes, to v <= max(C) - min(S), v < max(S) and v > min(S)
+in those three cases; a solution's term v of M is z - x with x in S, a
+summand below z in S, or x + y with x in S, so the cuts drop none.  The
+probe meets a value of U iff it completes a solution of the triple, and
+scanning S against M's set recovers every solution behind each hit, once;
+all arithmetic is on Python ints.
 """
 
 from __future__ import annotations
@@ -168,24 +169,10 @@ def solve_pattern(
     its row words.
     """
     names = pattern.variables
-    return sorted(
-        ((tuple(assignment), tuple(values)) for assignment, values in _block_join(pattern, budget)
-         if side_predicate is None or side_predicate(dict(zip(names, assignment)))),
-        key=itemgetter(0),
-    )
-
-
-def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(assignment, term values) of every zero sum in the box."""
-    names = pattern.variables
     terms = pattern.terms
-    fixed: list[int] = []  # the terms with no variable
     groups: list[tuple[set[str], list[int]]] = []
     for i, t in enumerate(terms):
         own = {e for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
-        if not own:
-            fixed.append(i)
-            continue
         touching = [g for g in groups if g[0] & own]
         groups = [g for g in groups if not g[0] & own]
         groups.append((own.union(*(g[0] for g in touching)), sorted([i, *(j for g in touching for j in g[1])])))
@@ -200,20 +187,13 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
         sizes[k] *= boxes[b]
     if sizes[0] * sizes[1] > budget:
         raise SearchBudgetExceeded(sizes[0] * sizes[1], budget)
-    # each block's rows times the 64-bit words of its widest term, and each fixed term's words once,
-    # whose bits p <= 2^bit_length(p - 1) bounds
+    # each block's rows times the 64-bit words of its widest term, whose bits p <= 2^bit_length(p - 1) bounds
     bits = [abs(t.coefficient).bit_length() + bound.get(t.p_exp, t.p_exp) * (pattern.p - 1).bit_length()
             + bound.get(t.q_exp, t.q_exp) * (pattern.q - 1).bit_length() for t in terms]
-    words = (sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
-             + sum(-(-bits[i] // 64) for i in fixed))
+    words = sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
     if words > budget:
         raise SearchBudgetExceeded(words, budget, "row words")
     stored, streamed = sides if sizes[0] <= sizes[1] else sides[::-1]
-    # term values in term order: fixed terms now, variable terms per match
-    template: list[int | None] = [None] * len(terms)
-    for i in fixed:
-        template[i] = terms[i].coefficient * pattern.p**terms[i].p_exp * pattern.q**terms[i].q_exp
-    offset = sum(v for v in template if v is not None)
 
     def combos(side):
         """One row per block of a side; the side's first block is never held in memory."""
@@ -229,16 +209,20 @@ def _block_join(pattern: Pattern, budget: int) -> Iterator[tuple[list[int], list
     for combo in combos(stored):
         table.setdefault(sum(r[0] for r in combo), []).append(combo)
     position = {v: i for i, v in enumerate(names)}
+    found = []
     for combo in combos(streamed):
-        for other in table.get(-offset - sum(r[0] for r in combo), ()):
+        for other in table.get(-sum(r[0] for r in combo), ()):
             assignment = [0] * len(names)
-            values = list(template)
+            values = [0] * len(terms)
             for (block_vars, term_ids), (_, assign, vals) in zip(streamed + stored, combo + other):
                 for v, a in zip(block_vars, assign):
                     assignment[position[v]] = a
                 for i, v in zip(term_ids, vals):
                     values[i] = v
-            yield assignment, values
+            if side_predicate is None or side_predicate(dict(zip(names, assignment))):
+                found.append((tuple(assignment), tuple(values)))
+    found.sort(key=itemgetter(0))
+    return found
 
 
 def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[int, ...]) -> Iterator[tuple]:
@@ -327,9 +311,9 @@ def deweger_3term(
     (summands A, B, sum C) probes its largest bucket with every sum or
     difference of the other two in one set intersection, the middle bucket
     cut once by the bucket extremes, and recovers each hit's summands by a
-    scan of the smallest; see the module docstring for why this is
-    complete.  Sorted by (z, x).  z_limit above 2^63 - 1 is refused, which
-    bounds the enumeration.
+    scan of the smallest; 1 + 1 = 2 is the empty bucket paired with itself.
+    See the module docstring for why this is complete.  Sorted by (z, x).
+    z_limit above 2^63 - 1 is refused, which bounds the enumeration.
     """
     if z_limit < 2:
         raise ValueError(f"z_limit must be >= 2, got {z_limit}")
@@ -340,8 +324,8 @@ def deweger_3term(
     buckets = smooth_buckets(ps, z_limit)
     sets = {m: set(b) for m, b in buckets.items()}
 
-    found = [(1, 1, 2)] if 2 in ps else []
-    for a, b in itertools.combinations(buckets, 2):
+    found = []
+    for a, b in itertools.combinations_with_replacement(buckets, 2):
         if a & b:
             continue
         for c in buckets:

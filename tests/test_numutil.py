@@ -106,35 +106,35 @@ class TestSmoothEnumerate:
     """The smooth numbers as the sorted union of the buckets."""
 
     def test_23_up_to_10(self):
-        assert smooth_union(PrimeSet.of(2, 3), 10) == [1, 2, 3, 4, 6, 8, 9]
+        assert smooth_union(PrimeSet((2, 3)), 10) == [1, 2, 3, 4, 6, 8, 9]
 
     def test_single_prime_limit_one(self):
-        assert smooth_union(PrimeSet.of(2), 1) == [1]
+        assert smooth_union(PrimeSet((2,)), 1) == [1]
 
     def test_deweger_primes_up_to_100(self):
-        primes = PrimeSet.of(2, 3, 5, 7, 11, 13)
+        primes = PrimeSet((2, 3, 5, 7, 11, 13))
         got = smooth_union(primes, 100)
         oracle = [n for n in range(1, 101) if is_smooth_by_trial_division(n, primes)]
         assert got == oracle
         assert len(got) == 62
 
     def test_members_are_smooth_and_bounded(self):
-        primes = PrimeSet.of(2, 5, 11)
+        primes = PrimeSet((2, 5, 11))
         for n in smooth_union(primes, 10**6):
             assert n <= 10**6
             assert is_smooth_by_trial_division(n, primes)
 
     def test_monotone_in_limit_and_primes(self):
-        small = smooth_union(PrimeSet.of(2, 3), 500)
-        large = smooth_union(PrimeSet.of(2, 3), 5000)
-        wider = smooth_union(PrimeSet.of(2, 3, 5), 500)
+        small = smooth_union(PrimeSet((2, 3)), 500)
+        large = smooth_union(PrimeSet((2, 3)), 5000)
+        wider = smooth_union(PrimeSet((2, 3, 5)), 500)
         assert len(small) <= len(large)
         assert len(small) <= len(wider)
         assert set(small) <= set(large)
         assert set(small) <= set(wider)
 
     def test_sorted_no_duplicates(self):
-        got = smooth_union(PrimeSet.of(2, 3, 5), 10**4)
+        got = smooth_union(PrimeSet((2, 3, 5)), 10**4)
         assert got == sorted(set(got))
 
     @pytest.mark.parametrize("primes", [(2,), (3, 7), (2, 3, 5, 7, 11, 13)], ids=str)
@@ -147,12 +147,12 @@ class TestSmoothBuckets:
     @pytest.mark.parametrize("limit", [1, 2, 10**6, 10**12])
     def test_buckets_are_the_trial_division_masks(self, primes, limit):
         oracle = smooth_by_heap(primes, limit)
-        assert smooth_union(PrimeSet.of(*primes), limit) == oracle
+        assert smooth_union(PrimeSet(primes), limit) == oracle
         want = {}
         for v in oracle:
             mask = sum(1 << i for i, p in enumerate(primes) if v % p == 0)
             want.setdefault(mask, []).append(v)
-        assert smooth_buckets(PrimeSet.of(*primes), limit) == want
+        assert smooth_buckets(PrimeSet(primes), limit) == want
 
     def test_empty_support_is_one(self):
         for primes in ((2,), (3, 5, 7), (2, 3, 5, 7, 11, 13)):
@@ -177,9 +177,6 @@ class TestPrimeSet:
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError):
             PrimeSet((2, 2, 3))
-
-    def test_of_sorts(self):
-        assert tuple(PrimeSet.of(13, 2, 7)) == (2, 7, 13)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="PrimeSet must be nonempty"):
@@ -209,6 +206,11 @@ def test_iroot_matches_definition():
         r = iroot(n, k)
         assert r**k <= n < (r + 1) ** k
     assert iroot(0, 3) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**4000 + 1], ids=["1", "2", "2^4000+1"])
+def test_iroot_first_root_is_n(n):
+    assert iroot(n, 1) == n
 
 
 @pytest.mark.parametrize("n, k", [(-1, 2), (5, 0)])

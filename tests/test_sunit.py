@@ -70,6 +70,9 @@ FOUR_BLOCKS = Pattern(
     (("a", 9), ("b", 6), ("c", 9), ("d", 6)),
 )
 
+# every term fixed: 2^1 + 3^0 - 3^1 = 0, the one point of an empty box
+ALL_FIXED = Pattern(2, 3, (PatternTerm(1, 1, 0), PatternTerm(1, 0, 0), PatternTerm(-1, 0, 1)), ())
+
 
 @st.composite
 def pattern_cases(draw):
@@ -131,6 +134,24 @@ class TestSolvePattern:
             solve_pattern(pat, budget=10**4)
         assert info.value.estimate == 4 + 200_001
 
+    def test_each_fixed_term_counts_toward_row_words(self):
+        # 2^x + 2^12800000 = 3^6400000: each fixed term is a one-row block of 200,001 words
+        terms = (PatternTerm(1, "x", 0), PatternTerm(1, 12_800_000, 0), PatternTerm(-1, 0, 6_400_000))
+        with pytest.raises(SearchBudgetExceeded, match="row words") as info:
+            solve_pattern(Pattern(2, 3, terms, (("x", 3),)), budget=10**4)
+        assert info.value.estimate == 4 + 200_001 + 200_001
+
+    @pytest.mark.parametrize("pattern, expected", [
+        (ALL_FIXED, [((), (2, 1, -3))]),
+        # 2^2 - 3^1 != 0
+        (Pattern(2, 3, (PatternTerm(1, 2, 0), PatternTerm(-1, 0, 1)), ()), []),
+        # 2^a - 3^1 - 1 = 0 only at a = 2
+        (Pattern(2, 3, (PatternTerm(1, "a", 0), PatternTerm(-1, 0, 1), PatternTerm(-1, 0, 0)), (("a", 10),)),
+         [((2,), (4, -3, -1))]),
+    ], ids=["all-fixed-zero", "all-fixed-nonzero", "two-fixed-one-block"])
+    def test_term_with_no_variable_is_one_row_block(self, pattern, expected):
+        assert solve_pattern(pattern) == naive_solve(pattern) == expected
+
     def test_completeness_against_naive(self):
         # shrunken box, generic 3-term pattern: full naive enumeration
         pat = Pattern(
@@ -191,6 +212,8 @@ class TestSolvePattern:
     @example(case=(ONE_BLOCK, None))
     @example(case=(ONE_BLOCK_COEFFICIENTS, None))
     @example(case=(FOUR_BLOCKS, even_sum))
+    @example(case=(ALL_FIXED, None))
+    @example(case=(ALL_FIXED, even_sum))
     def test_matches_naive_walk(self, case):
         pattern, predicate = case
         got = solve_pattern(pattern, predicate)
@@ -361,21 +384,21 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 class TestDeweger:
     def test_23_up_to_10(self):
-        got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet.of(2, 3), 10)]
+        got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet((2, 3)), 10)]
         # 1 + 1 = 2 qualifies: gcd(1, 1) = 1 and 1*1*2 is {2,3}-smooth
         assert got == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (1, 8, 9)]
 
     def test_single_prime(self):
-        got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet.of(2), 10**6)]
+        got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet((2,)), 10**6)]
         assert got == [(1, 1, 2)]
 
     def test_matches_brute_force(self):
-        primes = PrimeSet.of(2, 3, 5, 7, 11, 13)
+        primes = PrimeSet((2, 3, 5, 7, 11, 13))
         got = [(t.x, t.y, t.z) for t in deweger_3term(primes, 10**5)]
         assert got == brute_deweger((2, 3, 5, 7, 11, 13), 10**5)
 
     def test_solution_shape(self):
-        for t in deweger_3term(PrimeSet.of(2, 3, 5), 10**6):
+        for t in deweger_3term(PrimeSet((2, 3, 5)), 10**6):
             assert t.x + t.y == t.z
             assert t.x <= t.y
             assert gcd(t.x, t.y) == 1
@@ -383,18 +406,18 @@ class TestDeweger:
             assert gcd(t.x, t.z) == 1 and gcd(t.y, t.z) == 1
 
     def test_sorted_by_z_then_x(self):
-        sols = deweger_3term(PrimeSet.of(2, 3, 5, 7), 10**6)
+        sols = deweger_3term(PrimeSet((2, 3, 5, 7)), 10**6)
         keys = [(t.z, t.x) for t in sols]
         assert keys == sorted(keys)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1).map(lambda ps: PrimeSet.of(*ps)),
+        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1).map(lambda ps: PrimeSet(tuple(sorted(ps)))),
         z_limit=st.integers(2, 3000),
     )
-    @example(primes=PrimeSet.of(2, 3), z_limit=10)  # 1 + 1 = 2, the one same-bucket solution
-    @example(primes=PrimeSet.of(2), z_limit=3000)  # only 1 + 1 = 2
-    @example(primes=PrimeSet.of(7), z_limit=3000)  # no solution: 2 is not smooth
+    @example(primes=PrimeSet((2, 3)), z_limit=10)  # 1 + 1 = 2, the one same-bucket solution
+    @example(primes=PrimeSet((2,)), z_limit=3000)  # only 1 + 1 = 2
+    @example(primes=PrimeSet((7,)), z_limit=3000)  # no solution: 2 is not smooth
     def test_matches_brute_force_random_sets(self, primes, z_limit):
         got = [(t.x, t.y, t.z) for t in deweger_3term(primes, z_limit)]
         assert got == brute_deweger(tuple(primes), z_limit)
@@ -407,11 +430,11 @@ class TestDeweger:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=7).map(lambda ps: PrimeSet.of(*ps)),
+        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=7).map(lambda ps: PrimeSet(tuple(sorted(ps)))),
         z_limit=st.integers(2, 10**6),
     )
-    @example(primes=PrimeSet.of(*SMALL_PRIMES[:7]), z_limit=10**6)
-    @example(primes=PrimeSet.of(*SMALL_PRIMES[:8]), z_limit=10**5)  # 256 buckets, most of them tiny
+    @example(primes=PrimeSet(SMALL_PRIMES[:7]), z_limit=10**6)
+    @example(primes=PrimeSet(SMALL_PRIMES[:8]), z_limit=10**5)  # 256 buckets, most of them tiny
     def test_matches_former_walk_random_sets(self, primes, z_limit):
         got = [(t.x, t.y, t.z) for t in deweger_3term(primes, z_limit)]
         assert got == walk_deweger(tuple(primes), z_limit)
@@ -422,11 +445,11 @@ class TestDeweger:
 
     def test_refuses_beyond_int64(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
-            deweger_3term(PrimeSet.of(2, 3), 2**63)
+            deweger_3term(PrimeSet((2, 3)), 2**63)
 
     def test_ord_profile(self):
-        sols = deweger_3term(PrimeSet.of(2, 3), 10)
-        prof = triple_ord_profile(sols[1], PrimeSet.of(2, 3))
+        sols = deweger_3term(PrimeSet((2, 3)), 10)
+        prof = triple_ord_profile(sols[1], PrimeSet((2, 3)))
         assert prof == {2: 1, 3: 1}  # 1 + 2 = 3
 
 
