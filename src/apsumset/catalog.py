@@ -10,9 +10,11 @@ order); optionally ``documented_extras`` rows and a string
 document the entry.  A ``KINDS`` record holds a whole-spec check that
 returns the row length (a scan kind takes exactly its typed keys, and
 ``build_pattern`` checks a pattern), a run function returning (found,
-bounds used) and an exact re-check of one expected row.  Every
-entry is validated when the registry loads; a malformed one raises a
-ValueError naming the check id and the key.  A check runs the solver at
+bounds used) and an exact re-check of one expected row.  A pattern's
+``side_predicate`` names an entry of ``SIDE_PREDICATES``, which lists the
+variables the predicate reads, and the pattern must declare each of them.
+Every entry is validated when the registry loads; a malformed one raises
+a ValueError naming the check id and the key.  A check runs the solver at
 the recorded bounds and returns a plain row, the dict that the ``check``
 command prints: found versus expected, with two safeguards:
 
@@ -207,10 +209,11 @@ def _baj_eq15_context(a: dict[str, int]) -> bool:
     return v >= 1 and power_exponent(v, 2) is not None
 
 
-SIDE_PREDICATES: dict[str, Callable[[dict[str, int]], bool]] = {
-    "baj-eq15-context": _baj_eq15_context,
-    "dt-3y2-context": lambda a: a["y0"] <= 1,
-    "szalay-context": lambda a: a["u"] > a["v"] >= 3 and a["v"] % 2 == 1 and a["y2"] % 2 == 0,
+# each side predicate with the variables it reads, which a pattern naming it must declare
+SIDE_PREDICATES: dict[str, tuple[tuple[str, ...], Callable[[dict[str, int]], bool]]] = {
+    "baj-eq15-context": (("x2", "x3", "y2", "y3", "y0"), _baj_eq15_context),
+    "dt-3y2-context": (("y0",), lambda a: a["y0"] <= 1),
+    "szalay-context": (("u", "v", "y2"), lambda a: a["u"] > a["v"] >= 3 and a["v"] % 2 == 1 and a["y2"] % 2 == 0),
 }
 
 
@@ -225,8 +228,10 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     shape is an object with integers ``p`` and ``q``, ``terms`` as
     [coefficient, p_exp, q_exp] triples whose exponents are integers or
     variable names, ``bounds`` as [name, integer] pairs, and optionally a
-    ``side_predicate`` naming an entry of SIDE_PREDICATES; a registry's
-    ``kind`` key is allowed.  Any other shape or key raises ValueError.
+    ``side_predicate`` naming an entry of SIDE_PREDICATES, whose variables
+    the pattern must declare; a registry's ``kind`` key is allowed.  Any
+    other shape or key, or a side predicate that reads a variable the
+    pattern does not declare, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
@@ -252,7 +257,11 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     if "side_predicate" in spec and not (isinstance(pred, str) and pred in SIDE_PREDICATES):
         raise ValueError(f"unknown side_predicate {pred!r}; known: {', '.join(sorted(SIDE_PREDICATES))}")
     pattern = Pattern(spec["p"], spec["q"], tuple(PatternTerm(*t) for t in terms), tuple(map(tuple, bounds)))
-    return pattern, SIDE_PREDICATES.get(pred)
+    reads, predicate = SIDE_PREDICATES.get(pred, ((), None))
+    undeclared = [v for v in reads if v not in pattern.variables]
+    if undeclared:
+        raise ValueError(f"side_predicate {pred!r} reads {', '.join(undeclared)}, which the pattern does not declare")
+    return pattern, predicate
 
 
 _INT = "an integer"

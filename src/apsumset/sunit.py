@@ -15,17 +15,19 @@
 
 Block join.  ``solve_pattern`` puts terms that share a variable into one
 block, so blocks have disjoint variables and the box is the product of the
-blocks' boxes; a term with no variable is a block of one row.  Each
-block is enumerated over its own variables.  The blocks are split into two
-sides by greedy balance of their boxes; the smaller side is stored in a
-dict keyed by its sum (at most the square root of the box), and the larger
-side is streamed, its largest block row by row, and probed for the
-complementary sum.  Every point of the box is exactly one (streamed,
-stored) pair of row combinations, and the probe meets it iff the terms sum
-to zero, so the join is complete and yields each assignment once.  A
-pattern whose terms all share variables is one block, streamed against the
-one-row empty side.  Sums are exact Python ints; the side predicate runs
-on matches only.  The budget counts the whole box, which keeps the stored
+blocks' boxes; a term with no variable is a block of one row.  Each block
+is enumerated over its own variables, a row being its sum and exponents.
+The blocks are split into two sides by greedy balance of their boxes; the
+smaller side is stored in a dict keyed by its sum (at most the square root
+of the box), and the larger side is streamed, its largest block row by row,
+and probed for the complementary sum.  Every point of the box is exactly
+one (streamed, stored) pair of row combinations, and the probe meets it iff
+the terms sum to zero, so the join is complete and yields each assignment
+once.  A pattern whose terms all share variables is one block, streamed
+against the one-row empty side.  Sums are exact Python ints.  Each match
+builds one dict from variable to exponent: the side predicate reads it and
+must not change it, and the pattern's term evaluator turns a kept one into
+its term values.  The budget counts the whole box, which keeps the stored
 side near its square root, and then the row words: each block's box times
 the 64-bit words of its widest term, which keeps rows of huge powers out,
 a fixed term's one row among them.  Both are checked before any power is
@@ -148,7 +150,10 @@ class Pattern:
         """The signed term values c * p^e * q^f at exponents given in declared variable order."""
         if len(assignment) != len(self.var_bounds) or min(assignment, default=0) < 0:
             raise ValueError(f"assignment {list(assignment)} needs {len(self.var_bounds)} nonnegative exponents")
-        env = dict(zip(self.variables, assignment))  # a fixed exponent is no key, so env.get returns it
+        return self._evaluate(dict(zip(self.variables, assignment)))
+
+    def _evaluate(self, env: dict[str, int]) -> tuple[int, ...]:
+        """The signed term values at exponents `env`, which maps every variable; a fixed exponent is its own."""
         return tuple(t.coefficient * self.p ** env.get(t.p_exp, t.p_exp) * self.q ** env.get(t.q_exp, t.q_exp)
                      for t in self.terms)
 
@@ -163,15 +168,15 @@ def solve_pattern(
     The assignment holds the exponents in declared variable order
     (``pattern.variables``) and the term values are the signed terms in
     term order.  Output is in lexicographic order of the assignment and
-    complete over the box; see the module docstring for the block join.
+    complete over the box; see the module docstring for the block join,
+    whose one dict per match the side predicate reads and must not change.
     A search larger than `budget` raises SearchBudgetExceeded before
     anything is enumerated: the block join counts the whole box and
     its row words.
     """
     names = pattern.variables
-    terms = pattern.terms
     groups: list[tuple[set[str], list[int]]] = []
-    for i, t in enumerate(terms):
+    for i, t in enumerate(pattern.terms):
         own = {e for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
         touching = [g for g in groups if g[0] & own]
         groups = [g for g in groups if not g[0] & own]
@@ -189,7 +194,7 @@ def solve_pattern(
         raise SearchBudgetExceeded(sizes[0] * sizes[1], budget)
     # each block's rows times the 64-bit words of its widest term, whose bits p <= 2^bit_length(p - 1) bounds
     bits = [abs(t.coefficient).bit_length() + bound.get(t.p_exp, t.p_exp) * (pattern.p - 1).bit_length()
-            + bound.get(t.q_exp, t.q_exp) * (pattern.q - 1).bit_length() for t in terms]
+            + bound.get(t.q_exp, t.q_exp) * (pattern.q - 1).bit_length() for t in pattern.terms]
     words = sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
     if words > budget:
         raise SearchBudgetExceeded(words, budget, "row words")
@@ -208,25 +213,19 @@ def solve_pattern(
     table: dict[int, list[tuple]] = {}
     for combo in combos(stored):
         table.setdefault(sum(r[0] for r in combo), []).append(combo)
-    position = {v: i for i, v in enumerate(names)}
     found = []
     for combo in combos(streamed):
         for other in table.get(-sum(r[0] for r in combo), ()):
-            assignment = [0] * len(names)
-            values = [0] * len(terms)
-            for (block_vars, term_ids), (_, assign, vals) in zip(streamed + stored, combo + other):
-                for v, a in zip(block_vars, assign):
-                    assignment[position[v]] = a
-                for i, v in zip(term_ids, vals):
-                    values[i] = v
-            if side_predicate is None or side_predicate(dict(zip(names, assignment))):
-                found.append((tuple(assignment), tuple(values)))
+            env = {v: a for (block_vars, _), (_, assign) in zip(streamed + stored, combo + other)
+                   for v, a in zip(block_vars, assign)}
+            if side_predicate is None or side_predicate(env):
+                found.append((tuple(env[v] for v in names), pattern._evaluate(env)))
     found.sort(key=itemgetter(0))
     return found
 
 
 def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[int, ...]) -> Iterator[tuple]:
-    """(sum, assignment, term values) of each row of one block.
+    """(sum, assignment) of each row of one block, the assignment in block variable order.
 
     Exponents index an extended assignment: the block's variables, then
     the fixed exponents its terms use.
@@ -238,8 +237,7 @@ def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[i
     bound = dict(pattern.var_bounds)
     for assign in itertools.product(*(range(bound[v] + 1) for v in block_vars)):
         e = assign + fixed
-        vals = tuple(c * pattern.p ** e[i] * pattern.q ** e[j] for c, i, j in spec)
-        yield sum(vals), assign, vals
+        yield sum([c * pattern.p ** e[i] * pattern.q ** e[j] for c, i, j in spec]), assign
 
 
 def _canonical_walk(

@@ -212,7 +212,7 @@ class TestRunCheck:
         ids=["x3-and-y2-zero", "y3-and-x2-zero"],
     )
     def test_baj_eq15_context_refuses_a_zero_pair(self, assignment):
-        assert SIDE_PREDICATES["baj-eq15-context"](assignment) is False
+        assert SIDE_PREDICATES["baj-eq15-context"][1](assignment) is False
 
     def test_dt_3y2(self):
         rep = run_check("sec3-dt-3y2")
@@ -336,6 +336,10 @@ MALFORMED = {
         "sec3-dt-3y2", ("solver", "require_primitive"), True,
         "check 'sec3-dt-3y2': unknown pattern key 'require_primitive'; known: p, q, terms, bounds, side_predicate",
     ),
+    "pattern-undeclared-predicate-variable": (
+        "sec3-dt-3y2", ("solver", "side_predicate"), "szalay-context",
+        "check 'sec3-dt-3y2': side_predicate 'szalay-context' reads u, v, which the pattern does not declare",
+    ),
     "pillai-extra-key": (
         "sec4-pillai-list", ("solver", "power_bnd"), 32768,
         "check 'sec4-pillai-list': solver key 'power_bnd' is not one of prime_pairs, power_bound",
@@ -396,3 +400,17 @@ class TestRegistryValidation:
         dt_context = build_pattern(checks["sec3-dt-3y2"].solver)[1]  # y0 <= 1
         assert dt_context({"y2": 2, "y0": 1, "s": 1}) and not dt_context({"y2": 2, "y0": 2, "s": 1})
         assert build_pattern(checks["sec5-deweger-11-5m"].solver)[1] is None
+
+    def test_side_predicates_read_exactly_their_variables(self):
+        # an expected row passes its predicate, so every clause runs and every variable is read
+        checks = [check for check in registry().values() if "side_predicate" in check.solver]
+        assert {check.solver["side_predicate"] for check in checks} == set(SIDE_PREDICATES)
+        for check in checks:
+            reads, predicate = SIDE_PREDICATES[check.solver["side_predicate"]]
+            names = build_pattern(check.solver)[0].variables
+            for row in check.expected:
+                env = {v: a for v, a in zip(names, row) if v in reads}
+                assert env.keys() == set(reads) and predicate(env) is True
+                for v in reads:
+                    with pytest.raises(KeyError):
+                        predicate({k: a for k, a in env.items() if k != v})

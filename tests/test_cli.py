@@ -32,6 +32,14 @@ GOLDEN_UNIT = {
     ("check", "--all"):
         "e15bb29bed534d5c7f308d96bc5f68e36dcba66a81ed8cfc2a8655b6b56a44c8",
 }
+# result_sha256 of `sunit dt` for the other prime pairs the benchmark's seeds draw
+GOLDEN_DT = {
+    ("sunit", "dt", "2", "5"): "0bf205e2f5e068c350ed400f31f31be3ba6a0cbdfc8899fdd2cf5a0154143183",
+    ("sunit", "dt", "2", "7"): "57453f8d94e25061ad973d943995fab8657ae04dab75868484eb62a5e9f7e06e",
+    ("sunit", "dt", "3", "5"): "fd10464fa33fb54b4e6dfef59a6f7d894c84db80e87ec6484efb41c92897cdb3",
+    ("sunit", "dt", "3", "7"): "9175df401955b03189eecb05f2efa8d2ce28000d397d74b44ca9bfad8814e428",
+    ("sunit", "dt", "5", "7"): "37afad34034b8a600c1538cd8a9ce1606f3c16e40e45dc0a2c764a4e2882d0c8",
+}
 # the ROADMAP baseline: de Weger's 545 solutions at 10^12 and the count line
 DEWEGER_1E12 = "6737fabef7eadf5e9df91ff060862085721f4f574243ed0d8b0e3ce8e9101dba"
 # the ROADMAP baseline: bb5 at its default bounds, 1,213 solutions and the count line
@@ -66,7 +74,7 @@ GOLDEN_FAMILY = {
         "b492cb45e0228cbc2ca699fd52273d7b428a75bd145295e2d82f71a7536e70b8",
 }
 # result_sha256 of the benchmark's pinned sweep, the same grid at 10^15, a
-# six-term sweep and a count3 ladder
+# six-term sweep, a count3 ladder and the ROADMAP baseline sweep
 GOLDEN_SWEEP = {
     ("--threads", "2", "sweep", "--a-max", "8", "--b-max", "120", "--len", "5", "--limit", "1000000000"):
         "5ce51ac8878b8317d227df19ba2950548a4a8845498f6eee9edb4b9707cd1ff3",
@@ -76,6 +84,8 @@ GOLDEN_SWEEP = {
         "e376beb132bef9dcad6a9e584c55b97fb0c1a58352e57f1f3f9dba8f58e66065",
     ("count3", "2", "7", "--limits", "1e8,1e12"):
         "f8a06031f0bf7d37b6191294b4944ee81134a405c8f0c8fe3fb633c83187a8ca",
+    ("--threads", "1", "sweep", "--a-max", "6", "--b-max", "60", "--len", "5", "--limit", "1e9"):
+        "7775b1ef59e08225acdf4277cd1bcc7c80d11caebf8f71adb419568ee9d6a75f",
 }
 # result_sha256 of the prog3 base pairs at the paper's scale, 195 rows
 PROG3_PAIRS_1E30 = "6f1f46a297e1f7aa8ffeddf8939e08d09d635c2603ac7cbf3674526860a987b5"
@@ -202,6 +212,12 @@ class TestGoldenOutput:
         digest = hashlib.sha256(captured.out.encode()).hexdigest()
         assert digest == manifest["result_sha256"] == GOLDEN_UNIT[argv]
 
+    @pytest.mark.parametrize("argv", list(GOLDEN_DT), ids=lambda argv: " ".join(argv[2:]))
+    def test_dt_digest(self, capsys, tmp_path, argv):
+        code, captured, manifest = run(capsys, tmp_path, *argv)
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == manifest["result_sha256"] == GOLDEN_DT[argv]
+
     def test_deweger_1e12_digest(self, capsys, tmp_path):
         code, captured, manifest = run(capsys, tmp_path, "sunit", "deweger", "--z-limit", "1000000000000")
         assert code == 0
@@ -242,7 +258,9 @@ class TestGoldenOutput:
             assert 2 <= a < b and a <= 10**30
             assert b**2 - b**d2 == 2 * a**2 - 2 * a**d1
 
-    @pytest.mark.parametrize("argv", list(GOLDEN_SWEEP), ids=["sweep-len5", "sweep-len5-1e15", "sweep-len6", "count3"])
+    @pytest.mark.parametrize(
+        "argv", list(GOLDEN_SWEEP), ids=["sweep-len5", "sweep-len5-1e15", "sweep-len6", "count3", "sweep-baseline"]
+    )
     def test_sweep_and_count3_digest(self, capsys, tmp_path, argv):
         code, captured, manifest = run(capsys, tmp_path, *argv)
         assert code == 0
@@ -321,6 +339,8 @@ class TestGoldenOutput:
 
 
 VALID_PATTERN = {"p": 2, "q": 3, "terms": [[1, 0, "a"], [-1, "b", 0], [-1, 0, 0]], "bounds": [["a", 12], ["b", 19]]}
+# a valid pattern in x and y, which no registered side predicate reads
+UNDECLARED = {"p": 2, "q": 3, "terms": [[1, "x", 0], [-1, 0, "y"], [-1, 0, 0]], "bounds": [["x", 5], ["y", 5]]}
 
 
 class TestRefusals:
@@ -354,12 +374,17 @@ class TestRefusals:
             ({**VALID_PATTERN, "valu_bound": 100}, "unknown pattern key 'valu_bound'"),
             ({**VALID_PATTERN, "interchangeable": True}, "unknown pattern key 'interchangeable'"),
             ({**VALID_PATTERN, "p": 2**89 - 1}, "primality of"),  # prime, but above is_prime's proven bound
+            ({**UNDECLARED, "side_predicate": "szalay-context"},
+             "side_predicate 'szalay-context' reads u, v, y2, which the pattern does not declare"),
+            ({**UNDECLARED, "side_predicate": "dt-3y2-context"},
+             "side_predicate 'dt-3y2-context' reads y0, which the pattern does not declare"),
         ],
         ids=[
             "no-terms", "unknown-predicate", "list-predicate", "top-level-list", "negative-bound",
             "repeated-bound", "float-bound", "short-term", "bool-coefficient", "string-prime",
             "unknown-key-require-primitive", "unknown-key-forbid-vanishing-subsums", "unknown-key-value-bound",
             "misspelled-side-predicate", "unknown-key-valu-bound", "interchangeable", "prime-beyond-bound",
+            "szalay-undeclared-variables", "dt-3y2-undeclared-variable",
         ],
     )
     def test_malformed_pattern_refused(self, capsys, tmp_path, spec, error):

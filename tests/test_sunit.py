@@ -219,6 +219,23 @@ class TestSolvePattern:
         got = solve_pattern(pattern, predicate)
         assert got == naive_solve(pattern, predicate)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=pattern_cases())
+    @example(case=(FOUR_BLOCKS, None))
+    @example(case=(ALL_FIXED, None))
+    def test_predicate_sees_every_variable_and_values_are_the_patterns(self, case):
+        pattern, predicate = case
+        seen = []
+
+        def recording(env):
+            seen.append(set(env))
+            return predicate is None or predicate(env)
+
+        got = solve_pattern(pattern, recording)
+        assert all(keys == set(pattern.variables) for keys in seen)
+        assert len(seen) == len(naive_solve(pattern))  # every zero sum of the box, once
+        assert all(values == pattern.term_values(assignment) for assignment, values in got)
+
 
 def walk(p, q, k, e_max, f_max, value_bound):
     """The walk's solutions over monomials p^e q^f <= value_bound, e <= e_max, f <= f_max, as a list."""
