@@ -8,11 +8,13 @@ the kind's row length (for a pattern, exponents in declared variable
 order); optionally ``documented_extras`` rows and a string
 ``discrepancy_note``.  Keys such as ``anchor`` and ``description`` only
 document the entry.  A ``KINDS`` record holds a whole-spec check that
-returns the row length (a scan kind takes exactly its typed keys, and
+returns the row length (a scan kind takes exactly its keys, each in the
+domain its scan assumes, so a scan checks no bound of its own; and
 ``build_pattern`` checks a pattern), a run function returning (found,
-bounds used) and an exact re-check of one expected row.  A pattern's
-``side_predicate`` names an entry of ``SIDE_PREDICATES``, which lists the
-variables the predicate reads, and the pattern must declare each of them.
+bounds used) and an exact re-check of one expected row.  The Kruk and
+Lemma 2.1 scans are one pass each over one exact table of targets.  A
+pattern's ``side_predicate`` names an entry of ``SIDE_PREDICATES``, which
+lists the variables the predicate reads, and the pattern must declare each.
 Every entry is validated when the registry loads; a malformed one raises
 a ValueError naming the check id and the key.  A check runs the solver at
 the recorded bounds and returns a plain row, the dict that the ``check``
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
-from .numutil import factor_over, minimal_power_base, power_exponent
+from .numutil import is_prime, minimal_power_base, power_exponent
 from .sunit import Pattern, PatternTerm, pillai_difference_table, solve_pattern
 
 # ---------------------------------------------------------------------------
@@ -86,24 +88,20 @@ class LemmaSolution:
             raise ValueError(f"need x > y >= 0: {self}")
 
 
-def lemma21_solve(b: int, x_max: int, alpha_max: int, beta_max: int) -> list[LemmaSolution]:
-    """Complete list of b^x - b^y = 2^alpha 3^beta within the given bounds.
+def lemma21_solve(b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max: int) -> list[LemmaSolution]:
+    """Complete list of b^x - b^y = 2^alpha 3^beta, b_min <= b <= b_max, within the given bounds.
 
-    Enumerates x > y >= 0 directly and splits the difference into its
-    {2,3} part by trial division; sorted by (x, y).
+    Each b^x - b^y, x > y >= 0, is looked up in one table {2^alpha 3^beta: (alpha, beta)}; sorted
+    by (b, x, y).  The registry checks b_min >= 2 and x_max, alpha_max, beta_max >= 1 at load.
     """
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if min(x_max, alpha_max, beta_max) < 1:
-        raise ValueError("bounds must be >= 1")
-    out = []
-    for x in range(1, x_max + 1):
-        for y in range(x):
-            exps, cofactor = factor_over(b**x - b**y, (2, 3))
-            if cofactor == 1 and exps[2] <= alpha_max and exps[3] <= beta_max:
-                out.append(LemmaSolution(b, x, y, exps[2], exps[3]))
-    out.sort(key=lambda s: (s.x, s.y))
-    return out
+    targets = {2**alpha * 3**beta: (alpha, beta) for alpha in range(alpha_max + 1) for beta in range(beta_max + 1)}
+    return [
+        LemmaSolution(b, x, y, *targets[d])
+        for b in range(b_min, b_max + 1)
+        for x in range(1, x_max + 1)
+        for y in range(x)
+        if (d := b**x - b**y) in targets
+    ]
 
 
 def lemma21_classify(sol: LemmaSolution) -> str:
@@ -138,16 +136,12 @@ def lemma21_classify(sol: LemmaSolution) -> str:
 def kruk_scan(b_min: int, b_max: int, exp_max: int) -> list[tuple[int, int, int, int]]:
     """All (b, x0, y1, y2) with 1 + b^y2 + 2^x0 = 2 b^y1, b_min <= b <= b_max, exponents <= exp_max.
 
-    y1 stops once b^y1 > 2^exp_max + 1, which loses no row.  For b >= 2, r = 2 b^y1 - 1 - b^y2
-    >= 1 forces b^y2 < 2 b^y1 <= b^(y1 + 1), so y2 <= y1 and
-    r >= b^y1 - 1; as r = 2^x0 <= 2^exp_max, b^y1 <= 2^exp_max + 1.
-    b_min < 2 or exp_max < 0 raises ValueError.
+    Each r = 2 b^y1 - 1 - b^y2 is looked up in one table {2^x0: x0}.  For b >= 2, r >= 1 forces
+    b^y2 < 2 b^y1 <= b^(y1 + 1), so y2 <= y1 and r >= b^y1 - 1; as r <= 2^exp_max, y1 stops once
+    b^y1 > 2^exp_max + 1, which loses no row.  The registry checks b_min >= 2 and exp_max >= 0 at load.
     """
-    if b_min < 2:
-        raise ValueError(f"b_min must be >= 2, got {b_min}")
-    if exp_max < 0:
-        raise ValueError(f"exp_max must be >= 0, got {exp_max}")
-    cap = 2**exp_max + 1
+    powers = {1 << x0: x0 for x0 in range(exp_max + 1)}
+    cap = max(powers, default=0) + 1
     out = []
     for b in range(b_min, b_max + 1):
         by1 = 1
@@ -156,14 +150,10 @@ def kruk_scan(b_min: int, b_max: int, exp_max: int) -> list[tuple[int, int, int,
                 break
             target = 2 * by1 - 1
             by2 = 1
-            for y2 in range(exp_max + 1):
-                r = target - by2
-                if r < 1:
-                    break
-                if r & (r - 1) == 0:  # power of two
-                    x0 = r.bit_length() - 1
-                    if x0 <= exp_max:
-                        out.append((b, x0, y1, y2))
+            for y2 in range(y1 + 1):
+                x0 = powers.get(target - by2)
+                if x0 is not None:
+                    out.append((b, x0, y1, y2))
                 by2 *= b
             by1 *= b
     out.sort()
@@ -189,8 +179,7 @@ def _lemma21_sweep(b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max:
     """The solutions of the classification sweep that no case covers."""
     return [
         (sol.b, sol.x, sol.y, sol.alpha, sol.beta)
-        for b in range(b_min, b_max + 1)
-        for sol in lemma21_solve(b, x_max, alpha_max, beta_max)
+        for sol in lemma21_solve(b_min, b_max, x_max, alpha_max, beta_max)
         if lemma21_classify(sol) == CASE_UNLISTED
     ]
 
@@ -264,12 +253,13 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     return pattern, predicate
 
 
-_INT = "an integer"
-_INT_PAIRS = "a list of integer pairs"
+_INT, _PRIME_PAIRS = "an integer", "a list of pairs of distinct primes"
+_AT_LEAST = {least: f"an integer >= {least}" for least in (0, 1, 2)}
 _KEY_TYPES: dict[str, Callable[[object], bool]] = {
     _INT: _is_int,
-    _INT_PAIRS: lambda v: isinstance(v, list)
-    and all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v),
+    **{name: lambda v, least=least: _is_int(v) and v >= least for least, name in _AT_LEAST.items()},
+    _PRIME_PAIRS: lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and p[0] != p[1] and all(_is_int(n) and is_prime(n) for n in p) for p in v),
 }
 
 
@@ -312,7 +302,7 @@ KINDS: dict[str, Kind] = {
     "pattern": Kind(lambda spec: len(build_pattern(spec)[0].var_bounds), _run_pattern,
                     lambda spec, row: sum(build_pattern(spec)[0].term_values(row)) == 0),
     "pillai_table": _scan_kind(
-        {"prime_pairs": _INT_PAIRS, "power_bound": _INT}, 6, lambda **args: pillai_difference_table(**args),
+        {"prime_pairs": _PRIME_PAIRS, "power_bound": _AT_LEAST[1]}, 6, lambda **args: pillai_difference_table(**args),
         lambda p, q, x, y, z, w: p**x - p**y == q**z - q**w > 0,
     ),
     "rn_scan": _scan_kind(
@@ -320,11 +310,12 @@ KINDS: dict[str, Kind] = {
         lambda b, m, e1, e2: b**m == 2**e1 + 2**e2 + 1 and m >= 2 and e1 > e2 >= 1,
     ),
     "kruk_scan": _scan_kind(
-        dict.fromkeys(("b_min", "b_max", "exp_max"), _INT), 4, lambda **args: kruk_scan(**args),
+        {"b_min": _AT_LEAST[2], "b_max": _INT, "exp_max": _AT_LEAST[0]}, 4, lambda **args: kruk_scan(**args),
         lambda b, x0, y1, y2: 1 + b**y2 + 2**x0 == 2 * b**y1,
     ),
     "lemma21_sweep": _scan_kind(
-        dict.fromkeys(("b_min", "b_max", "x_max", "alpha_max", "beta_max"), _INT), 5, _lemma21_sweep,
+        {"b_min": _AT_LEAST[2], "b_max": _INT, **dict.fromkeys(("x_max", "alpha_max", "beta_max"), _AT_LEAST[1])},
+        5, _lemma21_sweep,
         lambda b, x, y, alpha, beta: b**x - b**y == 2**alpha * 3**beta,
     ),
 }

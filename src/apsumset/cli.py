@@ -27,9 +27,9 @@ never built at import, so importing the module stays cheap, and a one-shot
 run pays for one build.  Nothing else outlives a call: each parse yields a
 fresh namespace.
 
-Integers of any size are read and written exactly: ``main`` lifts CPython's
-4300-digit cap on int <-> str conversion for the call and restores the
-caller's setting when it returns.
+Integers of any size are read and written exactly: ``main`` lifts the
+4300-digit cap of CPython 3.10.7 and later on int <-> str conversion for
+the call and restores the caller's setting when it returns.
 
 Exit codes: 0 success / all-pass, 1 verification mismatch, 2 usage error,
 3 search-budget refusal.
@@ -134,7 +134,7 @@ def _run_ap(args):
 
 def _run_count3(args):
     limits = args.limits
-    if any(l2 < l1 for l1, l2 in zip(limits, limits[1:])):
+    if any(l2 <= l1 for l1, l2 in zip(limits, limits[1:])):
         raise ValueError("limits must be ascending")
     if limits[0] < 2:
         raise ValueError(f"limit must be >= 2, got {limits[0]}")
@@ -438,10 +438,8 @@ def _manifest_problem(path: str) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # CPython from 3.10.7 refuses int <-> str conversion beyond 4300 digits;
+    # CPython 3.10.7 and later refuse int <-> str conversion beyond 4300 digits;
     # the cap is lifted for the call and the caller's setting restored after
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -386,10 +386,10 @@ def deze_tijdeman_4term(p: int, q: int) -> list[FourTermSolution]:
     p^x q^y in the first shape may exceed the bound.  The pairs shape keeps
     z <= x when s3 = +1 and w <= y when s2 = s4, one of each swapped pair.
     """
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError(f"p, q must be distinct primes, got {p}, {q}")
     if max(p, q) >= 200:
         raise ValueError(f"max(p, q) must be < 200, got {max(p, q)}")
+    if not (is_prime(p) and is_prime(q)) or p == q:
+        raise ValueError(f"p, q must be distinct primes, got {p}, {q}")
 
     xmax, ymax = ilog(DT_POWER_BOUND, p), ilog(DT_POWER_BOUND, q)
     bounds = (("x", xmax), ("y", ymax), ("z", xmax), ("w", ymax))
@@ -422,12 +422,12 @@ def pillai_difference_table(
 
     Normalized with x > y >= 0 and z > w >= 0 so each equal-difference pair
     is listed once; sorted by (p, q, x, y, z, w).  Solved as the pattern
-    p^x - p^y - q^z + q^w = 0 with side condition x > y, z > w.
+    p^x - p^y - q^z + q^w = 0 with side condition x > y, z > w.  Assumes
+    pairs of distinct primes and power_bound >= 1, which the registry
+    checks at load.
     """
     out = []
     for p, q in prime_pairs:
-        if not (is_prime(p) and is_prime(q)) or p == q:
-            raise ValueError(f"bad prime pair ({p}, {q})")
         pe, qe = ilog(power_bound, p), ilog(power_bound, q)
         pattern = Pattern(
             p, q,

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apsumset.catalog import (
     CASE_B4_STEP1,
@@ -21,22 +23,34 @@ from apsumset.catalog import (
     run_all,
     run_check,
 )
-from apsumset.numutil import iroot
+from apsumset.numutil import factor_over, iroot
+
+
+def solve_lemma21(b_min, b_max, x_max, alpha_max, beta_max):
+    """The Lemma 2.1 solutions by splitting each difference into its {2, 3} part by trial division."""
+    out = []
+    for b in range(b_min, b_max + 1):
+        for x in range(1, x_max + 1):
+            for y in range(x):
+                exps, cofactor = factor_over(b**x - b**y, (2, 3))
+                if cofactor == 1 and exps[2] <= alpha_max and exps[3] <= beta_max:
+                    out.append(LemmaSolution(b, x, y, exps[2], exps[3]))
+    return out
 
 
 class TestLemmaSolve:
     def test_b5(self):
-        got = [(s.x, s.y, s.alpha, s.beta) for s in lemma21_solve(5, 4, 10, 10)]
+        got = [(s.x, s.y, s.alpha, s.beta) for s in lemma21_solve(5, 5, 4, 10, 10)]
         # 5 - 1 = 4 = 2^2 and 25 - 1 = 24 = 2^3 * 3
         assert got == [(1, 0, 2, 0), (2, 0, 3, 1)]
 
     def test_b3_adjacent_family(self):
-        sols = lemma21_solve(3, 6, 10, 10)
+        sols = lemma21_solve(3, 3, 6, 10, 10)
         for y in range(5):
             assert any((s.x, s.y, s.alpha, s.beta) == (y + 1, y, 1, y) for s in sols)
 
     def test_b4_family(self):
-        sols = lemma21_solve(4, 6, 20, 10)
+        sols = lemma21_solve(4, 4, 6, 20, 10)
         for y in range(5):
             assert any((s.x, s.y, s.alpha, s.beta) == (y + 1, y, 2 * y, 1) for s in sols)
 
@@ -49,18 +63,21 @@ class TestLemmaSolve:
         with pytest.raises(ValueError, match="need x > y >= 0"):
             LemmaSolution(2, 1, -1, -1, 1)
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [((1, 4, 4, 4), "b must be >= 2"), ((3, 0, 4, 4), "bounds must be >= 1"), ((3, 4, 4, 0), "bounds must be >= 1")],
-        ids=["b-1", "x-max-0", "beta-max-0"],
-    )
-    def test_refuses_bad_bounds(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            lemma21_solve(*args)
-
     def test_bounds_respected(self):
-        for s in lemma21_solve(2, 8, 3, 20):
+        for s in lemma21_solve(2, 2, 8, 3, 20):
             assert s.alpha <= 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 150).flatmap(lambda b_min: st.tuples(st.just(b_min), st.integers(b_min, 150))),
+        st.integers(1, 9), st.integers(1, 35), st.integers(1, 22),
+    )
+    @example((2, 2), 1, 1, 1)
+    @example((2, 3), 1, 1, 1)
+    @example((2, 150), 9, 35, 22)
+    def test_matches_trial_division(self, b_range, x_max, alpha_max, beta_max):
+        bounds = (*b_range, x_max, alpha_max, beta_max)
+        assert lemma21_solve(*bounds) == solve_lemma21(*bounds)
 
 
 class TestLemmaClassify:
@@ -89,9 +106,8 @@ class TestLemmaClassify:
         assert lemma21_classify(LemmaSolution(2, 2, 0, 0, 1)) == CASE_SPORADIC
 
     def test_unlisted_never_fires_for_3_to_100(self):
-        for b in range(3, 101):
-            for s in lemma21_solve(b, 8, 30, 20):
-                assert lemma21_classify(s) != CASE_UNLISTED, s
+        for s in lemma21_solve(3, 100, 8, 30, 20):
+            assert lemma21_classify(s) != CASE_UNLISTED, s
 
 
 def scan_kruk(b_min, b_max, exp_max):
@@ -148,15 +164,16 @@ class TestScans:
         # b^y1 = 1025 = 2^10 + 1 exactly
         assert kruk_scan(1025, 1025, 10) == [(1025, 10, 1, 1)]
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [((1, 9, 4), "b_min must be >= 2, got 1"), ((-3, -3, 4), "b_min must be >= 2, got -3"),
-         ((3, 9, -1), "exp_max must be >= 0, got -1")],
-        ids=["b-min-1", "b-min-negative", "exp-max-negative"],
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 1100).flatmap(lambda b_min: st.tuples(st.just(b_min), st.integers(b_min - 1, b_min + 30))),
+        st.integers(0, 40),
     )
-    def test_kruk_refuses_bad_bounds(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            kruk_scan(*args)
+    @example((2, 10), 0)
+    @example((2, 10), 5)
+    @example((1025, 1025), 10)
+    def test_kruk_matches_scan_on_random_ranges(self, b_range, exp_max):
+        assert kruk_scan(*b_range, exp_max) == scan_kruk(*b_range, exp_max)
 
     @pytest.mark.parametrize("e_max", [2, 12, 20, 30])
     def test_rn_matches_scan(self, e_max):
@@ -277,12 +294,24 @@ MALFORMED = {
     ),
     "pillai-str-int": (
         "sec4-pillai-list", ("solver", "power_bound"), "32768",
-        "check 'sec4-pillai-list': solver key 'power_bound' must be an integer, got '32768'",
+        "check 'sec4-pillai-list': solver key 'power_bound' must be an integer >= 1, got '32768'",
     ),
     "pillai-bool-pair": (
         "sec4-pillai-list", ("solver", "prime_pairs", 0, 1), True,
-        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of integer pairs, "
+        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, "
         "got [[2, True], [2, 5], [2, 7], [3, 5], [3, 7]]",
+    ),
+    "pillai-power-bound-0": (
+        "sec4-pillai-list", ("solver", "power_bound"), 0,
+        "check 'sec4-pillai-list': solver key 'power_bound' must be an integer >= 1, got 0",
+    ),
+    "pillai-composite-pair": (
+        "sec4-pillai-list", ("solver", "prime_pairs"), [[4, 3]],
+        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, got [[4, 3]]",
+    ),
+    "pillai-equal-pair": (
+        "sec4-pillai-list", ("solver", "prime_pairs"), [[2, 2]],
+        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, got [[2, 2]]",
     ),
     "pillai-row-length": (
         "sec4-pillai-list", ("expected", 0), [2, 3, 2, 1, 1],
@@ -306,6 +335,17 @@ MALFORMED = {
         "kruk-b-scan", ("solver", "b_max"), "1025",
         "check 'kruk-b-scan': solver key 'b_max' must be an integer, got '1025'",
     ),
+    "kruk-b-min-1": (
+        "kruk-b-scan", ("solver", "b_min"), 1, "check 'kruk-b-scan': solver key 'b_min' must be an integer >= 2, got 1"
+    ),
+    "kruk-b-min-negative": (
+        "kruk-b-scan", ("solver", "b_min"), -3,
+        "check 'kruk-b-scan': solver key 'b_min' must be an integer >= 2, got -3",
+    ),
+    "kruk-exp-max-negative": (
+        "kruk-b-scan", ("solver", "exp_max"), -1,
+        "check 'kruk-b-scan': solver key 'exp_max' must be an integer >= 0, got -1",
+    ),
     "kruk-row-length": (
         "kruk-b-scan", ("expected", 0), [3, 1, 1],
         "check 'kruk-b-scan': expected row [3, 1, 1] must be 4 nonnegative integers",
@@ -319,7 +359,19 @@ MALFORMED = {
     ),
     "lemma21-bool-int": (
         "lemma21-sweep", ("solver", "x_max"), False,
-        "check 'lemma21-sweep': solver key 'x_max' must be an integer, got False",
+        "check 'lemma21-sweep': solver key 'x_max' must be an integer >= 1, got False",
+    ),
+    "lemma21-b-min-1": (
+        "lemma21-sweep", ("solver", "b_min"), 1,
+        "check 'lemma21-sweep': solver key 'b_min' must be an integer >= 2, got 1",
+    ),
+    "lemma21-x-max-0": (
+        "lemma21-sweep", ("solver", "x_max"), 0,
+        "check 'lemma21-sweep': solver key 'x_max' must be an integer >= 1, got 0",
+    ),
+    "lemma21-beta-max-0": (
+        "lemma21-sweep", ("solver", "beta_max"), 0,
+        "check 'lemma21-sweep': solver key 'beta_max' must be an integer >= 1, got 0",
     ),
     "lemma21-row-length": (
         "lemma21-sweep", ("expected",), [[17, 1, 5, 2]],

@@ -529,6 +529,9 @@ class TestGuards:
         [
             (("count3", "2", "3", "--limits", "1,10"), None, None, "limit must be >= 2, got 1"),
             (("count3", "2", "3", "--limits", "100,10"), None, None, "limits must be ascending"),
+            (("count3", "2", "3", "--limits", "100,100"), None, None, "limits must be ascending"),
+            (("sunit", "dt", "10000000000000000000000000", "3"), None, None,
+             "max(p, q) must be < 200, got 10000000000000000000000000"),
             (("enum", "2", "3", "--limit", "1"), None, None, "limit must be >= 2, got 1"),
             (("sweep", "--a-max", "5", "--b-max", "4", "--len", "5", "--limit", "100"), None, None,
              "need 2 <= a_max <= b_max"),
@@ -543,16 +546,19 @@ class TestGuards:
             (("sunit", "pattern"), {**VALID_PATTERN, "p": 4}, None, "p, q must be distinct primes, got 4, 3"),
             (("sunit", "pattern"), {**VALID_PATTERN, "bounds": [["a", 12], ["b", 19], ["c", 3]]}, None,
              "variable mismatch: terms use ['a', 'b'], bounds declare ['a', 'b', 'c']"),
-            (("check", "--all"), None, ("lemma21-sweep", ("solver", "b_min"), 1), "b must be >= 2"),
+            (("check", "--all"), None, ("lemma21-sweep", ("solver", "b_min"), 1),
+             "check 'lemma21-sweep': solver key 'b_min' must be an integer >= 2, got 1"),
             (("check", "--all"), None, ("sec4-pillai-list", ("solver", "prime_pairs"), [[4, 3]]),
-             "bad prime pair (4, 3)"),
+             "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, "
+             "got [[4, 3]]"),
             (("check", "--all"), None, ("sec4-szalay", ("expected",), 5),
              "check 'sec4-szalay': expected must be a list of rows, got 5"),
         ],
         ids=[
-            "count3-limit", "count3-descending", "enum-limit", "sweep-a-above-b", "deweger-z-limit",
-            "family-no-params", "family-malformed-param", "pattern-zero-coefficient", "pattern-negative-exponent",
-            "pattern-composite-p", "pattern-unused-bound", "lemma21-b-min", "pillai-composite-pair",
+            "count3-limit", "count3-descending", "count3-repeated-limit", "dt-too-large", "enum-limit",
+            "sweep-a-above-b", "deweger-z-limit", "family-no-params", "family-malformed-param",
+            "pattern-zero-coefficient", "pattern-negative-exponent", "pattern-composite-p", "pattern-unused-bound",
+            "lemma21-b-min", "pillai-composite-pair",
             "expected-not-rows",
         ],
     )

@@ -111,3 +111,44 @@ def test_no_test_only_public_api():
     unread = [(path.name, line, qualified) for path in MODULES for line, qualified, name in public_definitions(path)
               if name not in read and qualified not in TEST_ONLY_ALLOWED]
     assert not unread, f"public names nothing in the package reads: {unread}"
+
+
+# math functions that take and return exact integers
+EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+# each (module, enclosing top-level function, construct) that leaves exact integers, once
+INEXACT_ALLOWED = [
+    ("cli.py", "_main", "round()"),  # the manifest's wall-clock duration
+]
+
+
+def inexact_constructs(name: str, source: str):
+    """(module, enclosing top-level function, construct, line) of each way out of exact integer arithmetic."""
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            found = None
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found = "true division"
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found = "float literal"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "round"):
+                found = f"{node.func.id}()"
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math"
+                  and node.attr not in EXACT_MATH):
+                found = f"math.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found = next((f"math.{a.name}" for a in node.names if a.name not in EXACT_MATH), None)
+            if found:
+                yield name, scope, found, node.lineno
+
+
+def test_inexact_constructs_found():
+    source = "def f(x):\n    x /= 2\n    return math.log(x / 2) + float(x) + round(x) + 0.5 + math.gcd(x, 2)\n"
+    source += "from math import sqrt, gcd\n"
+    found = {construct for _, _, construct, _ in inexact_constructs("probe.py", source)}
+    assert found == {"true division", "math.log", "float()", "round()", "float literal", "math.sqrt"}
+
+
+def test_arithmetic_is_exact():
+    sites = [site for path in MODULES for site in inexact_constructs(path.name, path.read_text())]
+    assert [site[:3] for site in sites] == INEXACT_ALLOWED, f"inexact arithmetic: {sites}"
