@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
-from .numutil import is_prime, minimal_power_base, power_exponent
+from .numutil import PRIME_LIMIT, is_prime, minimal_power_base, power_exponent
 from .sunit import Pattern, PatternTerm, pillai_difference_table, solve_pattern
 
 # ---------------------------------------------------------------------------
@@ -73,19 +73,18 @@ CASE_OUT_OF_HYPOTHESIS = "out-of-hypothesis"
 CASE_UNLISTED = "UNLISTED"
 
 
-@dataclass(frozen=True)
-class LemmaSolution:
-    b: int
-    x: int
-    y: int
-    alpha: int
-    beta: int
+class LemmaSolution(namedtuple("LemmaSolution", "b x y alpha beta")):
+    """A solution of b^x - b^y = 2^alpha 3^beta with x > y >= 0."""
 
-    def __post_init__(self) -> None:
-        if self.b ** self.x - self.b ** self.y != 2 ** self.alpha * 3 ** self.beta:
+    __slots__ = ()
+
+    def __new__(cls, b: int, x: int, y: int, alpha: int, beta: int) -> LemmaSolution:
+        self = super().__new__(cls, b, x, y, alpha, beta)
+        if b**x - b**y != 2**alpha * 3**beta:
             raise ValueError(f"not a solution: {self}")
-        if not self.x > self.y >= 0:
+        if not x > y >= 0:
             raise ValueError(f"need x > y >= 0: {self}")
+        return self
 
 
 def lemma21_solve(b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max: int) -> list[LemmaSolution]:
@@ -253,13 +252,14 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     return pattern, predicate
 
 
-_INT, _PRIME_PAIRS = "an integer", "a list of pairs of distinct primes"
+_INT, _PRIME_PAIRS = "an integer", f"a list of pairs of distinct primes below {PRIME_LIMIT}"
 _AT_LEAST = {least: f"an integer >= {least}" for least in (0, 1, 2)}
 _KEY_TYPES: dict[str, Callable[[object], bool]] = {
     _INT: _is_int,
     **{name: lambda v, least=least: _is_int(v) and v >= least for least, name in _AT_LEAST.items()},
     _PRIME_PAIRS: lambda v: isinstance(v, list) and all(
-        isinstance(p, list) and len(p) == 2 and p[0] != p[1] and all(_is_int(n) and is_prime(n) for n in p) for p in v),
+        isinstance(p, list) and len(p) == 2 and p[0] != p[1]
+        and all(_is_int(n) and n < PRIME_LIMIT and is_prime(n) for n in p) for p in v),
 }
 
 
@@ -321,8 +321,7 @@ KINDS: dict[str, Kind] = {
 }
 
 
-@dataclass(frozen=True)
-class NamedCheck:
+class NamedCheck(NamedTuple):
     id: str
     solver: dict
     expected: tuple[tuple, ...]
@@ -359,7 +358,8 @@ def _named_check(entry, seen: dict) -> NamedCheck:
 @functools.cache
 def registry() -> dict[str, NamedCheck]:
     """The validated checks of ``data/checks.json`` by id, loaded on first call."""
-    raw = json.loads(resources.files("apsumset").joinpath("data/checks.json").read_text())
+    with open(os.path.join(os.path.dirname(__file__), "data", "checks.json"), "rb") as fh:
+        raw = json.loads(fh.read())
     checks: dict[str, NamedCheck] = {}
     for entry in raw["checks"]:
         check = _named_check(entry, checks)

@@ -16,7 +16,8 @@ prove it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .apsearch import find_progressions_over
 from .numutil import power_exponent
@@ -68,20 +69,19 @@ def theorem1_match(a: int, b: int, N: int, D: int) -> tuple[str, int | None] | N
     return None
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    a_max: int
-    b_max: int
-    term_limit: int
-    k: int
+class SweepConfig(namedtuple("SweepConfig", "a_max b_max term_limit k")):
+    """The grid 2 <= a < b with a <= a_max and b <= b_max, swept for k-term windows with terms <= term_limit."""
 
-    def __post_init__(self) -> None:
-        if not (2 <= self.a_max <= self.b_max):
+    __slots__ = ()
+
+    def __new__(cls, a_max: int, b_max: int, term_limit: int, k: int) -> SweepConfig:
+        if not (2 <= a_max <= b_max):
             raise ValueError("need 2 <= a_max <= b_max")
-        if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
-        if self.term_limit < 2:
-            raise ValueError(f"limit must be >= 2, got {self.term_limit}")
+        if k < 3:
+            raise ValueError(f"k must be >= 3, got {k}")
+        if term_limit < 2:
+            raise ValueError(f"limit must be >= 2, got {term_limit}")
+        return super().__new__(cls, a_max, b_max, term_limit, k)
 
     def pair_count(self) -> int:
         """The pairs a < b of the grid, 2 <= a <= a_max and b <= b_max: b_max - a of them for each a."""
@@ -206,8 +206,7 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     return rows
 
 
-@dataclass(frozen=True)
-class NonextensionRow:
+class NonextensionRow(NamedTuple):
     family: str
     k: int
     params: tuple[int, int]  # (a, b)

@@ -27,6 +27,13 @@ never built at import, so importing the module stays cheap, and a one-shot
 run pays for one build.  Nothing else outlives a call: each parse yields a
 fresh namespace.
 
+``import apsumset.cli`` loads the package, ``argparse``, ``json``,
+``hashlib`` and what those need.  Records are namedtuple classes and the
+registry is read by path, so ``dataclasses``, ``inspect`` and
+``importlib.resources`` stay unloaded.  On Python 3.11, without bytecode
+files, a fresh interpreter takes 66 ms to import it against 37 ms bare
+(medians of 30 on a 2-vCPU machine); the dataclass records took 12 ms more.
+
 Integers of any size are read and written exactly: ``main`` lifts the
 4300-digit cap of CPython 3.10.7 and later on int <-> str conversion for
 the call and restores the caller's setting when it returns.

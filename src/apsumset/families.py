@@ -29,7 +29,6 @@ a <= L in O(log L) steps.
 
 from __future__ import annotations
 
-import inspect
 from math import gcd, isqrt
 from typing import Callable
 
@@ -174,7 +173,8 @@ def generate(
     if family_id not in FAMILIES:
         raise FamilyConstraintError(f"unknown family {family_id!r}")
     recipe = FAMILIES[family_id]
-    names = list(inspect.signature(recipe).parameters)
+    code = recipe.__code__  # every recipe is a plain positional function
+    names = list(code.co_varnames[:code.co_argcount])
     missing = [n for n in names if n not in params]
     if missing:
         raise FamilyConstraintError(f"{family_id} needs parameters {missing}")

@@ -14,14 +14,13 @@ rest of the package is built on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # The first 13 primes as Miller-Rabin witnesses are proven deterministic for
-# n < _MR_LIMIT (the first 12 only below 318665857834031151167461, a
+# n < PRIME_LIMIT (the first 12 only below 318665857834031151167461, a
 # strong pseudoprime to all of them); is_prime also trial-divides by them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
+PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -29,8 +28,8 @@ def is_prime(n: int) -> bool:
 
     Larger n raise ValueError rather than risk a wrong answer.
     """
-    if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {n} is not decided here (proven only below {_MR_LIMIT})")
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality of {n} is not decided here (proven only below {PRIME_LIMIT})")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -112,25 +111,23 @@ def ilog(n: int, base: int) -> int:
     return len(powers_below(base, n + 1)) - 1
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(tuple):
     """A strictly increasing tuple of verified primes."""
 
-    primes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.primes:
+    def __new__(cls, primes: Iterable[int]) -> PrimeSet:
+        primes = tuple(primes)
+        if not primes:
             raise ValueError("PrimeSet must be nonempty")
         prev = 1
-        for p in self.primes:
+        for p in primes:
             if p <= prev:
-                raise ValueError(f"primes must be strictly increasing, got {self.primes}")
+                raise ValueError(f"primes must be strictly increasing, got {primes}")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.primes)
+        return super().__new__(cls, primes)
 
 
 def smooth_buckets(primes: PrimeSet | Iterable[int], limit: int) -> dict[int, list[int]]:

@@ -10,19 +10,18 @@ a plain (value, reps) pair, reps as `representations` lists them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class SumsetParams:
+class SumsetParams(namedtuple("SumsetParams", "a b")):
     """The base pair (a, b) defining the sumset; requires b > a > 1."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.b > self.a > 1):
-            raise ValueError(f"need b > a > 1, got a={self.a}, b={self.b}")
+    def __new__(cls, a: int, b: int) -> SumsetParams:
+        if not (b > a > 1):
+            raise ValueError(f"need b > a > 1, got a={a}, b={b}")
+        return super().__new__(cls, a, b)
 
 
 def representations(params: SumsetParams, n: int) -> list[tuple[int, int]]:

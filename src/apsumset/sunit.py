@@ -81,12 +81,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, gcd, prod
 from operator import add, itemgetter, sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .numutil import PrimeSet, factor_over, ilog, is_prime, smooth_buckets
+from .numutil import PRIME_LIMIT, PrimeSet, factor_over, ilog, is_prime, smooth_buckets
 
 DEFAULT_BUDGET = 50_000_000
 DEWEGER_PRIMES = PrimeSet((2, 3, 5, 7, 11, 13))
@@ -102,45 +102,44 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class PatternTerm:
+class PatternTerm(namedtuple("PatternTerm", "coefficient p_exp q_exp")):
     """One signed monomial c * p^e * q^f; exponents are ints or variable names."""
 
-    coefficient: int
-    p_exp: int | str
-    q_exp: int | str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coefficient == 0:
+    def __new__(cls, coefficient: int, p_exp: int | str, q_exp: int | str) -> PatternTerm:
+        if coefficient == 0:
             raise ValueError("coefficient must be nonzero")
-        for e in (self.p_exp, self.q_exp):
+        for e in (p_exp, q_exp):
             if isinstance(e, int) and e < 0:
                 raise ValueError(f"fixed exponent must be >= 0, got {e}")
+        return super().__new__(cls, coefficient, p_exp, q_exp)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(namedtuple("Pattern", "p q terms var_bounds")):
     """A signed two-prime equation with boxed exponent variables."""
 
-    p: int
-    q: int
-    terms: tuple[PatternTerm, ...]
-    var_bounds: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (is_prime(self.p) and is_prime(self.q) and self.p != self.q):
-            raise ValueError(f"p, q must be distinct primes, got {self.p}, {self.q}")
-        if len(self.terms) < 2:
+    def __new__(cls, p: int, q: int, terms: tuple[PatternTerm, ...],
+                var_bounds: tuple[tuple[str, int], ...]) -> Pattern:
+        self = super().__new__(cls, p, q, terms, var_bounds)
+        if max(p, q) >= PRIME_LIMIT:
+            raise ValueError(f"p and q must be below {PRIME_LIMIT}, got {p}, {q}")
+        if not (is_prime(p) and is_prime(q) and p != q):
+            raise ValueError(f"p, q must be distinct primes, got {p}, {q}")
+        if len(terms) < 2:
             raise ValueError("pattern needs at least 2 terms")
-        bound = dict(self.var_bounds)
-        if len(bound) != len(self.var_bounds):
+        bound = dict(var_bounds)
+        if len(bound) != len(var_bounds):
             raise ValueError(f"variable declared twice in {list(self.variables)}")
-        for name, b in self.var_bounds:
+        for name, b in var_bounds:
             if b < 0:
                 raise ValueError(f"bound of {name!r} must be >= 0, got {b}")
-        used = {e for t in self.terms for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
+        used = {e for t in terms for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
         if used != bound.keys():
             raise ValueError(f"variable mismatch: terms use {sorted(used)}, bounds declare {sorted(bound)}")
+        return self
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -286,17 +285,15 @@ def _canonical_walk(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TripleSolution:
+class TripleSolution(namedtuple("TripleSolution", "x y z")):
     """A solution of x + y = z with x <= y, gcd(x, y) = 1, xyz smooth."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.x + self.y != self.z or self.x > self.y or gcd(self.x, self.y) != 1:
-            raise ValueError(f"invalid triple ({self.x}, {self.y}, {self.z})")
+    def __new__(cls, x: int, y: int, z: int) -> TripleSolution:
+        if x + y != z or x > y or gcd(x, y) != 1:
+            raise ValueError(f"invalid triple ({x}, {y}, {z})")
+        return super().__new__(cls, x, y, z)
 
 
 def deweger_3term(
@@ -361,8 +358,7 @@ SHAPE_PRODUCT = "pxqy+-pz+-qw+-1"
 SHAPE_PAIRS = "px+-qy+-pz+-qw"
 
 
-@dataclass(frozen=True)
-class FourTermSolution:
+class FourTermSolution(NamedTuple):
     """A solution of one of the two four-term shapes, tagged by sign vector.
 
     ``terms`` are the four signed summands in shape order; they sum to 0.

@@ -277,6 +277,7 @@ class TestRunCheck:
         assert flagged == {"sec5-rn-family", "lemma21-sweep"}
 
 
+PAIRS_DOMAIN = "a list of pairs of distinct primes below 3317044064679887385961981"
 # (check id, path in the entry, new value or ... to delete, the ValueError message)
 MALFORMED = {
     "pattern-missing-key": ("sec4-szalay", ("solver", "terms"), ..., "check 'sec4-szalay': pattern lacks terms"),
@@ -298,7 +299,7 @@ MALFORMED = {
     ),
     "pillai-bool-pair": (
         "sec4-pillai-list", ("solver", "prime_pairs", 0, 1), True,
-        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, "
+        f"check 'sec4-pillai-list': solver key 'prime_pairs' must be {PAIRS_DOMAIN}, "
         "got [[2, True], [2, 5], [2, 7], [3, 5], [3, 7]]",
     ),
     "pillai-power-bound-0": (
@@ -307,11 +308,16 @@ MALFORMED = {
     ),
     "pillai-composite-pair": (
         "sec4-pillai-list", ("solver", "prime_pairs"), [[4, 3]],
-        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, got [[4, 3]]",
+        f"check 'sec4-pillai-list': solver key 'prime_pairs' must be {PAIRS_DOMAIN}, got [[4, 3]]",
     ),
     "pillai-equal-pair": (
         "sec4-pillai-list", ("solver", "prime_pairs"), [[2, 2]],
-        "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, got [[2, 2]]",
+        f"check 'sec4-pillai-list': solver key 'prime_pairs' must be {PAIRS_DOMAIN}, got [[2, 2]]",
+    ),
+    "pillai-prime-beyond-bound": (  # a prime above is_prime's proven bound
+        "sec4-pillai-list", ("solver", "prime_pairs", 0, 1), 10**25 + 13,
+        f"check 'sec4-pillai-list': solver key 'prime_pairs' must be {PAIRS_DOMAIN}, "
+        "got [[2, 10000000000000000000000013], [2, 5], [2, 7], [3, 5], [3, 7]]",
     ),
     "pillai-row-length": (
         "sec4-pillai-list", ("expected", 0), [2, 3, 2, 1, 1],

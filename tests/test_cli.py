@@ -373,7 +373,11 @@ class TestRefusals:
             ({**VALID_PATTERN, "side_predicte": "baj-eq15-context"}, "unknown pattern key 'side_predicte'"),
             ({**VALID_PATTERN, "valu_bound": 100}, "unknown pattern key 'valu_bound'"),
             ({**VALID_PATTERN, "interchangeable": True}, "unknown pattern key 'interchangeable'"),
-            ({**VALID_PATTERN, "p": 2**89 - 1}, "primality of"),  # prime, but above is_prime's proven bound
+            # above is_prime's proven bound, the first a prime and the second not
+            ({**VALID_PATTERN, "p": 2**89 - 1},
+             "p and q must be below 3317044064679887385961981, got 618970019642690137449562111, 3"),
+            ({**VALID_PATTERN, "p": 10**25},
+             "p and q must be below 3317044064679887385961981, got 10000000000000000000000000, 3"),
             ({**UNDECLARED, "side_predicate": "szalay-context"},
              "side_predicate 'szalay-context' reads u, v, y2, which the pattern does not declare"),
             ({**UNDECLARED, "side_predicate": "dt-3y2-context"},
@@ -384,7 +388,7 @@ class TestRefusals:
             "repeated-bound", "float-bound", "short-term", "bool-coefficient", "string-prime",
             "unknown-key-require-primitive", "unknown-key-forbid-vanishing-subsums", "unknown-key-value-bound",
             "misspelled-side-predicate", "unknown-key-valu-bound", "interchangeable", "prime-beyond-bound",
-            "szalay-undeclared-variables", "dt-3y2-undeclared-variable",
+            "composite-beyond-bound", "szalay-undeclared-variables", "dt-3y2-undeclared-variable",
         ],
     )
     def test_malformed_pattern_refused(self, capsys, tmp_path, spec, error):
@@ -549,8 +553,8 @@ class TestGuards:
             (("check", "--all"), None, ("lemma21-sweep", ("solver", "b_min"), 1),
              "check 'lemma21-sweep': solver key 'b_min' must be an integer >= 2, got 1"),
             (("check", "--all"), None, ("sec4-pillai-list", ("solver", "prime_pairs"), [[4, 3]]),
-             "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes, "
-             "got [[4, 3]]"),
+             "check 'sec4-pillai-list': solver key 'prime_pairs' must be a list of pairs of distinct primes below "
+             "3317044064679887385961981, got [[4, 3]]"),
             (("check", "--all"), None, ("sec4-szalay", ("expected",), 5),
              "check 'sec4-szalay': expected must be a list of rows, got 5"),
         ],

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -152,3 +154,43 @@ def test_inexact_constructs_found():
 def test_arithmetic_is_exact():
     sites = [site for path in MODULES for site in inexact_constructs(path.name, path.read_text())]
     assert [site[:3] for site in sites] == INEXACT_ALLOWED, f"inexact arithmetic: {sites}"
+
+
+# stdlib modules the package never loads: `import dataclasses` costs about 8 ms and pulls in `inspect`, `ast`
+# and `dis`; `importlib.resources` costs 9 to 19 ms and on 3.12 and 3.13 loads `inspect` itself
+UNWANTED = ("dataclasses", "inspect", "importlib.resources")
+
+
+def absolute_imports(nodes):
+    """(module, names) of each absolute import statement among `nodes`; `import m` gives no names."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module, tuple(alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_no_unwanted_module(path):
+    imported = {full for module, names in absolute_imports(ast.walk(ast.parse(path.read_text())))
+                for full in (module, *(f"{module}.{name}" for name in names))}
+    assert not imported & set(UNWANTED), f"{path.name} imports {sorted(imported & set(UNWANTED))}"
+
+
+def unwanted_after(code: str) -> set[str]:
+    """The UNWANTED modules loaded once `code` has run in a fresh interpreter without `site`."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in {UNWANTED!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(MODULES[0].parent.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_cli_import_loads_no_unwanted_module():
+    # a baseline importing every stdlib module the package imports at module level, but the unwanted, shows what
+    # the standard library loads on its own in this Python version; the cli may load nothing beyond it
+    stdlib = {module for path in MODULES for module, _ in absolute_imports(ast.parse(path.read_text()).body)
+              if module.split(".")[0] in sys.stdlib_module_names and module not in UNWANTED}
+    baseline = unwanted_after("".join(f"import {module}\n" for module in sorted(stdlib)))
+    loaded = unwanted_after("import apsumset.cli")
+    assert loaded <= baseline, f"import apsumset.cli loads {sorted(loaded - baseline)}"

@@ -242,7 +242,7 @@ def walk(p, q, k, e_max, f_max, value_bound):
     return list(_canonical_walk(p, q, k, e_max, f_max, value_bound, DEFAULT_BUDGET))
 
 
-def naive_interchangeable(p, q, k, e_max, f_max, value_bound):
+def naive_canonical_walk(p, q, k, e_max, f_max, value_bound):
     """(exponents, signed values) of every primitive set of k distinct monomials with signs summing to 0.
 
     Each is normalised to decreasing magnitude with the largest term
@@ -262,7 +262,7 @@ def naive_interchangeable(p, q, k, e_max, f_max, value_bound):
 
 
 @st.composite
-def interchangeable_cases(draw):
+def canonical_walk_cases(draw):
     """The walk's arguments but its budget: 4 to 6 terms, exponent bounds <= 2 and a value bound >= 1."""
     p, q = draw(st.sampled_from(((2, 3), (3, 2), (2, 5), (3, 5))))
     return p, q, draw(st.integers(4, 6)), draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 250))
@@ -280,13 +280,13 @@ def skipped_rows(p, q, k, e_max, f_max, value_bound):
     return rows
 
 
-class TestInterchangeable:
+class TestCanonicalWalk:
     @settings(max_examples=200, deadline=None)
-    @given(case=interchangeable_cases())
+    @given(case=canonical_walk_cases())
     @example(case=(2, 3, 4, 2, 2, 36))
     @example(case=(2, 3, 5, 2, 2, 36))
     def test_matches_naive_walk(self, case):
-        assert sorted(walk(*case)) == naive_interchangeable(*case)
+        assert sorted(walk(*case)) == naive_canonical_walk(*case)
 
     @pytest.mark.parametrize(
         "p, q, k, e_max, f_max, value_bound",
@@ -296,7 +296,7 @@ class TestInterchangeable:
         # boxes where the walk skips whole rows whose values above lie out of reach of every sign pattern
         case = (p, q, k, e_max, f_max, value_bound)
         assert skipped_rows(*case)
-        assert sorted(walk(*case)) == naive_interchangeable(*case)
+        assert sorted(walk(*case)) == naive_canonical_walk(*case)
 
     @pytest.mark.parametrize(
         "k, e_max, f_max, value_bound, solutions, primitive",
@@ -307,7 +307,7 @@ class TestInterchangeable:
         # 2^a 3^b, the gcd of its terms, times one primitive zero sum, so scaling the walk's solutions within the
         # bounds counts every zero sum, primitive or not
         sols = sorted(walk(2, 3, k, e_max, f_max, value_bound))
-        assert sols == naive_interchangeable(2, 3, k, e_max, f_max, value_bound)
+        assert sols == naive_canonical_walk(2, 3, k, e_max, f_max, value_bound)
         scaled = 0
         for exponents, values in sols:
             for a in range(e_max - max(exponents[::2]) + 1):
