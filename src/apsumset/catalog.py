@@ -37,7 +37,7 @@ import functools
 import json
 import os
 from collections import namedtuple
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from .numutil import PRIME_LIMIT, is_prime, minimal_power_base, power_exponent
 from .sunit import Pattern, PatternTerm, pillai_difference_table, solve_pattern
@@ -263,12 +263,15 @@ _KEY_TYPES: dict[str, Callable[[object], bool]] = {
 }
 
 
-class Kind(NamedTuple):
-    """One solver kind of the registry."""
+class Kind(namedtuple("Kind", "row_length run recheck")):
+    """One solver kind of the registry.
 
-    row_length: Callable[[dict], int]  # of an expected row; checks the spec whole and raises ValueError first
-    run: Callable[[dict], tuple[list[tuple], dict]]  # spec -> (found, bounds_used)
-    recheck: Callable[[dict, tuple], bool]  # (spec, expected row) -> exact re-check
+    ``row_length(spec)`` is the length of an expected row; it checks the spec
+    whole and raises ValueError first.  ``run(spec)`` returns (found,
+    bounds_used), and ``recheck(spec, row)`` re-checks an expected row exactly.
+    """
+
+    __slots__ = ()
 
 
 def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Callable[..., bool]) -> Kind:
@@ -321,12 +324,10 @@ KINDS: dict[str, Kind] = {
 }
 
 
-class NamedCheck(NamedTuple):
-    id: str
-    solver: dict
-    expected: tuple[tuple, ...]
-    documented_extras: tuple[tuple, ...] = ()
-    discrepancy_note: str | None = None
+class NamedCheck(namedtuple("NamedCheck", "id solver expected documented_extras discrepancy_note")):
+    """One validated registry check: its solver spec and the rows it must find."""
+
+    __slots__ = ()
 
 
 def _named_check(entry, seen: dict) -> NamedCheck:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from typing import NamedTuple
 
 from .apsearch import find_progressions_over
 from .numutil import power_exponent
@@ -206,13 +205,14 @@ def sweep_grid(cfg: SweepConfig, threads: int = 1) -> list[tuple[int, int, int, 
     return rows
 
 
-class NonextensionRow(NamedTuple):
-    family: str
-    k: int
-    params: tuple[int, int]  # (a, b)
-    next_term: int  # N + 5D
-    extends: bool
-    witness: tuple[tuple[int, int], ...]  # representations if it extends
+class NonextensionRow(namedtuple("NonextensionRow", "family k params next_term extends witness")):
+    """Whether one family instance's progression reaches a sixth term.
+
+    ``params`` is (a, b), ``next_term`` is N + 5D, and ``witness`` holds the
+    representations of ``next_term`` in S_{a,b}, empty unless it ``extends``.
+    """
+
+    __slots__ = ()
 
 
 def family_nonextension(k_max: int) -> list[NonextensionRow]:

@@ -29,10 +29,10 @@ fresh namespace.
 
 ``import apsumset.cli`` loads the package, ``argparse``, ``json``,
 ``hashlib`` and what those need.  Records are namedtuple classes and the
-registry is read by path, so ``dataclasses``, ``inspect`` and
-``importlib.resources`` stay unloaded.  On Python 3.11, without bytecode
-files, a fresh interpreter takes 66 ms to import it against 37 ms bare
-(medians of 30 on a 2-vCPU machine); the dataclass records took 12 ms more.
+registry is read by path, so ``dataclasses``, ``inspect``,
+``importlib.resources`` and ``typing`` stay unloaded.  On Python 3.11,
+without bytecode files, a fresh interpreter takes 66 ms to import it
+against 37 ms bare (medians of 30 on a 2-vCPU machine).
 
 Integers of any size are read and written exactly: ``main`` lifts the
 4300-digit cap of CPython 3.10.7 and later on int <-> str conversion for
@@ -251,7 +251,7 @@ def _run_pattern(args):
     try:
         with open(args.pattern_file) as fh:
             spec = json.load(fh)
-    except OSError as exc:  # a missing, unreadable or unreachable file is a usage error
+    except (OSError, RecursionError) as exc:  # a missing or unreadable file, or one nested too deep, is a usage error
         raise ValueError(str(exc)) from None
     pattern, pred = build_pattern(spec)
     sols = solve_pattern(pattern, side_predicate=pred, budget=args.budget)
@@ -434,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_problem(path: str) -> str | None:
     """Why no manifest can be written to `path`, or None; checked before any search runs."""
+    if not path:
+        return "empty path"
     if os.path.isdir(path):
         return "is a directory"
     folder = os.path.dirname(path) or "."
@@ -460,7 +462,7 @@ def _main(argv: list[str] | None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    problem = args.manifest and _manifest_problem(args.manifest)
+    problem = args.manifest is not None and _manifest_problem(args.manifest)
     if problem:
         print(f"error: manifest {args.manifest}: {problem}", file=sys.stderr)
         return EXIT_USAGE
@@ -488,7 +490,7 @@ def _main(argv: list[str] | None) -> int:
         "result_lines": len(rows),
         "result_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
-    if args.manifest:
+    if args.manifest is not None:
         try:
             with open(args.manifest, "w") as fh:
                 fh.write(_dump(manifest) + "\n")

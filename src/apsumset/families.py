@@ -29,8 +29,8 @@ a <= L in O(log L) steps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd, isqrt
-from typing import Callable
 
 from .apsearch import progression
 from .numutil import minimal_power_base

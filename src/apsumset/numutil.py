@@ -14,7 +14,7 @@ rest of the package is built on:
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 # The first 13 primes as Miller-Rabin witnesses are proven deterministic for
 # n < PRIME_LIMIT (the first 12 only below 318665857834031151167461, a
@@ -130,7 +130,7 @@ class PrimeSet(tuple):
         return super().__new__(cls, primes)
 
 
-def smooth_buckets(primes: PrimeSet | Iterable[int], limit: int) -> dict[int, list[int]]:
+def smooth_buckets(primes: Iterable[int], limit: int) -> dict[int, list[int]]:
     """The integers in [1, limit] whose prime factors all lie in `primes`, keyed by support.
 
     Bit i of a key is set iff the i-th prime divides the value; each bucket
@@ -158,7 +158,7 @@ def smooth_buckets(primes: PrimeSet | Iterable[int], limit: int) -> dict[int, li
     return buckets
 
 
-def factor_over(n: int, primes: PrimeSet | Iterable[int]) -> tuple[dict[int, int], int]:
+def factor_over(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
     """Split n as (prod p^e over `primes`) * cofactor; returns ({p: e}, cofactor)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -82,9 +82,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from math import comb, gcd, prod
 from operator import add, itemgetter, sub
-from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .numutil import PRIME_LIMIT, PrimeSet, factor_over, ilog, is_prime, smooth_buckets
 
@@ -315,8 +315,7 @@ def deweger_3term(
     if z_limit > 2**63 - 1:
         raise ValueError(f"z_limit must be <= 2**63 - 1, got {z_limit}")
 
-    ps = tuple(primes)
-    buckets = smooth_buckets(ps, z_limit)
+    buckets = smooth_buckets(primes, z_limit)
     sets = {m: set(b) for m, b in buckets.items()}
 
     found = []
@@ -358,7 +357,7 @@ SHAPE_PRODUCT = "pxqy+-pz+-qw+-1"
 SHAPE_PAIRS = "px+-qy+-pz+-qw"
 
 
-class FourTermSolution(NamedTuple):
+class FourTermSolution(namedtuple("FourTermSolution", "shape signs exponents terms")):
     """A solution of one of the two four-term shapes, tagged by sign vector.
 
     ``terms`` are the four signed summands in shape order; they sum to 0.
@@ -367,10 +366,7 @@ class FourTermSolution(NamedTuple):
     solution appears exactly once.
     """
 
-    shape: str
-    signs: tuple[int, ...]
-    exponents: tuple[int, ...]
-    terms: tuple[int, ...]
+    __slots__ = ()
 
 
 def deze_tijdeman_4term(p: int, q: int) -> list[FourTermSolution]:
@@ -407,7 +403,7 @@ def deze_tijdeman_4term(p: int, q: int) -> list[FourTermSolution]:
                 FourTermSolution(shape, (1, s2, s3, s4), assignment, values)
                 for assignment, values in solve_pattern(Pattern(p, q, terms, bounds), predicate)
             ]
-    out.sort(key=lambda s: (s.shape, s.signs, s.exponents))
+    out.sort()
     return out
 
 

@@ -416,6 +416,16 @@ class TestRefusals:
             assert code == 2
             assert "Traceback" not in captured.err
 
+    def test_deeply_nested_pattern_file_refused(self, capsys, tmp_path):
+        # the JSON decoder gives up on nesting this deep with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, captured, manifest = run(capsys, tmp_path, "sunit", "pattern", str(path))
+        assert code == 2
+        assert manifest is None
+        assert captured.out == ""
+        assert captured.err.startswith("error: maximum recursion depth exceeded")
+
     def test_negative_bound_refused_before_budget(self, capsys, tmp_path):
         spec = {**VALID_PATTERN, "bounds": [["a", -3], ["b", 3]]}
         code, _, _ = self.solve(capsys, tmp_path, spec, "--budget", "0")
@@ -611,6 +621,13 @@ class TestManifestPath:
         assert captured.out == ""
         assert captured.err == f"error: manifest {path}: no such directory {path.parent}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_path_refused(self, capsys, no_search):
+        code = main(["--manifest", "", "member", "2", "3", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: manifest : empty path\n"
 
     def test_unwritable_refused(self, capsys, tmp_path, no_search, monkeypatch):
         # permission bits do not stop every user, so the access check is faked

@@ -157,8 +157,9 @@ def test_arithmetic_is_exact():
 
 
 # stdlib modules the package never loads: `import dataclasses` costs about 8 ms and pulls in `inspect`, `ast`
-# and `dis`; `importlib.resources` costs 9 to 19 ms and on 3.12 and 3.13 loads `inspect` itself
-UNWANTED = ("dataclasses", "inspect", "importlib.resources")
+# and `dis`; `importlib.resources` costs 9 to 19 ms and on 3.12 and 3.13 loads `inspect` itself; `typing`
+# takes 2 to 5 ms of its own on 3.10 to 3.13, and `collections.abc` gives every name the annotations use
+UNWANTED = ("dataclasses", "inspect", "importlib.resources", "typing")
 
 
 def absolute_imports(nodes):
