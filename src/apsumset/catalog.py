@@ -1,24 +1,26 @@
 """Registry of named finite computations with recorded expected outputs.
 
-Each entry of ``data/checks.json`` binds a solver configuration to the
-solution list it should produce: a unique string ``id``; a ``solver``
-object whose ``kind`` names a record of ``KINDS`` and whose other keys are
-that kind's spec; ``expected`` rows, each a list of nonnegative integers of
-the kind's row length (for a pattern, exponents in declared variable
-order); optionally ``documented_extras`` rows and a string
-``discrepancy_note``.  Keys such as ``anchor`` and ``description`` only
-document the entry.  A ``KINDS`` record holds a whole-spec check that
-returns the row length (a scan kind takes exactly its keys, each in the
-domain its scan assumes, so a scan checks no bound of its own; and
-``build_pattern`` checks a pattern), a run function returning (found,
-bounds used) and an exact re-check of one expected row.  The Kruk and
-Lemma 2.1 scans are one pass each over one exact table of targets.  A
-pattern's ``side_predicate`` names an entry of ``SIDE_PREDICATES``, which
-lists the variables the predicate reads, and the pattern must declare each.
-Every entry is validated when the registry loads; a malformed one raises
-a ValueError naming the check id and the key.  A check runs the solver at
-the recorded bounds and returns a plain row, the dict that the ``check``
-command prints: found versus expected, with two safeguards:
+``data/checks.json`` is an object whose ``checks`` list binds each solver
+configuration to the solution list it should produce: a unique string
+``id``; a ``solver`` object whose ``kind`` names a loader of ``KINDS`` and
+whose other keys are that kind's spec; ``expected`` rows, each a list of
+nonnegative integers of the kind's row length (for a pattern, exponents in
+declared variable order); optionally ``documented_extras`` rows and a
+string ``discrepancy_note``.  ``anchor`` and ``description`` only document
+the entry, and any other key is refused.  A ``KINDS`` loader checks a spec
+whole and returns (row length, run, recheck): ``run()`` returns (found,
+bounds used) and ``recheck(row)`` re-checks one row exactly, both bound to
+the checked spec.  A scan kind takes exactly its keys, each in the domain
+its scan assumes, so a scan checks no bound of its own; a pattern is built
+once by ``build_pattern``, which checks it.  The Kruk and Lemma 2.1 scans
+are one pass each over one exact table of targets.  A pattern's
+``side_predicate`` names an entry of ``SIDE_PREDICATES``, which lists the
+variables the predicate reads, and the pattern must declare each.  Every
+entry is validated when the registry loads, and each documented extra is
+re-checked then; a malformed one raises a ValueError naming the check id
+and the key.  A check loads its spec once, runs the solver at the recorded
+bounds and returns a plain row, the dict that the ``check`` command
+prints: found versus expected, with two safeguards:
 
 * every expected tuple is re-checked by exact arithmetic before the
   comparison, so a typo in a recorded list surfaces as a re-check failure
@@ -174,13 +176,10 @@ def rn_scan(e_max: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _lemma21_sweep(b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max: int) -> list[tuple]:
+def _lemma21_sweep(b_min: int, b_max: int, x_max: int, alpha_max: int, beta_max: int) -> list[LemmaSolution]:
     """The solutions of the classification sweep that no case covers."""
-    return [
-        (sol.b, sol.x, sol.y, sol.alpha, sol.beta)
-        for sol in lemma21_solve(b_min, b_max, x_max, alpha_max, beta_max)
-        if lemma21_classify(sol) == CASE_UNLISTED
-    ]
+    sols = lemma21_solve(b_min, b_max, x_max, alpha_max, beta_max)
+    return [sol for sol in sols if lemma21_classify(sol) == CASE_UNLISTED]
 
 
 # ---------------------------------------------------------------------------
@@ -252,60 +251,52 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     return pattern, predicate
 
 
-_INT, _PRIME_PAIRS = "an integer", f"a list of pairs of distinct primes below {PRIME_LIMIT}"
-_AT_LEAST = {least: f"an integer >= {least}" for least in (0, 1, 2)}
-_KEY_TYPES: dict[str, Callable[[object], bool]] = {
-    _INT: _is_int,
-    **{name: lambda v, least=least: _is_int(v) and v >= least for least, name in _AT_LEAST.items()},
-    _PRIME_PAIRS: lambda v: isinstance(v, list) and all(
+# a domain is the text a refusal names it by and its test
+_INT = ("an integer", _is_int)
+_PRIME_PAIRS = (
+    f"a list of pairs of distinct primes below {PRIME_LIMIT}",
+    lambda v: isinstance(v, list) and all(
         isinstance(p, list) and len(p) == 2 and p[0] != p[1]
         and all(_is_int(n) and n < PRIME_LIMIT and is_prime(n) for n in p) for p in v),
-}
+)
 
 
-class Kind(namedtuple("Kind", "row_length run recheck")):
-    """One solver kind of the registry.
-
-    ``row_length(spec)`` is the length of an expected row; it checks the spec
-    whole and raises ValueError first.  ``run(spec)`` returns (found,
-    bounds_used), and ``recheck(spec, row)`` re-checks an expected row exactly.
-    """
-
-    __slots__ = ()
+def _at_least(least: int) -> tuple[str, Callable[[object], bool]]:
+    return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
 
 
-def _scan_kind(keys: dict[str, str], length: int, scan: Callable, row_check: Callable[..., bool]) -> Kind:
-    """A kind whose spec holds exactly `keys` (name -> type), the keyword arguments of `scan` -> found."""
+def _scan_kind(keys: dict[str, tuple], length: int, scan: Callable, row_check: Callable[..., bool]) -> Callable:
+    """The loader of a spec holding exactly `keys` (name -> domain), the keyword arguments of `scan` -> found."""
 
-    def row_length(spec: dict) -> int:
+    def load(spec: dict) -> tuple[int, Callable, Callable]:
         for key in sorted(spec.keys() - {"kind", *keys}):
             raise ValueError(f"solver key {key!r} is not one of {', '.join(keys)}")
-        for key, type_name in keys.items():
-            if not _KEY_TYPES[type_name](spec.get(key)):
-                raise ValueError(f"solver key {key!r} must be {type_name}, got {spec[key]!r}" if key in spec
+        for key, (text, test) in keys.items():
+            if not test(spec.get(key)):
+                raise ValueError(f"solver key {key!r} must be {text}, got {spec[key]!r}" if key in spec
                                  else f"solver lacks key {key!r}")
-        return length
-
-    def run(spec: dict) -> tuple[list[tuple], dict]:
         args = {k: spec[k] for k in keys}
-        return scan(**args), args
+        return length, lambda: (scan(**args), args), lambda row: row_check(*row)
 
-    return Kind(row_length, run, lambda spec, row: row_check(*row))
+    return load
 
 
-def _run_pattern(spec: dict) -> tuple[list[tuple], dict]:
+def _load_pattern(spec) -> tuple[int, Callable, Callable]:
     pattern, predicate = build_pattern(spec)
-    found = [assignment for assignment, _ in solve_pattern(pattern, side_predicate=predicate)]
-    return found, dict(pattern.var_bounds)
+
+    def run() -> tuple[list[tuple], dict]:
+        return [a for a, _ in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds)
+
+    return len(pattern.var_bounds), run, lambda row: sum(pattern.term_values(row)) == 0
 
 
-# scans are looked up by name when they run, so a wrapper later bound to
+# a loader checks a spec whole (ValueError) and returns (row length, run() -> (found, bounds used),
+# recheck(row) -> bool); scans are looked up by name when they run, so a wrapper later bound to
 # that name (a tracer's, say) sees the call
-KINDS: dict[str, Kind] = {
-    "pattern": Kind(lambda spec: len(build_pattern(spec)[0].var_bounds), _run_pattern,
-                    lambda spec, row: sum(build_pattern(spec)[0].term_values(row)) == 0),
+KINDS: dict[str, Callable[[dict], tuple[int, Callable, Callable]]] = {
+    "pattern": _load_pattern,
     "pillai_table": _scan_kind(
-        {"prime_pairs": _PRIME_PAIRS, "power_bound": _AT_LEAST[1]}, 6, lambda **args: pillai_difference_table(**args),
+        {"prime_pairs": _PRIME_PAIRS, "power_bound": _at_least(1)}, 6, lambda **args: pillai_difference_table(**args),
         lambda p, q, x, y, z, w: p**x - p**y == q**z - q**w > 0,
     ),
     "rn_scan": _scan_kind(
@@ -313,11 +304,11 @@ KINDS: dict[str, Kind] = {
         lambda b, m, e1, e2: b**m == 2**e1 + 2**e2 + 1 and m >= 2 and e1 > e2 >= 1,
     ),
     "kruk_scan": _scan_kind(
-        {"b_min": _AT_LEAST[2], "b_max": _INT, "exp_max": _AT_LEAST[0]}, 4, lambda **args: kruk_scan(**args),
+        {"b_min": _at_least(2), "b_max": _INT, "exp_max": _at_least(0)}, 4, lambda **args: kruk_scan(**args),
         lambda b, x0, y1, y2: 1 + b**y2 + 2**x0 == 2 * b**y1,
     ),
     "lemma21_sweep": _scan_kind(
-        {"b_min": _AT_LEAST[2], "b_max": _INT, **dict.fromkeys(("x_max", "alpha_max", "beta_max"), _AT_LEAST[1])},
+        {"b_min": _at_least(2), "b_max": _INT, **dict.fromkeys(("x_max", "alpha_max", "beta_max"), _at_least(1))},
         5, _lemma21_sweep,
         lambda b, x, y, alpha, beta: b**x - b**y == 2**alpha * 3**beta,
     ),
@@ -330,17 +321,22 @@ class NamedCheck(namedtuple("NamedCheck", "id solver expected documented_extras 
     __slots__ = ()
 
 
+_ENTRY_KEYS = ("id", "solver", "expected", "documented_extras", "discrepancy_note", "anchor", "description")
+
+
 def _named_check(entry, seen: dict) -> NamedCheck:
-    """One registry entry, validated against its kind's record."""
+    """One registry entry, validated by its kind's loader."""
     cid = entry.get("id") if isinstance(entry, dict) else None
     try:
         if not isinstance(cid, str) or cid in seen:
             raise ValueError("id must be a string that no other check uses")
+        for key in sorted(entry.keys() - _ENTRY_KEYS):
+            raise ValueError(f"entry key {key!r} is not one of {', '.join(_ENTRY_KEYS)}")
         spec = entry.get("solver")
         name = spec.get("kind") if isinstance(spec, dict) else None
         if not isinstance(name, str) or name not in KINDS:
             raise ValueError(f"solver kind {name!r} is not one of {', '.join(KINDS)}")
-        length = KINDS[name].row_length(spec)
+        length, _, recheck = KINDS[name](spec)
         rows = {"expected": entry.get("expected"), "documented_extras": entry.get("documented_extras", [])}
         for key, value in rows.items():
             if not isinstance(value, list):
@@ -348,6 +344,10 @@ def _named_check(entry, seen: dict) -> NamedCheck:
             for row in value:
                 if not (isinstance(row, list) and len(row) == length and all(_is_int(v) and v >= 0 for v in row)):
                     raise ValueError(f"{key} row {row!r} must be {length} nonnegative integers")
+        # an extra that is not a solution could never excuse a found row
+        for row in rows["documented_extras"]:
+            if not recheck(row):
+                raise ValueError(f"documented_extras row {row!r} fails the exact re-check")
         note = entry.get("discrepancy_note")
         if not isinstance(note, (str, type(None))):
             raise ValueError(f"discrepancy_note must be a string, got {note!r}")
@@ -361,6 +361,8 @@ def registry() -> dict[str, NamedCheck]:
     """The validated checks of ``data/checks.json`` by id, loaded on first call."""
     with open(os.path.join(os.path.dirname(__file__), "data", "checks.json"), "rb") as fh:
         raw = json.loads(fh.read())
+    if not (isinstance(raw, dict) and isinstance(raw.get("checks"), list)):
+        raise ValueError("checks.json must be a JSON object whose 'checks' is a list")
     checks: dict[str, NamedCheck] = {}
     for entry in raw["checks"]:
         check = _named_check(entry, checks)
@@ -383,9 +385,9 @@ def run_check(check_id: str) -> dict:
     if check_id not in checks:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(sorted(checks))}")
     check = checks[check_id]
-    kind = KINDS[check.solver["kind"]]
-    recheck_failures = [t for t in check.expected if not kind.recheck(check.solver, t)]
-    found, bounds = kind.run(check.solver)
+    _, run, recheck = KINDS[check.solver["kind"]](check.solver)
+    recheck_failures = [t for t in check.expected if not recheck(t)]
+    found, bounds = run()
     found_set, expected_set = set(found), set(check.expected)
     extra = found_set - expected_set
     missing = sorted(expected_set - found_set)

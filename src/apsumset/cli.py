@@ -284,7 +284,6 @@ def _parse_params(text: str) -> dict[str, int]:
         return params
     for piece in text.split(","):
         key, _, value = piece.partition("=")
-        key = key.strip()
         if not _ or not key:
             raise ValueError(f"malformed parameter {piece!r}; expected name=int")
         if key in params:

@@ -45,21 +45,24 @@ def edited_registry(monkeypatch):
 
     ``edit(check_id, path, value)`` walks the keys and indexes of `path` in
     that entry and sets the last one to `value`, or deletes it when `value`
-    is ``...``.  The next ``registry()`` call loads the edited data, and
-    the cached registry is dropped again at teardown, so no later test sees
-    the edit.
+    is ``...``; with `check_id` None, `value` replaces the whole loaded data.
+    The next ``registry()`` call loads the edited data, and the cached
+    registry is dropped again at teardown, so no later test sees the edit.
     """
 
     def edit(check_id, path, value):
-        raw = copy.deepcopy(CHECKS)
-        target = next(e for e in raw["checks"] if e["id"] == check_id)
-        *parents, last = path
-        for step in parents:
-            target = target[step]
-        if value is ...:
-            del target[last]
+        if check_id is None:
+            raw = value
         else:
-            target[last] = value
+            raw = copy.deepcopy(CHECKS)
+            target = next(e for e in raw["checks"] if e["id"] == check_id)
+            *parents, last = path
+            for step in parents:
+                target = target[step]
+            if value is ...:
+                del target[last]
+            else:
+                target[last] = value
         monkeypatch.setattr(catalog, "json", SimpleNamespace(loads=lambda text: raw))
         catalog.registry.cache_clear()
 

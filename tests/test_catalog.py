@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apsumset import catalog
 from apsumset.catalog import (
     CASE_B4_STEP1,
     CASE_B9_STEP1,
@@ -421,6 +422,15 @@ MALFORMED = {
     "duplicate-id": (
         "kruk-b-scan", ("id",), "lemma21-sweep", "check 'lemma21-sweep': id must be a string that no other check uses"
     ),
+    "misspelt-note-key": (  # the lemma's off-by-one would load unflagged
+        "lemma21-sweep", ("discrepancy_notes",), "printed sporadic (17, 1, 5, 2) fails the exact re-check",
+        "check 'lemma21-sweep': entry key 'discrepancy_notes' is not one of "
+        "id, solver, expected, documented_extras, discrepancy_note, anchor, description",
+    ),
+    "extras-row-not-a-solution": (  # 3^2 != 2^3 + 2^2 + 1
+        "sec5-rn-family", ("documented_extras", 0), [3, 2, 3, 2],
+        "check 'sec5-rn-family': documented_extras row [3, 2, 3, 2] fails the exact re-check",
+    ),
 }
 
 # (check id, a well-shaped expected row that fails exact re-verification)
@@ -441,6 +451,20 @@ class TestRegistryValidation:
         with pytest.raises(ValueError) as exc:
             registry()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw", [[], {}, {"checks": 5}], ids=["list", "no-checks", "checks-not-list"])
+    def test_malformed_top_level_refused_at_load(self, edited_registry, raw):
+        edited_registry(None, (), raw)
+        with pytest.raises(ValueError, match="^checks.json must be a JSON object whose 'checks' is a list$"):
+            registry()
+
+    def test_pattern_check_builds_its_pattern_once(self, monkeypatch):
+        registry()
+        calls = []
+        build = catalog.build_pattern
+        monkeypatch.setattr(catalog, "build_pattern", lambda spec: calls.append(spec) or build(spec))
+        run_check("sec3-baj-eq15")
+        assert len(calls) == 1
 
     def test_every_kind_is_used(self):
         assert {check.solver["kind"] for check in registry().values()} == set(KINDS)

@@ -567,13 +567,14 @@ class TestGuards:
              "3317044064679887385961981, got [[4, 3]]"),
             (("check", "--all"), None, ("sec4-szalay", ("expected",), 5),
              "check 'sec4-szalay': expected must be a list of rows, got 5"),
+            (("check", "--all"), None, (None, (), {}), "checks.json must be a JSON object whose 'checks' is a list"),
         ],
         ids=[
             "count3-limit", "count3-descending", "count3-repeated-limit", "dt-too-large", "enum-limit",
             "sweep-a-above-b", "deweger-z-limit", "family-no-params", "family-malformed-param",
             "pattern-zero-coefficient", "pattern-negative-exponent", "pattern-composite-p", "pattern-unused-bound",
             "lemma21-b-min", "pillai-composite-pair",
-            "expected-not-rows",
+            "expected-not-rows", "registry-not-object",
         ],
     )
     def test_refused(self, capsys, tmp_path, edited_registry, argv, pattern, edit, message):
@@ -756,7 +757,7 @@ class TestFamilyParams:
         plain = self.verify(capsys, tmp_path, "n=" + "1" + "0" * 30)[1]
         assert captured.out == plain.out
 
-    @pytest.mark.parametrize("params", ["n=1_000", "n= 5", "n=+5", "n=-5", "n=5.0", "n=", "n=5,n=6", "n=1"])
+    @pytest.mark.parametrize("params", ["n=1_000", "n= 5", "n=+5", "n=-5", "n=5.0", "n=", "n=5,n=6", "n=1", " n=5", "n =5"])
     def test_bad_params_refused(self, capsys, tmp_path, params):
         code, captured, manifest = self.verify(capsys, tmp_path, params)
         assert code == 2
