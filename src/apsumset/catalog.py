@@ -10,17 +10,19 @@ string ``discrepancy_note``.  ``anchor`` and ``description`` only document
 the entry, and any other key is refused.  A ``KINDS`` loader checks a spec
 whole and returns (row length, run, recheck): ``run()`` returns (found,
 bounds used) and ``recheck(row)`` re-checks one row exactly, both bound to
-the checked spec.  A scan kind takes exactly its keys, each in the domain
-its scan assumes, so a scan checks no bound of its own; a pattern is built
-once by ``build_pattern``, which checks it.  The Kruk and Lemma 2.1 scans
-are one pass each over one exact table of targets.  A pattern's
-``side_predicate`` names an entry of ``SIDE_PREDICATES``, which lists the
-variables the predicate reads, and the pattern must declare each.  Every
-entry is validated when the registry loads, and each documented extra is
-re-checked then; a malformed one raises a ValueError naming the check id
-and the key.  A check loads its spec once, runs the solver at the recorded
-bounds and returns a plain row, the dict that the ``check`` command
-prints: found versus expected, with two safeguards:
+the checked spec; a row outside the box that ``run()`` searches fails its
+re-check before any of its powers is computed.  A scan kind takes exactly
+its keys, each in the domain its scan assumes, so a scan checks no bound of
+its own; a pattern is built once by ``build_pattern``, which checks it.
+The Kruk and Lemma 2.1 scans are one pass each over one exact table of
+targets.  A pattern's ``side_predicate`` names an entry of
+``SIDE_PREDICATES``, which lists the variables the predicate reads, and the
+pattern must declare each.  Every entry is validated when the registry
+loads, and each documented extra is re-checked then; a malformed one raises
+a ValueError naming the check id and the key.  A check loads its spec once,
+runs the solver at the recorded bounds and returns a plain row, the dict
+that the ``check`` command prints: found versus expected, with two
+safeguards:
 
 * every expected tuple is re-checked by exact arithmetic before the
   comparison, so a typo in a recorded list surfaces as a re-check failure
@@ -41,8 +43,8 @@ import os
 from collections import namedtuple
 from collections.abc import Callable
 
-from .numutil import PRIME_LIMIT, is_prime, minimal_power_base, power_exponent
-from .sunit import Pattern, PatternTerm, pillai_difference_table, solve_pattern
+from .numutil import PRIME_LIMIT, ilog, is_prime, minimal_power_base, power_exponent
+from .sunit import Pattern, pillai_difference_table, solve_pattern
 
 # ---------------------------------------------------------------------------
 # b^x - b^y = 2^alpha 3^beta : solver and classifier
@@ -218,7 +220,8 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     ``side_predicate`` naming an entry of SIDE_PREDICATES, whose variables
     the pattern must declare; a registry's ``kind`` key is allowed.  Any
     other shape or key, or a side predicate that reads a variable the
-    pattern does not declare, raises ValueError.
+    pattern does not declare, raises ValueError.  The triples are used as
+    they are, as the pattern's terms, and ``Pattern`` checks them.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"pattern must be a JSON object, got {type(spec).__name__}")
@@ -243,7 +246,7 @@ def build_pattern(spec) -> tuple[Pattern, Callable[[dict[str, int]], bool] | Non
     pred = spec.get("side_predicate")
     if "side_predicate" in spec and not (isinstance(pred, str) and pred in SIDE_PREDICATES):
         raise ValueError(f"unknown side_predicate {pred!r}; known: {', '.join(sorted(SIDE_PREDICATES))}")
-    pattern = Pattern(spec["p"], spec["q"], tuple(PatternTerm(*t) for t in terms), tuple(map(tuple, bounds)))
+    pattern = Pattern(spec["p"], spec["q"], tuple(map(tuple, terms)), tuple(map(tuple, bounds)))
     reads, predicate = SIDE_PREDICATES.get(pred, ((), None))
     undeclared = [v for v in reads if v not in pattern.variables]
     if undeclared:
@@ -266,7 +269,10 @@ def _at_least(least: int) -> tuple[str, Callable[[object], bool]]:
 
 
 def _scan_kind(keys: dict[str, tuple], length: int, scan: Callable, row_check: Callable[..., bool]) -> Callable:
-    """The loader of a spec holding exactly `keys` (name -> domain), the keyword arguments of `scan` -> found."""
+    """The loader of a spec holding exactly `keys` (name -> domain), the keyword arguments of `scan` -> found.
+
+    `row_check(*row, **spec)` is the recheck: False for a row outside the scan's box, else the exact equation.
+    """
 
     def load(spec: dict) -> tuple[int, Callable, Callable]:
         for key in sorted(spec.keys() - {"kind", *keys}):
@@ -276,18 +282,19 @@ def _scan_kind(keys: dict[str, tuple], length: int, scan: Callable, row_check: C
                 raise ValueError(f"solver key {key!r} must be {text}, got {spec[key]!r}" if key in spec
                                  else f"solver lacks key {key!r}")
         args = {k: spec[k] for k in keys}
-        return length, lambda: (scan(**args), args), lambda row: row_check(*row)
+        return length, lambda: (scan(**args), args), lambda row: row_check(*row, **args)
 
     return load
 
 
 def _load_pattern(spec) -> tuple[int, Callable, Callable]:
     pattern, predicate = build_pattern(spec)
+    tops = [b for _, b in pattern.var_bounds]
 
     def run() -> tuple[list[tuple], dict]:
         return [a for a, _ in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds)
 
-    return len(pattern.var_bounds), run, lambda row: sum(pattern.term_values(row)) == 0
+    return len(tops), run, lambda row: all(a <= b for a, b in zip(row, tops)) and sum(pattern.term_values(row)) == 0
 
 
 # a loader checks a spec whole (ValueError) and returns (row length, run() -> (found, bounds used),
@@ -297,20 +304,23 @@ KINDS: dict[str, Callable[[dict], tuple[int, Callable, Callable]]] = {
     "pattern": _load_pattern,
     "pillai_table": _scan_kind(
         {"prime_pairs": _PRIME_PAIRS, "power_bound": _at_least(1)}, 6, lambda **args: pillai_difference_table(**args),
-        lambda p, q, x, y, z, w: p**x - p**y == q**z - q**w > 0,
+        lambda p, q, x, y, z, w, prime_pairs, power_bound: [p, q] in prime_pairs
+        and max(x, y) <= ilog(power_bound, p) and max(z, w) <= ilog(power_bound, q) and p**x - p**y == q**z - q**w > 0,
     ),
     "rn_scan": _scan_kind(
         {"e_max": _INT}, 4, lambda e_max: rn_scan(e_max),
-        lambda b, m, e1, e2: b**m == 2**e1 + 2**e2 + 1 and m >= 2 and e1 > e2 >= 1,
+        lambda b, m, e1, e2, e_max: 1 <= e2 < e1 <= e_max and 2 <= m <= e1 and b**m == 2**e1 + 2**e2 + 1,
     ),
     "kruk_scan": _scan_kind(
         {"b_min": _at_least(2), "b_max": _INT, "exp_max": _at_least(0)}, 4, lambda **args: kruk_scan(**args),
-        lambda b, x0, y1, y2: 1 + b**y2 + 2**x0 == 2 * b**y1,
+        lambda b, x0, y1, y2, b_min, b_max, exp_max: b_min <= b <= b_max and max(x0, y1, y2) <= exp_max
+        and 1 + b**y2 + 2**x0 == 2 * b**y1,
     ),
     "lemma21_sweep": _scan_kind(
         {"b_min": _at_least(2), "b_max": _INT, **dict.fromkeys(("x_max", "alpha_max", "beta_max"), _at_least(1))},
         5, _lemma21_sweep,
-        lambda b, x, y, alpha, beta: b**x - b**y == 2**alpha * 3**beta,
+        lambda b, x, y, alpha, beta, b_min, b_max, x_max, alpha_max, beta_max: b_min <= b <= b_max
+        and y < x <= x_max and alpha <= alpha_max and beta <= beta_max and b**x - b**y == 2**alpha * 3**beta,
     ),
 }
 

@@ -166,21 +166,22 @@ def generate(
 ) -> tuple[SumsetParams, list[tuple[int, list[tuple[int, int]]]]]:
     """The base pair and the progression's (value, reps) terms for an admissible parameter assignment.
 
-    Raises FamilyConstraintError for an unknown family, a missing or unknown
-    parameter or a violated constraint, and ValueError if a closed form does
-    not give a progression inside the sumset.
+    Raises FamilyConstraintError for an unknown family, an unknown parameter
+    (named before any missing one, so a mistyped name is the one shown), a
+    missing parameter or a violated constraint, and ValueError if a closed
+    form does not give a progression inside the sumset.
     """
     if family_id not in FAMILIES:
         raise FamilyConstraintError(f"unknown family {family_id!r}")
     recipe = FAMILIES[family_id]
     code = recipe.__code__  # every recipe is a plain positional function
     names = list(code.co_varnames[:code.co_argcount])
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise FamilyConstraintError(f"{family_id} needs parameters {missing}")
     unknown = [n for n in params if n not in names]
     if unknown:
         raise FamilyConstraintError(f"{family_id} takes no parameters {unknown}; its parameters are {names}")
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise FamilyConstraintError(f"{family_id} needs parameters {missing}")
     try:
         base, closed = recipe(**params)
     except FamilyConstraintError as exc:

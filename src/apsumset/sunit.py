@@ -13,9 +13,11 @@
 * ``deweger_3term``     -- x + y = z in coprime 13-smooth positive integers,
                            by a join over prime-support buckets.
 
-Block join.  ``solve_pattern`` puts terms that share a variable into one
-block, so blocks have disjoint variables and the box is the product of the
-blocks' boxes; a term with no variable is a block of one row.  Each block
+Block join.  A term is a (coefficient, p_exp, q_exp) triple, each exponent
+an int or a variable name, and ``Pattern`` checks it.  ``solve_pattern``
+puts terms that share a variable into one block, so blocks have disjoint
+variables and the box is the product of the blocks' boxes; a term with no
+variable is a block of one row.  Each block
 is enumerated over its own variables, a row being its sum and exponents.
 The blocks are split into two sides by greedy balance of their boxes; the
 smaller side is stored in a dict keyed by its sum (at most the square root
@@ -102,28 +104,24 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-class PatternTerm(namedtuple("PatternTerm", "coefficient p_exp q_exp")):
-    """One signed monomial c * p^e * q^f; exponents are ints or variable names."""
-
-    __slots__ = ()
-
-    def __new__(cls, coefficient: int, p_exp: int | str, q_exp: int | str) -> PatternTerm:
-        if coefficient == 0:
-            raise ValueError("coefficient must be nonzero")
-        for e in (p_exp, q_exp):
-            if isinstance(e, int) and e < 0:
-                raise ValueError(f"fixed exponent must be >= 0, got {e}")
-        return super().__new__(cls, coefficient, p_exp, q_exp)
-
-
 class Pattern(namedtuple("Pattern", "p q terms var_bounds")):
-    """A signed two-prime equation with boxed exponent variables."""
+    """A signed two-prime equation with boxed exponent variables.
+
+    A term is a (coefficient, p_exp, q_exp) triple, the monomial c * p^e * q^f
+    with int or variable-name exponents, and the pattern checks each term.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, p: int, q: int, terms: tuple[PatternTerm, ...],
+    def __new__(cls, p: int, q: int, terms: tuple[tuple[int, int | str, int | str], ...],
                 var_bounds: tuple[tuple[str, int], ...]) -> Pattern:
         self = super().__new__(cls, p, q, terms, var_bounds)
+        for c, e, f in terms:
+            if c == 0:
+                raise ValueError("coefficient must be nonzero")
+            for x in (e, f):
+                if isinstance(x, int) and x < 0:
+                    raise ValueError(f"fixed exponent must be >= 0, got {x}")
         if max(p, q) >= PRIME_LIMIT:
             raise ValueError(f"p and q must be below {PRIME_LIMIT}, got {p}, {q}")
         if not (is_prime(p) and is_prime(q) and p != q):
@@ -136,7 +134,7 @@ class Pattern(namedtuple("Pattern", "p q terms var_bounds")):
         for name, b in var_bounds:
             if b < 0:
                 raise ValueError(f"bound of {name!r} must be >= 0, got {b}")
-        used = {e for t in terms for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
+        used = {e for t in terms for e in t[1:] if isinstance(e, str)}
         if used != bound.keys():
             raise ValueError(f"variable mismatch: terms use {sorted(used)}, bounds declare {sorted(bound)}")
         return self
@@ -153,8 +151,7 @@ class Pattern(namedtuple("Pattern", "p q terms var_bounds")):
 
     def _evaluate(self, env: dict[str, int]) -> tuple[int, ...]:
         """The signed term values at exponents `env`, which maps every variable; a fixed exponent is its own."""
-        return tuple(t.coefficient * self.p ** env.get(t.p_exp, t.p_exp) * self.q ** env.get(t.q_exp, t.q_exp)
-                     for t in self.terms)
+        return tuple(c * self.p ** env.get(e, e) * self.q ** env.get(f, f) for c, e, f in self.terms)
 
 
 def solve_pattern(
@@ -176,7 +173,7 @@ def solve_pattern(
     names = pattern.variables
     groups: list[tuple[set[str], list[int]]] = []
     for i, t in enumerate(pattern.terms):
-        own = {e for e in (t.p_exp, t.q_exp) if isinstance(e, str)}
+        own = {e for e in t[1:] if isinstance(e, str)}
         touching = [g for g in groups if g[0] & own]
         groups = [g for g in groups if not g[0] & own]
         groups.append((own.union(*(g[0] for g in touching)), sorted([i, *(j for g in touching for j in g[1])])))
@@ -192,8 +189,8 @@ def solve_pattern(
     if sizes[0] * sizes[1] > budget:
         raise SearchBudgetExceeded(sizes[0] * sizes[1], budget)
     # each block's rows times the 64-bit words of its widest term, whose bits p <= 2^bit_length(p - 1) bounds
-    bits = [abs(t.coefficient).bit_length() + bound.get(t.p_exp, t.p_exp) * (pattern.p - 1).bit_length()
-            + bound.get(t.q_exp, t.q_exp) * (pattern.q - 1).bit_length() for t in pattern.terms]
+    bits = [abs(c).bit_length() + bound.get(e, e) * (pattern.p - 1).bit_length()
+            + bound.get(f, f) * (pattern.q - 1).bit_length() for c, e, f in pattern.terms]
     words = sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
     if words > budget:
         raise SearchBudgetExceeded(words, budget, "row words")
@@ -230,9 +227,9 @@ def _block_rows(pattern: Pattern, block_vars: tuple[str, ...], term_ids: tuple[i
     the fixed exponents its terms use.
     """
     terms = [pattern.terms[i] for i in term_ids]
-    fixed = tuple({e for t in terms for e in (t.p_exp, t.q_exp) if isinstance(e, int)})
+    fixed = tuple({e for t in terms for e in t[1:] if isinstance(e, int)})
     slot = {e: k for k, e in enumerate(block_vars + fixed)}
-    spec = [(t.coefficient, slot[t.p_exp], slot[t.q_exp]) for t in terms]
+    spec = [(c, slot[e], slot[f]) for c, e, f in terms]
     bound = dict(pattern.var_bounds)
     for assign in itertools.product(*(range(bound[v] + 1) for v in block_vars)):
         e = assign + fixed
@@ -380,17 +377,14 @@ def deze_tijdeman_4term(p: int, q: int) -> list[FourTermSolution]:
     """
     if max(p, q) >= 200:
         raise ValueError(f"max(p, q) must be < 200, got {max(p, q)}")
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError(f"p, q must be distinct primes, got {p}, {q}")
 
-    xmax, ymax = ilog(DT_POWER_BOUND, p), ilog(DT_POWER_BOUND, q)
+    # a p or q below 2 takes bound 0, so the first Pattern refuses it as not a prime
+    xmax, ymax = (ilog(DT_POWER_BOUND, n) if n > 1 else 0 for n in (p, q))
     bounds = (("x", xmax), ("y", ymax), ("z", xmax), ("w", ymax))
     out: list[FourTermSolution] = []
     for s2, s3, s4 in itertools.product((1, -1), repeat=3):
-        product_shape = (PatternTerm(1, "x", "y"), PatternTerm(s2, "z", 0),
-                         PatternTerm(s3, 0, "w"), PatternTerm(s4, 0, 0))
-        pairs_shape = (PatternTerm(1, "x", 0), PatternTerm(s2, 0, "y"),
-                       PatternTerm(s3, "z", 0), PatternTerm(s4, 0, "w"))
+        product_shape = ((1, "x", "y"), (s2, "z", 0), (s3, 0, "w"), (s4, 0, 0))
+        pairs_shape = ((1, "x", 0), (s2, 0, "y"), (s3, "z", 0), (s4, 0, "w"))
 
         def canonical(a: dict[str, int], s2: int = s2, s3: int = s3, s4: int = s4) -> bool:
             return (s3 != 1 or a["z"] <= a["x"]) and (s2 != s4 or a["w"] <= a["y"])
@@ -423,8 +417,7 @@ def pillai_difference_table(
         pe, qe = ilog(power_bound, p), ilog(power_bound, q)
         pattern = Pattern(
             p, q,
-            (PatternTerm(1, "x", 0), PatternTerm(-1, "y", 0),
-             PatternTerm(-1, 0, "z"), PatternTerm(1, 0, "w")),
+            ((1, "x", 0), (-1, "y", 0), (-1, 0, "z"), (1, 0, "w")),
             (("x", pe), ("y", pe), ("z", qe), ("w", qe)),
         )
         ordered = solve_pattern(pattern, lambda a: a["x"] > a["y"] and a["z"] > a["w"])

@@ -259,6 +259,24 @@ class TestRunCheck:
         assert rep["passed"]
         assert len(rep["found"]) == 22
 
+    def test_recheck_refuses_a_solution_outside_the_box(self):
+        # 1 + 2049^0 + 2^12 = 2 * 2049 holds, but b = 2049 lies above the check's b_max = 1025
+        solver = registry()["kruk-b-scan"].solver
+        assert 1 + 2049**0 + 2**12 == 2 * 2049 and solver["b_max"] < 2049
+        assert KINDS["kruk_scan"](solver)[2]([2049, 12, 1, 0]) is False
+
+    @pytest.mark.parametrize("check_id, row", [
+        ("sec3-dt-3y2", [10**12, 1, 1]),
+        ("sec4-pillai-list", [2, 3, 10**12, 1, 1, 0]),
+        ("sec5-rn-family", [3, 2, 10**12, 4]),
+        ("kruk-b-scan", [3, 10**12, 1, 1]),
+        ("lemma21-sweep", [17, 10**12, 0, 5, 2]),
+    ], ids=["pattern", "pillai_table", "rn_scan", "kruk_scan", "lemma21_sweep"])
+    def test_recheck_refuses_a_huge_exponent_uncomputed(self, check_id, row):
+        # the box is checked before any power: 3^(10^12) alone would need about 200 GB
+        solver = registry()[check_id].solver
+        assert KINDS[solver["kind"]](solver)[2](row) is False
+
     def test_lemma_sweep_discrepancy_details(self):
         rep = run_check("lemma21-sweep")
         assert rep["passed"] and rep["flagged"]
@@ -430,6 +448,10 @@ MALFORMED = {
     "extras-row-not-a-solution": (  # 3^2 != 2^3 + 2^2 + 1
         "sec5-rn-family", ("documented_extras", 0), [3, 2, 3, 2],
         "check 'sec5-rn-family': documented_extras row [3, 2, 3, 2] fails the exact re-check",
+    ),
+    "extras-row-outside-box": (  # 1 + 2049^0 + 2^12 = 2 * 2049, but the scan stops at b = 1025
+        "kruk-b-scan", ("documented_extras",), [[2049, 12, 1, 0]],
+        "check 'kruk-b-scan': documented_extras row [2049, 12, 1, 0] fails the exact re-check",
     ),
 }
 

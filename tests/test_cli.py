@@ -382,6 +382,9 @@ class TestRefusals:
              "side_predicate 'szalay-context' reads u, v, y2, which the pattern does not declare"),
             ({**UNDECLARED, "side_predicate": "dt-3y2-context"},
              "side_predicate 'dt-3y2-context' reads y0, which the pattern does not declare"),
+            # several faults: the terms are checked before the primes
+            ({**VALID_PATTERN, "p": 4, "terms": [[0, "x", 0], [-1, "b", 0], [-1, 0, 0]]},
+             "coefficient must be nonzero"),
         ],
         ids=[
             "no-terms", "unknown-predicate", "list-predicate", "top-level-list", "negative-bound",
@@ -389,6 +392,7 @@ class TestRefusals:
             "unknown-key-require-primitive", "unknown-key-forbid-vanishing-subsums", "unknown-key-value-bound",
             "misspelled-side-predicate", "unknown-key-valu-bound", "interchangeable", "prime-beyond-bound",
             "composite-beyond-bound", "szalay-undeclared-variables", "dt-3y2-undeclared-variable",
+            "zero-coefficient-and-composite-p",
         ],
     )
     def test_malformed_pattern_refused(self, capsys, tmp_path, spec, error):
@@ -546,6 +550,8 @@ class TestGuards:
             (("count3", "2", "3", "--limits", "100,100"), None, None, "limits must be ascending"),
             (("sunit", "dt", "10000000000000000000000000", "3"), None, None,
              "max(p, q) must be < 200, got 10000000000000000000000000"),
+            (("sunit", "dt", "4", "3"), None, None, "p, q must be distinct primes, got 4, 3"),
+            (("sunit", "dt", "1", "3"), None, None, "p, q must be distinct primes, got 1, 3"),
             (("enum", "2", "3", "--limit", "1"), None, None, "limit must be >= 2, got 1"),
             (("sweep", "--a-max", "5", "--b-max", "4", "--len", "5", "--limit", "100"), None, None,
              "need 2 <= a_max <= b_max"),
@@ -570,7 +576,8 @@ class TestGuards:
             (("check", "--all"), None, (None, (), {}), "checks.json must be a JSON object whose 'checks' is a list"),
         ],
         ids=[
-            "count3-limit", "count3-descending", "count3-repeated-limit", "dt-too-large", "enum-limit",
+            "count3-limit", "count3-descending", "count3-repeated-limit", "dt-too-large", "dt-composite-p",
+            "dt-p-one", "enum-limit",
             "sweep-a-above-b", "deweger-z-limit", "family-no-params", "family-malformed-param",
             "pattern-zero-coefficient", "pattern-negative-exponent", "pattern-composite-p", "pattern-unused-bound",
             "lemma21-b-min", "pillai-composite-pair",
@@ -692,10 +699,10 @@ class TestParserReuse:
 class TestModuleEntry:
     """`python -m apsumset.cli` in a fresh interpreter exits with `main`'s code."""
 
-    def module(self, *argv):
+    def module(self, *argv, **env):
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        return subprocess.run([sys.executable, "-m", "apsumset.cli", *argv], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-m", "apsumset.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True)
 
     def test_member(self):
         argv = ("member", "2", "3", "11")
@@ -703,6 +710,15 @@ class TestModuleEntry:
         assert proc.returncode == 0
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == json.loads(proc.stderr)["result_sha256"] == GOLDEN_MEMBER[argv]
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("argv", [("sunit", "dt", "2", "3"), ("check", "--all")], ids=" ".join)
+    def test_digest_independent_of_hash_seed(self, argv, seed):
+        # the block join builds sets of variable names, whose order a string hash seed could change
+        proc = self.module(*argv, PYTHONHASHSEED=seed)
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == json.loads(proc.stderr)["result_sha256"] == GOLDEN_UNIT[argv]
 
     def test_usage_error(self):
         proc = self.module("member", "2", "3", "x")

@@ -98,8 +98,9 @@ def test_powers2_closed_form_matches_the_2_adic_reference(family_id, want, data)
 
 @pytest.mark.parametrize(
     "family_id, params, name",
-    [("prog1", {"n": 5, "k": 3}, "k"), ("three-term-B", {"k": 1}, "j"), ("prog1", {"n": 5, "typo": 9}, "typo")],
-    ids=["unknown-k", "missing-j", "unknown-typo"],
+    [("prog1", {"n": 5, "k": 3}, "k"), ("three-term-B", {"k": 1}, "j"), ("prog1", {"n": 5, "typo": 9}, "typo"),
+     ("prog1", {" n": 5}, " n")],
+    ids=["unknown-k", "missing-j", "unknown-typo", "unknown-before-missing"],
 )
 def test_missing_or_unknown_parameter_refused(family_id, params, name):
     with pytest.raises(FamilyConstraintError, match=f"'{name}'"):

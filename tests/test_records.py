@@ -8,9 +8,9 @@ from apsumset.catalog import LemmaSolution, NamedCheck
 from apsumset.classify import NonextensionRow, SweepConfig
 from apsumset.numutil import PrimeSet
 from apsumset.sumset import SumsetParams
-from apsumset.sunit import FourTermSolution, Pattern, PatternTerm, TripleSolution
+from apsumset.sunit import FourTermSolution, Pattern, TripleSolution
 
-TERMS = (PatternTerm(1, "x", 0), PatternTerm(-1, 0, "y"), PatternTerm(-1, 0, 0))
+TERMS = ((1, "x", 0), (-1, 0, "y"), (-1, 0, 0))
 BOUNDS = (("x", 5), ("y", 5))
 
 # one valid record of each kind, as (class, fields by name)
@@ -19,7 +19,6 @@ RECORDS = [
     (SweepConfig, {"a_max": 3, "b_max": 10, "term_limit": 100, "k": 5}),
     (NonextensionRow, {"family": "family1", "k": 1, "params": (2, 3), "next_term": 13, "extends": True,
                        "witness": ((2, 2),)}),
-    (PatternTerm, {"coefficient": -1, "p_exp": "x", "q_exp": 0}),
     (Pattern, {"p": 2, "q": 3, "terms": TERMS, "var_bounds": BOUNDS}),
     (TripleSolution, {"x": 1, "y": 2, "z": 3}),
     (FourTermSolution, {"shape": "px+-qy+-pz+-qw", "signs": (1, -1, 1, -1), "exponents": (2, 1, 1, 1),
@@ -52,8 +51,8 @@ ALL_IDS = [*RECORD_IDS, "PrimeSet"]
         (SweepConfig, (4, 3, 100, 5), "need 2 <= a_max <= b_max"),
         (SweepConfig, (2, 10, 100, 2), "k must be >= 3, got 2"),
         (SweepConfig, (2, 10, 1, 5), "limit must be >= 2, got 1"),
-        (PatternTerm, (0, "x", 0), "coefficient must be nonzero"),
-        (PatternTerm, (1, 0, -1), "fixed exponent must be >= 0, got -1"),
+        (Pattern, (2, 3, ((0, "x", 0), *TERMS[1:]), BOUNDS), "coefficient must be nonzero"),
+        (Pattern, (2, 3, (*TERMS, (1, 0, -1)), BOUNDS), "fixed exponent must be >= 0, got -1"),
         (Pattern, (10**25, 3, TERMS, BOUNDS), f"p and q must be below 3317044064679887385961981, got {10**25}, 3"),
         (Pattern, (2, 4, TERMS, BOUNDS), "p, q must be distinct primes, got 2, 4"),
         (Pattern, (3, 3, TERMS, BOUNDS), "p, q must be distinct primes, got 3, 3"),

@@ -14,7 +14,6 @@ from apsumset.sunit import (
     SHAPE_PAIRS,
     SHAPE_PRODUCT,
     Pattern,
-    PatternTerm,
     SearchBudgetExceeded,
     TripleSolution,
     _canonical_walk,
@@ -34,10 +33,7 @@ def naive_solve(pattern, predicate=None):
     for values in itertools.product(*(range(b + 1) for _, b in pattern.var_bounds)):
         env = dict(zip(names, values))
         # a fixed exponent is not a key of env, so env.get returns it unchanged
-        terms = tuple(
-            t.coefficient * pattern.p ** env.get(t.p_exp, t.p_exp) * pattern.q ** env.get(t.q_exp, t.q_exp)
-            for t in pattern.terms
-        )
+        terms = tuple(c * pattern.p ** env.get(e, e) * pattern.q ** env.get(f, f) for c, e, f in pattern.terms)
         if sum(terms) != 0:
             continue
         if predicate is not None and not predicate(env):
@@ -53,25 +49,24 @@ def even_sum(a):
 # every term shares "a", so the pattern is one block: 2^b 3^a = 2^a 3^b
 ONE_BLOCK = Pattern(
     2, 3,
-    (PatternTerm(1, "a", 0), PatternTerm(-1, "a", 0), PatternTerm(1, "b", "a"), PatternTerm(-1, "a", "b")),
+    ((1, "a", 0), (-1, "a", 0), (1, "b", "a"), (-1, "a", "b")),
     (("b", 12), ("a", 12)),
 )
 # one block with a fixed exponent and coefficients other than +-1: 3 * 2^a - 2^a - 2 * 2^a = 0 at every a
 ONE_BLOCK_COEFFICIENTS = Pattern(
     2, 3,
-    (PatternTerm(3, "a", 0), PatternTerm(-1, "a", 0), PatternTerm(-2, "a", 0)),
+    ((3, "a", 0), (-1, "a", 0), (-2, "a", 0)),
     (("a", 20),),
 )
 # four one-variable blocks plus a fixed term: 2^a + 3^b = 2^c + 3^d + 1
 FOUR_BLOCKS = Pattern(
     2, 3,
-    (PatternTerm(1, "a", 0), PatternTerm(1, 0, "b"), PatternTerm(-1, "c", 0), PatternTerm(-1, 0, "d"),
-     PatternTerm(-1, 0, 0)),
+    ((1, "a", 0), (1, 0, "b"), (-1, "c", 0), (-1, 0, "d"), (-1, 0, 0)),
     (("a", 9), ("b", 6), ("c", 9), ("d", 6)),
 )
 
 # every term fixed: 2^1 + 3^0 - 3^1 = 0, the one point of an empty box
-ALL_FIXED = Pattern(2, 3, (PatternTerm(1, 1, 0), PatternTerm(1, 0, 0), PatternTerm(-1, 0, 1)), ())
+ALL_FIXED = Pattern(2, 3, ((1, 1, 0), (1, 0, 0), (-1, 0, 1)), ())
 
 
 @st.composite
@@ -91,7 +86,7 @@ def pattern_cases(draw):
     names = draw(st.permutations(used))
     pattern = Pattern(
         *draw(st.sampled_from(((2, 3), (3, 2), (2, 5)))),
-        tuple(PatternTerm(*t) for t in terms),
+        tuple(terms),
         tuple((v, draw(st.integers(0, 20))) for v in names),
     )
     return pattern, draw(st.sampled_from((None, even_sum)))
@@ -102,7 +97,7 @@ class TestSolvePattern:
         # 3^a - 2^b - 1 = 0
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, 0, "a"), PatternTerm(-1, "b", 0), PatternTerm(-1, 0, 0)),
+            ((1, 0, "a"), (-1, "b", 0), (-1, 0, 0)),
             (("a", 12), ("b", 19)),
         )
         assert [assignment for assignment, _ in solve_pattern(pat)] == [(1, 1), (2, 3)]
@@ -111,7 +106,7 @@ class TestSolvePattern:
         # 2^a = 2^b + 2^c only at b = c = a - 1
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, "a", 0), PatternTerm(-1, "b", 0), PatternTerm(-1, "c", 0)),
+            ((1, "a", 0), (-1, "b", 0), (-1, "c", 0)),
             (("a", 5), ("b", 5), ("c", 5)),
         )
         sols = [assignment for assignment, _ in solve_pattern(pat)]
@@ -120,7 +115,7 @@ class TestSolvePattern:
     def test_budget_refusal(self):
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, "a", "b"), PatternTerm(-1, "c", "d")),
+            ((1, "a", "b"), (-1, "c", "d")),
             (("a", 999), ("b", 999), ("c", 999), ("d", 999)),
         )
         with pytest.raises(SearchBudgetExceeded) as info:
@@ -129,14 +124,14 @@ class TestSolvePattern:
 
     def test_fixed_term_counts_toward_row_words(self):
         # 2^x = 3^6400000: the fixed term alone is 200,001 words by the bits bound, so it is refused uncomputed
-        pat = Pattern(2, 3, (PatternTerm(1, "x", 0), PatternTerm(-1, 0, 6_400_000)), (("x", 3),))
+        pat = Pattern(2, 3, ((1, "x", 0), (-1, 0, 6_400_000)), (("x", 3),))
         with pytest.raises(SearchBudgetExceeded, match="row words") as info:
             solve_pattern(pat, budget=10**4)
         assert info.value.estimate == 4 + 200_001
 
     def test_each_fixed_term_counts_toward_row_words(self):
         # 2^x + 2^12800000 = 3^6400000: each fixed term is a one-row block of 200,001 words
-        terms = (PatternTerm(1, "x", 0), PatternTerm(1, 12_800_000, 0), PatternTerm(-1, 0, 6_400_000))
+        terms = ((1, "x", 0), (1, 12_800_000, 0), (-1, 0, 6_400_000))
         with pytest.raises(SearchBudgetExceeded, match="row words") as info:
             solve_pattern(Pattern(2, 3, terms, (("x", 3),)), budget=10**4)
         assert info.value.estimate == 4 + 200_001 + 200_001
@@ -144,9 +139,9 @@ class TestSolvePattern:
     @pytest.mark.parametrize("pattern, expected", [
         (ALL_FIXED, [((), (2, 1, -3))]),
         # 2^2 - 3^1 != 0
-        (Pattern(2, 3, (PatternTerm(1, 2, 0), PatternTerm(-1, 0, 1)), ()), []),
+        (Pattern(2, 3, ((1, 2, 0), (-1, 0, 1)), ()), []),
         # 2^a - 3^1 - 1 = 0 only at a = 2
-        (Pattern(2, 3, (PatternTerm(1, "a", 0), PatternTerm(-1, 0, 1), PatternTerm(-1, 0, 0)), (("a", 10),)),
+        (Pattern(2, 3, ((1, "a", 0), (-1, 0, 1), (-1, 0, 0)), (("a", 10),)),
          [((2,), (4, -3, -1))]),
     ], ids=["all-fixed-zero", "all-fixed-nonzero", "two-fixed-one-block"])
     def test_term_with_no_variable_is_one_row_block(self, pattern, expected):
@@ -156,7 +151,7 @@ class TestSolvePattern:
         # shrunken box, generic 3-term pattern: full naive enumeration
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, "a", "b"), PatternTerm(-2, 0, "c"), PatternTerm(-1, "d", 0)),
+            ((1, "a", "b"), (-2, 0, "c"), (-1, "d", 0)),
             (("a", 6), ("b", 6), ("c", 6), ("d", 6)),
         )
         naive = []
@@ -171,8 +166,7 @@ class TestSolvePattern:
     def test_term_values_sum_to_zero(self):
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, "x3", 0), PatternTerm(1, 0, "y3"), PatternTerm(-1, "x2", 0),
-             PatternTerm(-1, 0, "y2"), PatternTerm(-2, 0, "y0")),
+            ((1, "x3", 0), (1, 0, "y3"), (-1, "x2", 0), (-1, 0, "y2"), (-2, 0, "y0")),
             (("x3", 10), ("y3", 6), ("x2", 10), ("y2", 6), ("y0", 6)),
         )
         sols = solve_pattern(pat)
@@ -183,8 +177,7 @@ class TestSolvePattern:
     def test_pattern_term_values_match_solutions(self):
         pat = Pattern(
             2, 3,
-            (PatternTerm(1, "x3", 0), PatternTerm(1, 0, "y3"), PatternTerm(-1, "x2", 0),
-             PatternTerm(-1, 0, "y2"), PatternTerm(-2, 0, "y0")),
+            ((1, "x3", 0), (1, 0, "y3"), (-1, "x2", 0), (-1, 0, "y2"), (-2, 0, "y0")),
             (("x3", 10), ("y3", 6), ("x2", 10), ("y2", 6), ("y0", 6)),
         )
         for assignment, values in solve_pattern(pat):
@@ -193,19 +186,19 @@ class TestSolvePattern:
 
     @pytest.mark.parametrize("assignment", [(1,), (1, 2, 3), (-1, 2)], ids=["short", "long", "negative"])
     def test_pattern_term_values_refuses_bad_assignment(self, assignment):
-        terms = (PatternTerm(1, 0, "a"), PatternTerm(-1, "b", 0), PatternTerm(-1, 0, 0))
+        terms = ((1, 0, "a"), (-1, "b", 0), (-1, 0, 0))
         pat = Pattern(2, 3, terms, (("a", 5), ("b", 5)))
         with pytest.raises(ValueError):
             pat.term_values(assignment)
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Pattern(2, 3, (PatternTerm(1, "a", 0),), (("a", 3), ("zz", 3)))
+            Pattern(2, 3, ((1, "a", 0),), (("a", 3), ("zz", 3)))
 
     @pytest.mark.parametrize("bounds", [(("a", -1),), (("a", 3), ("a", 4))])
     def test_negative_or_repeated_bound_rejected(self, bounds):
         with pytest.raises(ValueError):
-            Pattern(2, 3, (PatternTerm(1, "a", 0), PatternTerm(-1, 0, 1)), bounds)
+            Pattern(2, 3, ((1, "a", 0), (-1, 0, 1)), bounds)
 
     @settings(max_examples=300, deadline=None)
     @given(case=pattern_cases())
