@@ -11,7 +11,9 @@ the entry, and any other key is refused.  A ``KINDS`` loader checks a spec
 whole and returns (row length, run, recheck): ``run()`` returns (found,
 bounds used) and ``recheck(row)`` re-checks one row exactly, both bound to
 the checked spec; a row outside the box that ``run()`` searches fails its
-re-check before any of its powers is computed.  A scan kind takes exactly
+re-check before any of its powers is computed, and a solution that
+``run()`` filters out (by a pattern's side predicate, or as a sweep row
+that a case covers) fails it too.  A scan kind takes exactly
 its keys, each in the domain its scan assumes, so a scan checks no bound of
 its own; a pattern is built once by ``build_pattern``, which checks it.
 The Kruk and Lemma 2.1 scans are one pass each over one exact table of
@@ -294,7 +296,11 @@ def _load_pattern(spec) -> tuple[int, Callable, Callable]:
     def run() -> tuple[list[tuple], dict]:
         return [a for a, _ in solve_pattern(pattern, side_predicate=predicate)], dict(pattern.var_bounds)
 
-    return len(tops), run, lambda row: all(a <= b for a, b in zip(row, tops)) and sum(pattern.term_values(row)) == 0
+    def recheck(row) -> bool:
+        return (all(a <= b for a, b in zip(row, tops)) and sum(pattern.term_values(row)) == 0
+                and (predicate is None or predicate(dict(zip(pattern.variables, row)))))
+
+    return len(tops), run, recheck
 
 
 # a loader checks a spec whole (ValueError) and returns (row length, run() -> (found, bounds used),
@@ -320,7 +326,8 @@ KINDS: dict[str, Callable[[dict], tuple[int, Callable, Callable]]] = {
         {"b_min": _at_least(2), "b_max": _INT, **dict.fromkeys(("x_max", "alpha_max", "beta_max"), _at_least(1))},
         5, _lemma21_sweep,
         lambda b, x, y, alpha, beta, b_min, b_max, x_max, alpha_max, beta_max: b_min <= b <= b_max
-        and y < x <= x_max and alpha <= alpha_max and beta <= beta_max and b**x - b**y == 2**alpha * 3**beta,
+        and y < x <= x_max and alpha <= alpha_max and beta <= beta_max and b**x - b**y == 2**alpha * 3**beta
+        and lemma21_classify(LemmaSolution(b, x, y, alpha, beta)) == CASE_UNLISTED,
     ),
 }
 

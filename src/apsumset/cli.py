@@ -85,8 +85,8 @@ def _param(v):
     return str(v) if isinstance(v, int) and abs(v) >= 2**63 else v
 
 
-# one encoder for every row and manifest; json.dumps would build a new one per call
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# one encoder for every row and manifest; json.dumps would build a new one per call, and no row is circular
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _progression_obj(a: int, b: int, terms, maximal: bool | None = None):
@@ -234,15 +234,12 @@ def _run_dt(args):
 
 def _run_bb5(args):
     sols = bajpai_bennett_5term(args.alpha_max, args.beta_max)
-    rows = [
-        {
-            "terms": [
-                {"sign": 1 if v > 0 else -1, "alpha": alpha, "beta": beta, "value": str(abs(v))}
-                for v, alpha, beta in zip(values, assignment[::2], assignment[1::2])
-            ]
-        }
-        for assignment, values in sols
-    ]
+    term: dict[int, dict] = {}  # one dict per signed monomial, shared by the rows that hold it
+    for assignment, values in sols:
+        for v, alpha, beta in zip(values, assignment[::2], assignment[1::2]):
+            if v not in term:
+                term[v] = {"sign": 1 if v > 0 else -1, "alpha": alpha, "beta": beta, "value": str(abs(v))}
+    rows = [{"terms": [term[v] for v in values]} for _, values in sols]
     rows.append({"count": len(sols), "alpha_max": args.alpha_max, "beta_max": args.beta_max})
     return rows, EXIT_OK
 

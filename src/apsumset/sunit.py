@@ -22,10 +22,15 @@ is enumerated over its own variables, a row being its sum and exponents.
 The blocks are split into two sides by greedy balance of their boxes; the
 smaller side is stored in a dict keyed by its sum (at most the square root
 of the box), and the larger side is streamed, its largest block row by row,
-and probed for the complementary sum.  Every point of the box is exactly
-one (streamed, stored) pair of row combinations, and the probe meets it iff
-the terms sum to zero, so the join is complete and yields each assignment
-once.  A pattern whose terms all share variables is one block, streamed
+and probed for the complementary sum.  Row sums are folded block by block:
+each side's other blocks become a list of (sum, rows) pairs, one addition
+per block, so no combination is summed again.  The fold beside the table
+is never larger than the table: when the last block joined the streamed
+side, that side was the smaller one, so the streamed product over its
+largest block is at most the stored product.  Every point of the box is
+exactly one (streamed, stored) pair of row combinations, and the probe
+meets it iff the terms sum to zero, so the join is complete and yields
+each assignment once.  A pattern whose terms all share variables is one block, streamed
 against the one-row empty side.  Sums are exact Python ints.  Each match
 builds one dict from variable to exponent: the side predicate reads it and
 must not change it, and the pattern's term evaluator turns a kept one into
@@ -62,21 +67,20 @@ Support buckets.  In a de Weger solution gcd(x, y) = 1 and z = x + y make
 x, y and z pairwise coprime, so their prime-support masks are pairwise
 disjoint.  The smooth numbers up to z_limit are generated per support,
 each straight into the sorted bucket of its exact mask
-(``numutil.smooth_buckets``), never grouped after the fact.  Two summands
+(``numutil.smooth_buckets``), never grouped after the fact.  Two terms
 share a bucket only if both masks are empty, which is 1 + 1 = 2, so every
-solution lies in exactly one triple of pairwise disjoint buckets: an
-unordered summand pair {A, B}, with A = B only for the empty bucket paired
-with itself, and a nonempty sum bucket C.  Each triple orders its buckets
-by size as S, M and U, ties kept in the order A, B, C (so the empty pair
-probes C with 1 + 1), and probes U, a set, with every sum or difference
-of the product S x M in one C-level intersection: sums w + v when U is C,
-differences w - v when S is C, and v - w when M is C.  M is cut once by
-the bucket extremes, to v <= max(C) - min(S), v < max(S) and v > min(S)
-in those three cases; a solution's term v of M is z - x with x in S, a
-summand below z in S, or x + y with x in S, so the cuts drop none.  The
-probe meets a value of U iff it completes a solution of the triple, and
-scanning S against M's set recovers every solution behind each hit, once;
-all arithmetic is on Python ints.
+solution lies in exactly one unordered triple of pairwise disjoint masks,
+two of them equal only for the empty pair.  The join makes one pass per
+such triple, its buckets ordered by size as S, M and U, and probes U, a
+set, twice in one C-level intersection each.  The sums w + v of S x M
+find the solutions whose sum lies in U; M is cut once to
+v <= max(U) - min(S), since v = z - w there.  The differences |w - v|
+find those whose sum lies in S (w - h in M) or in M (w + h in M), U
+holding a summand h.  The sum's bucket is one of S, M and U and decides
+the probe and branch, and within a branch the hit and the w of S fix the
+solution, so each solution is found exactly once; scanning S against M's
+set recovers every solution behind each hit, and all arithmetic is on
+Python ints.
 """
 
 from __future__ import annotations
@@ -194,28 +198,29 @@ def solve_pattern(
     words = sum(box * -(-max(bits[i] for i in ids) // 64) for (_, ids), box in boxes.items())
     if words > budget:
         raise SearchBudgetExceeded(words, budget, "row words")
-    stored, streamed = sides if sizes[0] <= sizes[1] else sides[::-1]
+    # on a tie the side holding the largest block streams, so the streamed side is never empty
+    stored, streamed = sides if sizes[0] < sizes[1] else sides[::-1]
 
-    def combos(side):
-        """One row per block of a side; the side's first block is never held in memory."""
-        if not side:
-            yield ()
-            return
-        rest = [list(_block_rows(pattern, *b)) for b in side[1:]]
-        for row in _block_rows(pattern, *side[0]):
-            for combo in itertools.product(*rest):
-                yield (row, *combo)
+    def fold(blocks):
+        """(sum, rows) of each choice of one row per block, the rows in block order."""
+        folded = [(0, ())]
+        for b in blocks:
+            rows = list(_block_rows(pattern, *b))
+            folded = [(s + r[0], (*combo, r)) for s, combo in folded for r in rows]
+        return folded
 
     table: dict[int, list[tuple]] = {}
-    for combo in combos(stored):
-        table.setdefault(sum(r[0] for r in combo), []).append(combo)
+    for s, combo in fold(stored):
+        table.setdefault(s, []).append(combo)
+    tail = fold(streamed[1:])
     found = []
-    for combo in combos(streamed):
-        for other in table.get(-sum(r[0] for r in combo), ()):
-            env = {v: a for (block_vars, _), (_, assign) in zip(streamed + stored, combo + other)
-                   for v, a in zip(block_vars, assign)}
-            if side_predicate is None or side_predicate(env):
-                found.append((tuple(env[v] for v in names), pattern._evaluate(env)))
+    for row in _block_rows(pattern, *streamed[0]):
+        for s, combo in tail:
+            for other in table.get(-row[0] - s, ()):
+                env = {v: a for (block_vars, _), (_, assign) in zip(streamed + stored, (row, *combo, *other))
+                       for v, a in zip(block_vars, assign)}
+                if side_predicate is None or side_predicate(env):
+                    found.append((tuple(env[v] for v in names), pattern._evaluate(env)))
     found.sort(key=itemgetter(0))
     return found
 
@@ -254,11 +259,13 @@ def _canonical_walk(
     exponents = {p**e * q**f: (e, f) for f, top in enumerate(e_tops) for e in range(top + 1)}
     values = sorted(exponents)
 
+    negated = [-u for u in values]  # one int per negative term, shared by all its pairs
     pairs: dict[int, list[tuple[int, int]]] = {}
     for lo, v in enumerate(values):
-        for low in values[:max(lo - 1, 0)]:  # admit the pairs (j, l) with l < j = lo - 1
-            for pair in itertools.product((values[lo - 1], -values[lo - 1]), (low, -low)):
-                pairs.setdefault(sum(pair), []).append(pair)
+        high, minus = values[lo - 1], negated[lo - 1]
+        for low, nlow in zip(values[:max(lo - 1, 0)], negated):  # admit the pairs (j, l) with l < j = lo - 1
+            for pair in (high, low), (high, nlow), (minus, low), (minus, nlow):
+                pairs.setdefault(pair[0] + pair[1], []).append(pair)
         for mid in itertools.combinations(range(lo + 1, len(values)), k - 4):
             start = (mid[-1] if mid else lo) + 1  # i0 lies above the walked indices
             tops = (v, *map(values.__getitem__, mid))
@@ -267,14 +274,17 @@ def _canonical_walk(
             for walked in itertools.product(*((u, -u) for u in tops)):
                 rest = -sum(walked)
                 # a stored pair sum is below 2v in magnitude, so i0's value lies within 2v of rest
-                window = values[max(start, bisect_right(values, rest - 2 * v)):bisect_left(values, rest + 2 * v)]
-                for target in pairs.keys() & map(rest.__sub__, window):
+                first = bisect_right(values, rest - 2 * v, start)
+                last = bisect_left(values, rest + 2 * v, first)
+                if first == last:
+                    continue
+                for target in pairs.keys() & map(rest.__sub__, values[first:last]):
                     u = rest - target
                     common = gcd(u, *walked)  # a pair sharing a factor with it is not primitive
                     for pair in pairs[target]:
                         if gcd(common, *pair) == 1:
                             signed = (u, *walked[::-1], *pair)
-                            yield tuple(x for s in signed for x in exponents[abs(s)]), signed
+                            yield sum(map(exponents.__getitem__, map(abs, signed)), ()), signed
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +309,12 @@ def deweger_3term(
     """Complete list of x + y = z, x <= y, gcd(x,y) = 1, xyz smooth, z <= z_limit.
 
     The smooth numbers are built straight into sorted buckets by support
-    mask (`smooth_buckets`).  Each triple of pairwise disjoint buckets
-    (summands A, B, sum C) probes its largest bucket with every sum or
-    difference of the other two in one set intersection, the middle bucket
-    cut once by the bucket extremes, and recovers each hit's summands by a
-    scan of the smallest; 1 + 1 = 2 is the empty bucket paired with itself.
+    mask (`smooth_buckets`).  One pass per unordered triple of pairwise
+    disjoint buckets probes the largest with the sums of the other two,
+    the middle bucket cut once by the bucket extremes, and with their
+    absolute differences, and recovers each hit's summands by a scan of the
+    smallest; 1 + 1 = 2 is the empty bucket paired with itself, and each
+    solution is found once, by the bucket that holds its sum.
     See the module docstring for why this is complete.  Sorted by (z, x).
     z_limit above 2^63 - 1 is refused, which bounds the enumeration.
     """
@@ -316,28 +327,20 @@ def deweger_3term(
     sets = {m: set(b) for m, b in buckets.items()}
 
     found = []
-    for a, b in itertools.combinations_with_replacement(buckets, 2):
-        if a & b:
-            continue
-        for c in buckets:
-            if not c or c & (a | b):
-                continue
-            s, t, u = sorted((a, b, c), key=lambda m: len(buckets[m]))
-            small, mid, probe, members = buckets[s], buckets[t], sets[u], sets[t]
-            if u == c:  # sums w + v probe the sum bucket
-                mid = mid[:bisect_right(mid, buckets[u][-1] - small[0])]
-                hits = probe.intersection(itertools.starmap(add, itertools.product(small, mid)))
-                found += [(w, h - w, h) for h in hits for w in small if h - w in members]
-            elif s == c:  # small holds the sums: differences w - v probe a summand bucket
-                mid = mid[:bisect_left(mid, small[-1])]
-                hits = probe.intersection(itertools.starmap(sub, itertools.product(small, mid)))
-                found += [(h, w - h, w) for h in hits for w in small if w - h in members]
-            else:  # mid holds the sums: differences v - w probe a summand bucket
-                mid = mid[bisect_right(mid, small[0]):]
-                hits = probe.intersection(itertools.starmap(sub, itertools.product(mid, small)))
-                found += [(w, h, w + h) for h in hits for w in small if w + h in members]
-    ordered = sorted((z, min(x, y), max(x, y)) for x, y, z in found)
-    return [TripleSolution(x, y, z) for z, x, y in ordered]
+    for s, t, u in itertools.combinations_with_replacement(sorted(buckets, key=lambda m: len(buckets[m])), 3):
+        if s & t or (s | t) & u or s == u:
+            continue  # two equal masks only for the empty pair 1 + 1 = 2
+        small, mid, probe, members = buckets[s], buckets[t], sets[u], sets[t]
+        # sums w + v probe U as the sum bucket
+        cut = mid[:bisect_right(mid, buckets[u][-1] - small[0])]
+        hits = probe.intersection(itertools.starmap(add, itertools.product(small, cut)))
+        found += [(w, h - w, h) for h in hits for w in small if h - w in members]
+        # differences |w - v| probe U as a summand bucket, the sum lying in S or in M
+        hits = probe.intersection(map(abs, itertools.starmap(sub, itertools.product(small, mid))))
+        found += [(h, w - h, w) for h in hits for w in small if w - h in members]
+        found += [(w, h, w + h) for h in hits for w in small if w + h in members]
+    found.sort(key=lambda t: (t[2], min(t[0], t[1])))  # z and the smaller summand fix a solution
+    return [TripleSolution(min(x, y), max(x, y), z) for x, y, z in found]
 
 
 def triple_ord_profile(sol: TripleSolution, primes: PrimeSet = DEWEGER_PRIMES) -> dict[int, int]:

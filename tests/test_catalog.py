@@ -277,6 +277,16 @@ class TestRunCheck:
         solver = registry()[check_id].solver
         assert KINDS[solver["kind"]](solver)[2](row) is False
 
+    @pytest.mark.parametrize("check_id, row", [
+        ("sec3-dt-3y2", [3, 2, 3]),  # 3^3 - 2*3^2 - 2^3 - 1 = 0 with y0 = 2 > 1
+        ("lemma21-sweep", [5, 1, 0, 2, 0]),  # 5 - 1 = 2^2, the case b = 2^a*3^b + 1
+    ], ids=["side-predicate", "classified"])
+    def test_recheck_refuses_a_solution_the_run_filters(self, check_id, row):
+        solver = registry()[check_id].solver
+        _, run, recheck = KINDS[solver["kind"]](solver)
+        assert tuple(row) not in run()[0]
+        assert recheck(row) is False
+
     def test_lemma_sweep_discrepancy_details(self):
         rep = run_check("lemma21-sweep")
         assert rep["passed"] and rep["flagged"]
@@ -452,6 +462,14 @@ MALFORMED = {
     "extras-row-outside-box": (  # 1 + 2049^0 + 2^12 = 2 * 2049, but the scan stops at b = 1025
         "kruk-b-scan", ("documented_extras",), [[2049, 12, 1, 0]],
         "check 'kruk-b-scan': documented_extras row [2049, 12, 1, 0] fails the exact re-check",
+    ),
+    "extras-row-fails-side-predicate": (  # 3^3 - 2*3^2 = 2^3 + 1, but the context needs y0 <= 1
+        "sec3-dt-3y2", ("documented_extras",), [[3, 2, 3]],
+        "check 'sec3-dt-3y2': documented_extras row [3, 2, 3] fails the exact re-check",
+    ),
+    "extras-row-a-listed-case": (  # 5 - 1 = 2^2, but b = 2^2 + 1 is a listed case, not an unlisted one
+        "lemma21-sweep", ("documented_extras",), [[5, 1, 0, 2, 0]],
+        "check 'lemma21-sweep': documented_extras row [5, 1, 0, 2, 0] fails the exact re-check",
     ),
 }
 

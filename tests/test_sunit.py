@@ -64,6 +64,12 @@ FOUR_BLOCKS = Pattern(
     ((1, "a", 0), (1, 0, "b"), (-1, "c", 0), (-1, 0, "d"), (-1, 0, 0)),
     (("a", 9), ("b", 6), ("c", 9), ("d", 6)),
 )
+# six one-variable blocks of box 4 split three and three, so each side folds three blocks' row sums
+SIX_BLOCKS = Pattern(
+    2, 3,
+    ((1, "a", 0), (1, 0, "b"), (-1, "c", 0), (-1, 0, "d"), (1, "e", 0), (-2, 0, "f")),
+    tuple((name, 3) for name in "abcdef"),
+)
 
 # every term fixed: 2^1 + 3^0 - 3^1 = 0, the one point of an empty box
 ALL_FIXED = Pattern(2, 3, ((1, 1, 0), (1, 0, 0), (-1, 0, 1)), ())
@@ -205,6 +211,7 @@ class TestSolvePattern:
     @example(case=(ONE_BLOCK, None))
     @example(case=(ONE_BLOCK_COEFFICIENTS, None))
     @example(case=(FOUR_BLOCKS, even_sum))
+    @example(case=(SIX_BLOCKS, None))
     @example(case=(ALL_FIXED, None))
     @example(case=(ALL_FIXED, even_sum))
     def test_matches_naive_walk(self, case):
@@ -401,6 +408,16 @@ class TestDeweger:
     def test_single_prime(self):
         got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet((2,)), 10**6)]
         assert got == [(1, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "primes",
+        [ps for n in range(1, 5) for ps in itertools.combinations((2, 3, 5, 7), n)],
+        ids=lambda ps: "-".join(map(str, ps)),
+    )
+    def test_matches_brute_force_every_support(self, primes):
+        # ties in bucket size and every bucket holding the sum
+        got = [(t.x, t.y, t.z) for t in deweger_3term(PrimeSet(primes), 10**4)]
+        assert got == brute_deweger(primes, 10**4)
 
     def test_matches_brute_force(self):
         primes = PrimeSet((2, 3, 5, 7, 11, 13))
